@@ -271,7 +271,7 @@ func main() {
 	listen := flag.String("listen", "", "serve /metrics, /debug/trace and /debug/accuracy on this address (e.g. :9090); exit code 3 when already in use")
 	hold := flag.Duration("hold", 0, "keep the HTTP endpoints up this long after the workload (requires -listen)")
 	traceDepth := flag.Int("trace", 32, "request traces to retain (0 disables tracing)")
-	profile := flag.Bool("profile", false, "modeled-cycle profiling: pim_* metrics plus /debug/profile (flamegraph/pprof) and /debug/heatmap")
+	profile := flag.Bool("profile", false, "modeled-cycle profiler: /debug/profile (per-class ops and cycles as JSON, flamegraph or pprof) and /debug/heatmap (per-DPU issue/DMA/idle)")
 	ledger := flag.Bool("ledger", false, "per-tenant cost ledger (/debug/ledger, tenant_* series, exit summary)")
 	timeline := flag.Duration("timeline", 0, "windowed metrics store bucket width (/debug/timeline; 0 disables)")
 	faults := flag.String("faults", "", "fault-injection plan (e.g. \"seed=42,dpufail=0.05,transfer=0.02\")")
@@ -309,7 +309,7 @@ func main() {
 	tlcfg := transpimlib.TimelineConfig{Enabled: *timeline > 0, BucketWidth: *timeline}
 	ecfg := transpimlib.EngineConfig{
 		DPUs: *dpus, Shards: *shards, BatchWindow: *window,
-		TraceDepth: *traceDepth, Profile: *profile, Faults: *faults,
+		TraceDepth: *traceDepth, Faults: *faults,
 		Profiler: transpimlib.ProfilerConfig{Enabled: *profile},
 		Accuracy: transpimlib.AccuracyConfig{
 			Enabled:    *accuracy > 0,

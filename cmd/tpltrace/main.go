@@ -53,7 +53,7 @@ func main() {
 	total := *clients * *requests
 	ecfg := transpimlib.EngineConfig{
 		DPUs: *dpus, Shards: *shards, BatchWindow: *window,
-		TraceDepth: total, Profile: true,
+		TraceDepth: total,
 	}
 	var (
 		eng *transpimlib.Engine

@@ -60,10 +60,6 @@ type EngineConfig struct {
 	// histogram quantiles. Timeline.Enabled false (the default)
 	// disables it entirely.
 	Timeline TimelineConfig
-	// Profile enables per-DPU kernel-launch profiling: instruction-
-	// class and per-core cycle counters accumulate into the telemetry
-	// registry as pim_* series (default off).
-	Profile bool
 	// Profiler enables the continuous modeled-cycle profiler: every
 	// launch's cycles are attributed to a (tenant, function, method,
 	// stage, instruction class) stack in a lock-cheap aggregation
@@ -71,7 +67,7 @@ type EngineConfig struct {
 	// of time windows. Read it via Engine.Profile*, /debug/profile
 	// (folded flamegraph text, pprof profile.proto, or JSON), and
 	// /debug/heatmap. Profiler.Enabled false (the default) leaves the
-	// hot path untouched — no observer is installed.
+	// hot path untouched — launches take no counter snapshots for it.
 	Profiler ProfilerConfig
 	// Reference forces the per-element interpreted compute kernel
 	// instead of the fused batch fast path. Outputs and modeled cycles
@@ -246,7 +242,6 @@ func (cfg EngineConfig) internal() (engine.Config, error) {
 		ProcName:    cfg.ProcName,
 		Ledger:      cfg.Ledger,
 		Timeline:    cfg.Timeline,
-		Profile:     cfg.Profile,
 		Profiler:    cfg.Profiler,
 		Reference:   cfg.Reference,
 		Faults:      plan,

@@ -107,9 +107,10 @@ func (r *request) complete(b *batch, shardID int) (last bool) {
 
 // seg is a contiguous slice of one request packed into a batch.
 type seg struct {
-	req *request
-	off int // offset into req.inputs / req.outputs
-	n   int
+	req    *request
+	off    int // offset into req.inputs / req.outputs
+	n      int
+	cycles uint64 // its shares of the batch's launches (Engine.launch)
 }
 
 // batch is the pipeline's unit of work: same-spec segments coalesced
@@ -130,9 +131,9 @@ type batch struct {
 	hit    bool    // tables were resident on the serving shard
 	setup  float64 // modeled setup charged (cache miss only)
 	tin    float64 // modeled host→PIM seconds
-	tcomp  float64 // modeled kernel seconds (slowest core)
+	tcomp  float64 // modeled kernel seconds (critical path)
 	tout   float64 // modeled PIM→host seconds
-	cycles uint64  // modeled kernel cycles (slowest core)
+	cycles uint64  // modeled kernel cycles (every launch's slowest core)
 	err    error
 
 	// Compiled-plan staging decisions, made at transfer-in when a plan
@@ -151,7 +152,7 @@ type batch struct {
 	// metered host↔PIM bytes across transfer-in, the phase syncs, and
 	// transfer-out (they reconcile exactly against the compiler's
 	// analytic byte model).
-	prog     *fusion.Compiled
+	prog      *fusion.Compiled
 	pIn, pOut int
 
 	// Reliability outcomes (fault injection only; see reliability.go).

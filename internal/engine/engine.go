@@ -72,18 +72,12 @@ type Config struct {
 	// requests (Engine.TraceLast, /debug/trace). Zero disables
 	// tracing: no stage timestamps are taken and no spans allocated.
 	TraceDepth int
-	// Profile enables per-DPU kernel-launch profiling: instruction-
-	// class cycle counters and per-core kernel cycles accumulate into
-	// the telemetry registry (pim_* series). Off by default; when off,
-	// the simulator pays one atomic nil-check per launch.
-	Profile bool
 	// Profiler enables the continuous modeled-cycle profiler: every
 	// kernel launch is attributed to (tenant, function, method,
 	// pipeline stage / program phase, instruction class) frames with
 	// per-DPU utilization heatmaps, exported at /debug/profile and
 	// /debug/heatmap (see internal/profiler). Disabled (the zero
-	// value), the launch path is unchanged — the simulator pays the
-	// same single atomic nil-observer load as with Profile off.
+	// value), the launch path takes no counter snapshots for it.
 	Profiler profiler.Config
 	// Reference forces the compute stage through the per-element
 	// interpreted kernel instead of the fused batch fast path — the
@@ -186,14 +180,14 @@ type shard struct {
 	// steady-state batches allocate nothing. Indexed by serving lane,
 	// so remapped and hedged launches never share an arena.
 	arena []*lut.Scratch
-	// issue0/dma0 are the compute stage's per-core cycle baselines,
-	// persistent so steady-state batches allocate nothing.
-	issue0, dma0 []uint64
-
-	// lctx is the profiler's launch context: written by this shard's
-	// compute goroutine immediately before each launch, read by the
-	// observer on the same goroutine. Unused when profiling is off.
-	lctx profiler.LaunchContext
+	// issue0/dma0 are launch's per-lane cycle baselines and deltas its
+	// per-lane closed-form cycles, indexed by position in the launch's
+	// core list; cores and lctx carry the profiler's per-lane counter
+	// deltas and labels (unused when profiling is off). All persist so
+	// steady-state launches allocate nothing.
+	issue0, dma0, deltas []uint64
+	cores                []pimsim.CoreProfile
+	lctx                 profiler.LaunchContext
 
 	slots chan int    // free buffer slots (the double-buffer pool)
 	mid   chan *batch // transfer-in → compute
@@ -219,7 +213,6 @@ type shard struct {
 	launchIDs    []int
 	chunkOf      []int  // local lane -> chunk index in the current launch
 	failedLane   []bool // lanes that failed within the current batch
-	deltas       []uint64
 	medScratch   []uint64
 }
 
@@ -237,13 +230,6 @@ type Engine struct {
 	// pplans caches fused-program execution plans per (program, shard,
 	// size); see program.go. Pins the same table-cache generation.
 	pplans *progPlanCache
-
-	// bplan/splan are the pipeline's stage seams (see stages.go): the
-	// batcher plans batches through bplan, the transfer stages plan
-	// lane layouts through splan. New installs the defaults; they are
-	// behavioral constants of a running engine, never swapped live.
-	bplan BatchPlanner
-	splan ShardPlanner
 
 	submit   chan *request
 	dispatch chan *batch
@@ -299,8 +285,6 @@ func New(cfg Config) (*Engine, error) {
 		cache:    newTableCache(),
 		plans:    newPlanCache(defaultPlanCacheLimit),
 		pplans:   newProgPlanCache(defaultProgPlanLimit),
-		bplan:    coalescePlanner{},
-		splan:    paddedPlanner{},
 		submit:   make(chan *request, cfg.QueueDepth),
 		dispatch: make(chan *batch, cfg.Shards),
 	}
@@ -313,9 +297,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Profiler.Enabled {
 		e.prof = profiler.New(cfg.Profiler, cfg.DPUs)
 		e.prof.Start()
-		// Attribution gives reconciliation tests (and operators) the
-		// simulator-side total that profile wall cycles must sum to.
-		e.sys.SetCycleAttribution(true)
 		srcName := cfg.ProcName
 		if srcName == "" {
 			srcName = "engine"
@@ -325,18 +306,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.tel.ProfileHandler = profiler.ProfileHandler(sources)
 		e.tel.HeatmapHandler = profiler.HeatmapHandler(sources)
-	}
-	switch {
-	case cfg.Profile && e.prof != nil:
-		kp := newKernelProfiler(reg, cfg.DPUs)
-		e.sys.SetLaunchObserver(func(prof pimsim.LaunchProfile) {
-			kp.observe(prof)
-			e.observeLaunch(prof)
-		})
-	case cfg.Profile:
-		e.sys.SetLaunchObserver(newKernelProfiler(reg, cfg.DPUs).observe)
-	case e.prof != nil:
-		e.sys.SetLaunchObserver(e.observeLaunch)
 	}
 	// Record the per-element streaming overhead signature on a
 	// throwaway core: one WRAM load, one WRAM store, and the loop
@@ -362,9 +331,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Ledger {
 		e.led = telemetry.NewLedger(reg, 0)
 		e.tel.LedgerJSON = func() any { return e.led.Snapshot() }
-		// Attribution makes the simulator accumulate per-launch
-		// closed-form cycles, the reconciliation target for the
-		// ledger's cycle totals.
+	}
+	if e.led != nil || e.prof != nil {
+		// Both charge launch's per-tenant cycle shares; the simulator's
+		// own per-launch count is the independent total they must
+		// reconcile against.
 		e.sys.SetCycleAttribution(true)
 	}
 	if cfg.Timeline.Enabled {
@@ -385,6 +356,8 @@ func New(cfg Config) (*Engine, error) {
 			out:       make(chan *batch, 1),
 			issue0:    make([]uint64, perShard),
 			dma0:      make([]uint64, perShard),
+			deltas:    make([]uint64, perShard),
+			cores:     make([]pimsim.CoreProfile, perShard),
 		}
 		for k := 0; k < perShard; k++ {
 			id := sID*perShard + k
@@ -426,7 +399,6 @@ func New(cfg Config) (*Engine, error) {
 			s.launchIDs = make([]int, 0, perShard)
 			s.chunkOf = make([]int, perShard)
 			s.failedLane = make([]bool, perShard)
-			s.deltas = make([]uint64, perShard)
 			s.medScratch = make([]uint64, 0, perShard)
 			for k, d := range s.dpus {
 				// Everything below this brk is the pre-touched I/O
@@ -684,7 +656,7 @@ func (e *Engine) batcher() {
 		}
 		e.met.queueDepth.Set(int64(len(e.submit)))
 		for _, spec := range order {
-			for _, b := range e.bplan.Plan(spec, bySpec[spec], e.cfg.MaxBatch) {
+			for _, b := range planBatches(spec, bySpec[spec], e.cfg.MaxBatch) {
 				e.seq++
 				b.seq = e.seq
 				if e.tracer != nil {
@@ -757,7 +729,7 @@ func (e *Engine) stageTransferIn(s *shard) {
 			b.direct = b.plan.fast && len(b.segs) == 1
 			b.hostOut = b.plan.fast && !b.direct
 		} else {
-			per, padded = e.splan.Plan(b.n, len(s.dpus))
+			per, padded = shardPlan(b.n, len(s.dpus))
 		}
 		b.perDPU = per
 
@@ -842,7 +814,7 @@ func (e *Engine) stageCompute(s *shard) {
 			// Compile the batch plan for this shape. The generation was
 			// read before ensure: a hot-swap racing the build leaves the
 			// plan stale, and the next lookup recompiles it.
-			per, padded := e.splan.Plan(b.n, len(s.dpus))
+			per, padded := shardPlan(b.n, len(s.dpus))
 			evicted := e.plans.store(planKey{spec: b.spec, shard: s.id, n: b.n}, &batchPlan{
 				ops:    ops,
 				fast:   !e.cfg.Reference && len(ops) > 0 && ops[0].HasFastPath(),
@@ -861,16 +833,9 @@ func (e *Engine) stageCompute(s *shard) {
 		if b.tr != nil {
 			b.tr.kernStart = time.Now()
 		}
-		for i, d := range s.dpus {
-			s.issue0[i] = d.IssueCycles()
-			s.dma0[i] = d.DMACycles()
-		}
 		per := b.perDPU
 		base := s.ids[0]
-		if e.prof != nil {
-			e.profContext(s, b, "kernel")
-		}
-		b.err = e.sys.LaunchShard(s.ids, func(ctx *pimsim.Ctx, id int) error {
+		wall, err := e.launch(s, b, "kernel", 0, s.ids, func(ctx *pimsim.Ctx, id int) error {
 			local := id - base
 			count := b.n - local*per
 			if count > per {
@@ -882,20 +847,89 @@ func (e *Engine) stageCompute(s *shard) {
 			e.computeCore(ctx, s, b, ops[local], local, count)
 			return nil
 		})
-		var mx uint64
-		for i, d := range s.dpus {
-			c := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[i], d.DMACycles()-s.dma0[i], d.Tasklets())
-			if c > mx {
-				mx = c
-			}
-		}
-		b.cycles = mx
-		b.tcomp = float64(mx) / e.sys.Config().ClockHz
+		b.err = err
+		b.tcomp += float64(wall) / e.sys.Config().ClockHz
 		if b.tr != nil {
 			b.tr.kernEnd = time.Now()
 		}
 		s.out <- b
 	}
+}
+
+// launch runs kernel on the cores ids of shard s for batch b. Every
+// engine kernel launch takes this path — batch compute, fused-program
+// phases, recovery retries and remaps, hedges — so each is accounted
+// once: its wall cycles (the slowest lane's closed-form delta, the
+// quantity pimsim's attribution counter accumulates) go to b.cycles
+// and are split across the batch's tenant segments by exact integer
+// prefix partitioning (segment i takes wall·cum_i/n − wall·cum_{i−1}/n,
+// so the shares sum to the wall). The ledger charges each segment the
+// sum of its shares and the profiler takes the same shares, so ledger
+// ≡ profiler ≡ simulator by construction. Per-lane deltas are left in
+// s.deltas for the recovery ladder. Callers charge b.tcomp themselves:
+// it is the critical path, not the sum, when a hedge overlaps a
+// straggler. Steady state allocates nothing beyond the caller's
+// kernel closure.
+func (e *Engine) launch(s *shard, b *batch, stage string, attempt uint64, ids []int, kernel func(*pimsim.Ctx, int) error) (uint64, error) {
+	profiled := e.prof != nil
+	for j, id := range ids {
+		d := e.sys.DPU(id)
+		s.issue0[j], s.dma0[j] = d.IssueCycles(), d.DMACycles()
+		if profiled {
+			s.cores[j].Counters = d.Counters()
+		}
+	}
+	err := e.sys.LaunchShardSeq(b.seq, attempt, ids, kernel)
+	var wall uint64
+	for j, id := range ids {
+		d := e.sys.DPU(id)
+		s.deltas[j] = pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[j], d.DMACycles()-s.dma0[j], d.Tasklets())
+		wall = max(wall, s.deltas[j])
+	}
+	b.cycles += wall
+
+	lc := &s.lctx
+	if profiled {
+		if b.prog != nil {
+			lc.Function, lc.Method = "program", "fused:"+b.prog.Name()
+		} else {
+			lc.Function, lc.Method = b.spec.Fn.String(), methodLabel(b.spec.Par)
+		}
+		lc.Stage, lc.Wall, lc.N = stage, wall, b.n
+		lc.Segs = lc.Segs[:0]
+	}
+	n := uint64(b.n)
+	var cum, prev uint64
+	for i := range b.segs {
+		sg := &b.segs[i]
+		cum += uint64(sg.n)
+		c := wall * cum / n
+		sg.cycles += c - prev
+		if profiled {
+			lc.Segs = append(lc.Segs, profiler.Seg{Tenant: sg.req.tenant, N: sg.n, Wall: c - prev})
+		}
+		prev = c
+	}
+	if profiled {
+		cores := s.cores[:len(ids)]
+		for j, id := range ids {
+			d := e.sys.DPU(id)
+			cnt := d.Counters()
+			for cl := range cnt.Ops {
+				cnt.Ops[cl] -= cores[j].Counters.Ops[cl]
+				cnt.Cycles[cl] -= cores[j].Counters.Cycles[cl]
+			}
+			cores[j] = pimsim.CoreProfile{
+				DPU:         id,
+				Tasklets:    d.Tasklets(),
+				IssueCycles: d.IssueCycles() - s.issue0[j],
+				DMACycles:   d.DMACycles() - s.dma0[j],
+				Counters:    cnt,
+			}
+		}
+		e.prof.Observe(lc, pimsim.LaunchProfile{Cores: cores})
+	}
+	return wall, err
 }
 
 // computeCore runs one core's share of a batch: the streamed kernel of
@@ -1014,7 +1048,7 @@ func (e *Engine) stageTransferOut(s *shard) {
 			if b.plan != nil {
 				padded = b.plan.padded
 			} else {
-				_, padded = e.splan.Plan(b.n, len(s.dpus))
+				_, padded = shardPlan(b.n, len(s.dpus))
 			}
 			bytesIn = padded
 			switch {

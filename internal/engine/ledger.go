@@ -15,14 +15,15 @@ func MethodLabel(p core.Params) string { return methodLabel(p) }
 func (e *Engine) Ledger() telemetry.LedgerSnapshot { return e.led.Snapshot() }
 
 // chargeLedger attributes one drained batch to the (tenant, function,
-// method) rows of the requests it carried. Integer quantities — kernel
-// cycles and transfer bytes, charged per batch at its slowest-lane
-// granularity — are split across segments by exact prefix
-// partitioning: segment i takes total·cum_i/n − total·cum_{i−1}/n,
-// so the shares always sum to the batch total and the ledger's cycle
-// column reconciles ±0 against the simulator's attributed cycles.
-// Runs on the drain-stage goroutine, where every batch field is
-// quiescent.
+// method) rows of the requests it carried. Each segment's kernel
+// cycles are the sum of the shares Engine.launch gave it from each of
+// the batch's launches — the shares the profiler took — so the
+// ledger's cycle column reconciles ±0 against the profiler and the
+// simulator's attributed cycles. Transfer bytes are split by the same
+// prefix rule, once per batch:
+// segment i takes total·cum_i/n − total·cum_{i−1}/n, so the shares
+// always sum to the batch total. Runs on the drain-stage goroutine,
+// where every batch field is quiescent.
 func (e *Engine) chargeLedger(b *batch, bytesIn, bytesOut int) {
 	fn := b.spec.Fn.String()
 	method := methodLabel(b.spec.Par)
@@ -35,10 +36,9 @@ func (e *Engine) chargeLedger(b *batch, bytesIn, bytesOut int) {
 	}
 	n := uint64(b.n)
 	modeled := b.setup + b.tin + b.tcomp + b.tout
-	var cum, cycPrev, binPrev, boutPrev uint64
+	var cum, binPrev, boutPrev uint64
 	for _, sg := range b.segs {
 		cum += uint64(sg.n)
-		cyc := b.cycles * cum / n
 		bin := uint64(bytesIn) * cum / n
 		bout := uint64(bytesOut) * cum / n
 		e.led.Add(telemetry.LedgerKey{
@@ -47,11 +47,11 @@ func (e *Engine) chargeLedger(b *batch, bytesIn, bytesOut int) {
 			Method:   method,
 		}, telemetry.LedgerEntry{
 			Elements:       uint64(sg.n),
-			KernelCycles:   cyc - cycPrev,
+			KernelCycles:   sg.cycles,
 			BytesIn:        bin - binPrev,
 			BytesOut:       bout - boutPrev,
 			ModeledSeconds: modeled * float64(sg.n) / float64(b.n),
 		})
-		cycPrev, binPrev, boutPrev = cyc, bin, bout
+		binPrev, boutPrev = bin, bout
 	}
 }

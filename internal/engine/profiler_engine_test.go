@@ -16,89 +16,119 @@ type profKey struct{ tenant, fn, method string }
 
 // TestProfilerReconcilesWithLedgerAndSimulator: with the profiler and
 // ledger both on, every quantity must agree ±0 — the profile's wall
-// cycles sum to the simulator's attributed cycles, and per
-// (tenant, function, method) they match the ledger's kernel-cycle rows
-// exactly, under a concurrent multi-tenant mix with coalescing and
-// splitting in play.
+// cycles sum to the simulator's attributed cycles and the engine's
+// kernel cycles, and per (tenant, function, method) they match the
+// ledger's kernel-cycle rows exactly, under a concurrent multi-tenant
+// mix with coalescing and splitting in play. The fault cases push
+// coalesced batches through the recovery ladder's extra launches
+// (hedges, retries, remaps); each first checks its mechanism fired.
 func TestProfilerReconcilesWithLedgerAndSimulator(t *testing.T) {
-	e, err := New(Config{
-		DPUs: 4, Shards: 2, MaxBatch: 128,
-		Ledger:   true,
-		Profiler: profiler.Config{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
+	faulted := func(plan string, rel ReliabilityConfig) Config {
+		// Requests stay small (maxN 40) so a coalesced batch fits one
+		// core and a remap never has to degrade.
+		return Config{
+			DPUs: 2, Shards: 1, MaxBatch: 256, BatchWindow: 5 * time.Millisecond,
+			Faults: mustPlan(t, plan), Reliability: rel,
+		}
 	}
-	defer e.Close()
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		maxN  int
+		fired func(Stats) uint64
+	}{
+		{"clean", Config{DPUs: 4, Shards: 2, MaxBatch: 128}, 300, nil},
+		{"hedge", faulted("seed=5,slowat=1:1;2:1;3:1,slowfactor=8", ReliabilityConfig{HedgeRatio: 2}), 40,
+			func(s Stats) uint64 { return s.Hedges }},
+		{"retry", faulted("seed=7,dpufail=0.3", ReliabilityConfig{}), 40,
+			func(s Stats) uint64 { return s.LaunchRetries }},
+		{"remap", faulted("seed=1,failat=1:1;2:1;3:1", ReliabilityConfig{}), 40,
+			func(s Stats) uint64 { return s.Remaps }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Ledger = true
+			cfg.Profiler = profiler.Config{Enabled: true}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 
-	fnA, parA := llutSpec()
-	parB := core.Params{Method: core.CORDIC, Iterations: 20}
-	tenants := []string{"acme", "globex", ""}
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 8; i++ {
-				n := 1 + rng.Intn(300)
-				xs := stats.RandomInputs(-3, 3, n, uint64(w*100+i))
-				var err error
-				if w%2 == 0 {
-					_, _, err = e.EvaluateBatchTenant(tenants[w%3], fnA, parA, xs)
-				} else {
-					_, _, err = e.EvaluateBatchTenant(tenants[w%3], core.Sin, parB, xs)
-				}
-				if err != nil {
-					t.Error(err)
+			fnA, parA := llutSpec()
+			parB := core.Params{Method: core.CORDIC, Iterations: 20}
+			tenants := []string{"acme", "globex", ""}
+			var wg sync.WaitGroup
+			for w := 0; w < 6; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < 8; i++ {
+						n := 1 + rng.Intn(tc.maxN)
+						xs := stats.RandomInputs(-3, 3, n, uint64(w*100+i))
+						var err error
+						if w%2 == 0 {
+							_, _, err = e.EvaluateBatchTenant(tenants[w%3], fnA, parA, xs)
+						} else {
+							_, _, err = e.EvaluateBatchTenant(tenants[w%3], core.Sin, parB, xs)
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+
+			st := e.Stats()
+			if tc.fired != nil && tc.fired(st) == 0 {
+				t.Fatalf("%s never fired: %+v", tc.name, st)
+			}
+			p, ok := e.ProfileSnapshot()
+			if !ok || len(p.Frames) == 0 {
+				t.Fatal("profiler produced no frames")
+			}
+			if got := e.System().AttributedKernelCycles(); p.TotalWall != got {
+				t.Errorf("profile wall %d != simulator attributed cycles %d", p.TotalWall, got)
+			}
+			if p.TotalWall != st.KernelCycles {
+				t.Errorf("profile wall %d != engine kernel cycles %d", p.TotalWall, st.KernelCycles)
+			}
+
+			// Row-for-row against the ledger.
+			ledger := map[profKey]uint64{}
+			for _, r := range e.Ledger().Rows {
+				ledger[profKey{r.Tenant, r.Function, r.Method}] += r.KernelCycles
+			}
+			prof := map[profKey]uint64{}
+			for _, f := range p.Frames {
+				prof[profKey{f.Tenant, f.Function, f.Method}] += f.WallCycles
+			}
+			for k, want := range ledger {
+				if got := prof[k]; got != want {
+					t.Errorf("row %+v: profile wall %d != ledger cycles %d", k, got, want)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+			for k := range prof {
+				if _, ok := ledger[k]; !ok {
+					t.Errorf("profile row %+v has no ledger counterpart", k)
+				}
+			}
 
-	p, ok := e.ProfileSnapshot()
-	if !ok || len(p.Frames) == 0 {
-		t.Fatal("profiler produced no frames")
-	}
-	if got := e.System().AttributedKernelCycles(); p.TotalWall != got {
-		t.Errorf("profile wall %d != simulator attributed cycles %d", p.TotalWall, got)
-	}
-	if st := e.Stats(); p.TotalWall != st.KernelCycles {
-		t.Errorf("profile wall %d != engine kernel cycles %d", p.TotalWall, st.KernelCycles)
-	}
-
-	// Row-for-row against the ledger.
-	ledger := map[profKey]uint64{}
-	for _, r := range e.Ledger().Rows {
-		ledger[profKey{r.Tenant, r.Function, r.Method}] += r.KernelCycles
-	}
-	prof := map[profKey]uint64{}
-	for _, f := range p.Frames {
-		prof[profKey{f.Tenant, f.Function, f.Method}] += f.WallCycles
-	}
-	for k, want := range ledger {
-		if got := prof[k]; got != want {
-			t.Errorf("row %+v: profile wall %d != ledger cycles %d", k, got, want)
-		}
-	}
-	for k := range prof {
-		if _, ok := ledger[k]; !ok {
-			t.Errorf("profile row %+v has no ledger counterpart", k)
-		}
-	}
-
-	// The heatmap's decomposition is exact per core: issue + DMA excess
-	// + idle = wall, and every configured core has a row.
-	h := e.Profiler().HeatmapSnapshot()
-	if len(h.DPUs) != 4 {
-		t.Fatalf("want 4 heatmap rows, got %d", len(h.DPUs))
-	}
-	for _, d := range h.DPUs {
-		if d.IssueCycles+d.DMACycles+d.IdleCycles != d.WallCycles {
-			t.Errorf("dpu %d decomposition broken: %d+%d+%d != %d",
-				d.DPU, d.IssueCycles, d.DMACycles, d.IdleCycles, d.WallCycles)
-		}
+			// The heatmap's decomposition is exact per core: issue + DMA
+			// excess + idle = wall, and every configured core has a row.
+			h := e.Profiler().HeatmapSnapshot()
+			if len(h.DPUs) != cfg.DPUs {
+				t.Fatalf("want %d heatmap rows, got %d", cfg.DPUs, len(h.DPUs))
+			}
+			for _, d := range h.DPUs {
+				if d.IssueCycles+d.DMACycles+d.IdleCycles != d.WallCycles {
+					t.Errorf("dpu %d decomposition broken: %d+%d+%d != %d",
+						d.DPU, d.IssueCycles, d.DMACycles, d.IdleCycles, d.WallCycles)
+				}
+			}
+		})
 	}
 }
 

@@ -242,7 +242,7 @@ func (e *Engine) EvaluateProgramPerOp(tenant string, c *fusion.Compiled, inputs 
 // fused kernels read and write host memory while the simulator charges
 // the exact modeled costs, so no MRAM copies are made here.
 func (e *Engine) stageProgramIn(s *shard, b *batch) {
-	per, _ := e.splan.Plan(b.n, len(s.dpus))
+	per, _ := shardPlan(b.n, len(s.dpus))
 	b.perDPU = per
 	inBytes := b.prog.InBytes(b.n, len(s.dpus))
 	if e.inj != nil {
@@ -325,11 +325,9 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 	fast := !e.cfg.Reference
 	base := s.ids[0]
 	for phi := 0; phi < ex.NumPhases(); phi++ {
-		if e.prof != nil {
-			// Each phase is its own launch: label it so flamegraphs
-			// split a fused program's cycles phase by phase.
-			e.profContext(s, b, phaseStage(phi))
-		}
+		// Each phase is its own launch, labeled so flamegraphs split a
+		// fused program's cycles phase by phase.
+		stage := phaseStage(phi)
 		kern := func(ctx *pimsim.Ctx, id int) error {
 			local := id - base
 			ex.RunLane(ctx, phi, local, s.arena[local], fast)
@@ -337,24 +335,9 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 		}
 		var launchErr error
 		for attempt := uint64(0); ; attempt++ {
-			for i, d := range s.dpus {
-				s.issue0[i] = d.IssueCycles()
-				s.dma0[i] = d.DMACycles()
-			}
-			if e.inj == nil {
-				launchErr = e.sys.LaunchShard(s.ids, kern)
-			} else {
-				launchErr = e.sys.LaunchShardSeq(b.seq, attempt, s.ids, kern)
-			}
-			var mx uint64
-			for i, d := range s.dpus {
-				cyc := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[i], d.DMACycles()-s.dma0[i], d.Tasklets())
-				if cyc > mx {
-					mx = cyc
-				}
-			}
-			b.cycles += mx
-			b.tcomp += float64(mx) / e.sys.Config().ClockHz
+			var wall uint64
+			wall, launchErr = e.launch(s, b, stage, attempt, s.ids, kern)
+			b.tcomp += float64(wall) / e.sys.Config().ClockHz
 			if launchErr == nil {
 				break
 			}

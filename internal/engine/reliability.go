@@ -270,20 +270,14 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 		for j, k := range lanes {
 			ids = append(ids, s.ids[k])
 			s.chunkOf[k] = j
-			d := s.dpus[k]
-			s.issue0[j] = d.IssueCycles()
-			s.dma0[j] = d.DMACycles()
 		}
 		s.launchIDs = ids
 
-		if e.prof != nil {
-			stage := "kernel"
-			if remapped {
-				stage = "remap"
-			}
-			e.profContext(s, b, stage)
+		stage := "kernel"
+		if remapped {
+			stage = "remap"
 		}
-		err := e.sys.LaunchShardSeq(b.seq, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
+		mx, err := e.launch(s, b, stage, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
 			ln := id - base
 			j := s.chunkOf[ln]
 			count := b.n - j*per
@@ -297,16 +291,13 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 			return nil
 		})
 
-		// Account the attempt — failed attempts still burned the
-		// surviving lanes' cycles.
-		var mx uint64
+		// Failed attempts still burned the surviving lanes' cycles:
+		// launch charged them to b.cycles, and every exit below charges
+		// b.tcomp.
 		slowest := 0
-		for j, k := range lanes {
-			d := s.dpus[k]
-			c := pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[j], d.DMACycles()-s.dma0[j], d.Tasklets())
-			s.deltas[j] = c
-			if c > mx {
-				mx, slowest = c, j
+		for j := range lanes {
+			if s.deltas[j] > s.deltas[slowest] {
+				slowest = j
 			}
 		}
 
@@ -325,7 +316,6 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 			retry = true
 		case err != nil:
 			// A genuine kernel error is not recoverable by retry.
-			b.cycles += mx
 			b.tcomp += float64(mx) / e.sys.Config().ClockHz
 			b.err = err
 			return
@@ -347,7 +337,6 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 		}
 
 		if retry {
-			b.cycles += mx
 			b.tcomp += float64(mx) / e.sys.Config().ClockHz
 			e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
 			if attempt >= uint64(e.rel.MaxRetries) {
@@ -360,9 +349,8 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 			continue
 		}
 
-		mx = e.maybeHedge(s, b, ops, lanes, per, mx)
-		b.cycles += mx
-		b.tcomp += float64(mx) / e.sys.Config().ClockHz
+		crit := e.maybeHedge(s, b, ops, lanes, per, slowest, mx)
+		b.tcomp += float64(crit) / e.sys.Config().ClockHz
 		for _, k := range lanes {
 			// A lane that failed earlier in this batch keeps its streak:
 			// a retry succeeding elsewhere says nothing good about it.
@@ -382,19 +370,14 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 // maybeHedge relaunches the slowest lane of a successful launch when
 // its cycle delta exceeds HedgeRatio × the lane median, keeping the
 // cheaper of the two runs (the kernel is idempotent: the relaunch
-// rewrites the same outputs). Returns the batch's effective
-// slowest-lane cycles.
-func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []int, per int, mx uint64) uint64 {
+// rewrites the same outputs). Both launches count in the batch's
+// kernel cycles; the return value is the batch's critical path for
+// its compute seconds.
+func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []int, per, slowest int, mx uint64) uint64 {
 	if e.rel.HedgeRatio <= 1 || len(lanes) < 2 {
 		return mx
 	}
 	deltas := s.deltas[:len(lanes)]
-	slowest := 0
-	for j := range deltas {
-		if deltas[j] > deltas[slowest] {
-			slowest = j
-		}
-	}
 	med := medianCycles(deltas, s.medScratch)
 	if med == 0 || float64(deltas[slowest]) < e.rel.HedgeRatio*float64(med) {
 		return mx
@@ -408,14 +391,19 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	if count <= 0 {
 		return mx
 	}
-	d := s.dpus[k]
-	i0, d0 := d.IssueCycles(), d.DMACycles()
-	if e.prof != nil {
-		e.profContext(s, b, "hedge")
+	// The batch's critical path is the slower of the other lanes and
+	// the better of the two runs of the straggler's chunk. Read the
+	// lanes now: the hedge's launch reuses s.deltas.
+	straggler := deltas[slowest]
+	var rest uint64
+	for jj, c := range deltas {
+		if jj != slowest {
+			rest = max(rest, c)
+		}
 	}
 	// A large attempt bias gives the hedge a fresh, independent draw
 	// stream that ordinary retries never reach.
-	err := e.sys.LaunchShardSeq(b.seq, uint64(e.rel.MaxRetries)+1000, []int{s.ids[k]}, func(ctx *pimsim.Ctx, id int) error {
+	hedged, err := e.launch(s, b, "hedge", uint64(e.rel.MaxRetries)+1000, s.ids[k:k+1], func(ctx *pimsim.Ctx, id int) error {
 		e.computeCoreAt(ctx, s, b, ops[k], k, j, per, count)
 		return nil
 	})
@@ -425,20 +413,7 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 		// The hedge itself failed; the original run's outputs stand.
 		return mx
 	}
-	hedged := pimsim.ClosedFormCycles(d.IssueCycles()-i0, d.DMACycles()-d0, d.Tasklets())
-	eff := deltas[slowest]
-	if hedged < eff {
-		eff = hedged
-	}
-	// The batch's critical path is the slower of the other lanes and
-	// the better of the two runs of the straggler's chunk.
-	best := eff
-	for jj := range deltas {
-		if jj != slowest && deltas[jj] > best {
-			best = deltas[jj]
-		}
-	}
-	return best
+	return max(rest, min(straggler, hedged))
 }
 
 // medianCycles computes the lower median of deltas using scratch for

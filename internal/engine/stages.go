@@ -5,42 +5,9 @@ import (
 	"transpimlib/internal/telemetry"
 )
 
-// This file names the engine's pipeline seams as small interfaces so
-// the stages are separable: a BatchPlanner decides how queued requests
-// become batches, a ShardPlanner decides how a batch's elements spread
-// over a shard's lanes, and an Executor is the whole execution stage a
-// front-end router can feed. The engine wires the default
-// implementations at construction; internal/cluster treats each engine
-// replica as one Executor and never reaches below this surface.
-
-// BatchPlanner packs same-spec requests into dispatchable batches. It
-// runs on the batcher goroutine; implementations must record each
-// request's outstanding segment count (see planBatches).
-type BatchPlanner interface {
-	Plan(spec Spec, reqs []*request, maxBatch int) []*batch
-}
-
-// coalescePlanner is the default BatchPlanner: greedy packing up to
-// maxBatch elements with oversized requests split across batches.
-type coalescePlanner struct{}
-
-func (coalescePlanner) Plan(spec Spec, reqs []*request, maxBatch int) []*batch {
-	return planBatches(spec, reqs, maxBatch)
-}
-
-// ShardPlanner distributes a batch's n elements over a shard's k
-// lanes, returning the per-lane element count and the padded
-// rank-wide byte count charged per transfer direction.
-type ShardPlanner interface {
-	Plan(n, lanes int) (perLane, paddedBytes int)
-}
-
-// paddedPlanner is the default ShardPlanner: equal ceil(n/k) chunks
-// padded so every bank moves the same buffer size and the host↔PIM
-// interface stays in its parallel mode (§2.1).
-type paddedPlanner struct{}
-
-func (paddedPlanner) Plan(n, lanes int) (int, int) { return shardPlan(n, lanes) }
+// This file names the engine's execution stage as the interface a
+// front-end router feeds: internal/cluster treats each engine replica
+// as one Executor and never reaches below this surface.
 
 // Executor is the execution stage seen from above: something that can
 // evaluate a batch for a tenant, report its backlog and counters, and

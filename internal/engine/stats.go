@@ -34,11 +34,17 @@ type RequestStats struct {
 	// miss, exactly zero on a warm hit.
 	SetupSeconds float64
 	// Per-stage modeled seconds of the batches the request rode in.
+	// ComputeSeconds is each batch's kernel critical path: when a hedge
+	// relaunches a straggler lane, only the faster of the lane's two
+	// runs counts.
 	TransferInSeconds  float64
 	ComputeSeconds     float64
 	TransferOutSeconds float64
-	// KernelCycles is the modeled PIM cycle count of those batches
-	// (slowest core of the shard, per batch).
+	// KernelCycles is the modeled PIM cycle count of those batches:
+	// the sum of the wall cycles (slowest core) of every kernel launch
+	// they made, including retries and both runs of a hedged lane. It
+	// is the quantity the cost ledger, the profiler and the simulator's
+	// attributed cycles count.
 	KernelCycles uint64
 	// TraceID identifies this request's span tree in the engine's
 	// trace ring (Engine.TraceLast / /debug/trace). Zero when tracing

@@ -42,7 +42,7 @@ type FaultAgent interface {
 }
 
 // faultAgentBox wraps the interface so atomic.Pointer has a concrete
-// element type (the same pattern as the launch observer).
+// element type.
 type faultAgentBox struct{ agent FaultAgent }
 
 // SetFaultAgent installs (or, with nil, removes) the system's fault

@@ -1,94 +1,21 @@
 package pimsim
 
 // CoreProfile is one PIM core's accounting delta over a single
-// kernel launch: modeled cycles, the issue/DMA split behind them, and
-// the per-instruction-class operation and cycle counters — the same
+// kernel launch: issue and DMA cycles (ClosedFormCycles turns them
+// into modeled cycles) and the per-instruction-class operation and
+// cycle counters — the same
 // decomposition as the paper's Fig. 7 per-method cycle breakdowns
 // (mul vs. shift vs. load vs. branch), but captured per core per
 // launch on a live system.
 type CoreProfile struct {
 	DPU         int
 	Tasklets    int
-	Cycles      uint64 // modeled completion cycles of this launch
 	IssueCycles uint64 // pipeline-issue cycles charged
 	DMACycles   uint64 // DMA-engine busy cycles
 	Counters    Counters
 }
 
-// PerTasklet returns the estimated issue-cycle share of each resident
-// tasklet. The simulator models tasklet-level parallelism through the
-// pipeline-occupancy correction rather than per-thread scheduling, so
-// the attribution is the even split a round-robin revolver pipeline
-// produces, with the remainder spread over the first tasklets.
-func (p CoreProfile) PerTasklet() []uint64 {
-	if p.Tasklets <= 0 {
-		return nil
-	}
-	out := make([]uint64, p.Tasklets)
-	base := p.IssueCycles / uint64(p.Tasklets)
-	rem := p.IssueCycles % uint64(p.Tasklets)
-	for i := range out {
-		out[i] = base
-		if uint64(i) < rem {
-			out[i]++
-		}
-	}
-	return out
-}
-
 // LaunchProfile is the per-core accounting of one LaunchShard call.
 type LaunchProfile struct {
 	Cores []CoreProfile
-}
-
-// SlowestCycles returns the launch's completion time in cycles (the
-// slowest core, since cores run concurrently).
-func (p LaunchProfile) SlowestCycles() uint64 {
-	var mx uint64
-	for _, c := range p.Cores {
-		if c.Cycles > mx {
-			mx = c.Cycles
-		}
-	}
-	return mx
-}
-
-// Total merges every core's per-class counters.
-func (p LaunchProfile) Total() Counters {
-	var t Counters
-	for i := range p.Cores {
-		t.Add(&p.Cores[i].Counters)
-	}
-	return t
-}
-
-// LaunchObserver receives the per-core profile of each completed
-// LaunchShard call. Observers run on the launching goroutine after
-// all kernels finish and before LaunchShard returns; they must not
-// retain the slice past the call if they mutate it.
-type LaunchObserver func(LaunchProfile)
-
-// SetLaunchObserver installs (or, with nil, removes) the system's
-// launch observer. The nil-sink fast path costs one atomic load per
-// LaunchShard — nothing per instruction — so profiling is free when
-// disabled. Safe for concurrent use with in-flight launches: a launch
-// snapshots the observer once at entry.
-func (s *System) SetLaunchObserver(obs LaunchObserver) {
-	if obs == nil {
-		s.observer.Store((*launchObserverBox)(nil))
-		return
-	}
-	s.observer.Store(&launchObserverBox{fn: obs})
-}
-
-// launchObserverBox wraps the func so atomic.Pointer has a concrete
-// comparable element type.
-type launchObserverBox struct{ fn LaunchObserver }
-
-func (s *System) loadObserver() LaunchObserver {
-	box := s.observer.Load()
-	if box == nil {
-		return nil
-	}
-	return box.fn
 }

@@ -80,13 +80,9 @@ type System struct {
 	hostToPIMSeconds float64
 	pimToHostSeconds float64
 
-	// observer, when set, receives a per-core LaunchProfile after each
-	// LaunchShard (see SetLaunchObserver). Atomic so installing or
-	// removing it races safely with in-flight launches.
-	observer atomic.Pointer[launchObserverBox]
-
 	// faultAgent, when set, injects faults at the launch and transfer
-	// points (see SetFaultAgent). Same atomic discipline as observer.
+	// points (see SetFaultAgent). Atomic so installing or removing it
+	// races safely with in-flight launches.
 	faultAgent atomic.Pointer[faultAgentBox]
 
 	// attribOn/attribCycles are the cost ledger's cycle-attribution
@@ -151,8 +147,8 @@ func (s *System) LaunchShard(ids []int, kernel func(ctx *Ctx, dpuID int) error) 
 }
 
 // launchShard is the shared implementation behind LaunchShard and
-// LaunchShardSeq: the worker pool plus the optional observer snapshot
-// and fault-agent consultation.
+// LaunchShardSeq: the worker pool plus the optional fault-agent
+// consultation and cycle attribution.
 func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ctx, dpuID int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {
@@ -185,26 +181,6 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 			d := s.dpus[ids[k]]
 			preIssue[k] = d.issueCycles
 			preDMA[k] = d.dmaCycles
-		}
-	}
-	// Snapshot the shard's accounting before the kernels start when a
-	// launch observer is installed. The launching goroutine owns these
-	// cores (the shard discipline), so the reads race with nothing;
-	// with no observer the cost is one atomic load per launch.
-	obs := s.loadObserver()
-	var before []CoreProfile
-	if obs != nil {
-		before = make([]CoreProfile, len(ids))
-		for k, i := range ids {
-			d := s.dpus[i]
-			before[k] = CoreProfile{
-				DPU:         i,
-				Tasklets:    d.tasklets,
-				Cycles:      d.Cycles(),
-				IssueCycles: d.issueCycles,
-				DMACycles:   d.dmaCycles,
-				Counters:    d.counters,
-			}
 		}
 	}
 	var (
@@ -240,9 +216,9 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 		}()
 	}
 	wg.Wait()
-	// Apply the straggler verdicts before the observer snapshot so a
-	// profiler sees the slowed (modeled) cycles, and collect the lanes
-	// that suffered injected hard failures.
+	// Apply the straggler verdicts before returning so callers reading
+	// the counters see the slowed (modeled) cycles, and collect the
+	// lanes that suffered injected hard failures.
 	var failed []int
 	if agent != nil {
 		for k, v := range verdicts {
@@ -270,25 +246,6 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 			}
 		}
 		s.attribCycles.Add(worst)
-	}
-	if obs != nil {
-		prof := LaunchProfile{Cores: make([]CoreProfile, len(ids))}
-		for k, i := range ids {
-			d := s.dpus[i]
-			cp := CoreProfile{
-				DPU:         i,
-				Tasklets:    d.tasklets,
-				Cycles:      d.Cycles() - before[k].Cycles,
-				IssueCycles: d.issueCycles - before[k].IssueCycles,
-				DMACycles:   d.dmaCycles - before[k].DMACycles,
-			}
-			for cl := range cp.Counters.Ops {
-				cp.Counters.Ops[cl] = d.counters.Ops[cl] - before[k].Counters.Ops[cl]
-				cp.Counters.Cycles[cl] = d.counters.Cycles[cl] - before[k].Counters.Cycles[cl]
-			}
-			prof.Cores[k] = cp
-		}
-		obs(prof)
 	}
 	if err != nil {
 		return err // a genuine kernel error outranks injected failures

@@ -5,15 +5,15 @@
 // paper's Fig.-7 per-method cycle breakdowns (mul vs. shift vs. load
 // vs. branch), captured live, per tenant, on a serving system.
 //
-// Attribution is exact by construction. Each launch's wall cycles are
-// the slowest lane's closed-form cycles over the observer's counter
-// deltas — the same quantity the engine charges a batch and the
-// simulator accumulates under SetCycleAttribution — and every split
-// (across tenant segments, then across instruction classes within a
-// segment) uses integer prefix partitioning, so the shares always sum
-// to the whole. Summed over any subset of frames, profile cycles
-// reconcile ±0 against the pimsim attribution counter and the cost
-// ledger for the same run.
+// Attribution is exact by construction. The engine hands each launch
+// over with its wall cycles (the slowest lane's closed-form cycles,
+// the quantity the simulator accumulates under SetCycleAttribution)
+// already split across tenant segments — the same shares its cost
+// ledger charges. The collector splits each segment's share across
+// instruction classes by integer prefix partitioning, so the shares
+// always sum to the whole. Summed over any subset of frames, profile
+// cycles reconcile ±0 against the pimsim attribution counter and the
+// cost ledger for the same run.
 //
 // The collector also keeps per-DPU utilization accumulators — issue
 // vs. DMA-excess vs. idle cycles per core — both cumulative and as a
@@ -32,7 +32,7 @@ import (
 // Config describes a collector.
 type Config struct {
 	// Enabled turns the profiler on. Off (the zero value), the engine
-	// installs no launch observer for it and the hot path is unchanged.
+	// builds no collector and its launch path skips the profile.
 	Enabled bool
 	// Window is the width of one heatmap window (default 1s).
 	Window time.Duration
@@ -57,30 +57,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Seg is one tenant's contiguous element range within a launch.
+// Seg is one tenant's contiguous element range within a launch and
+// its share of the launch's wall cycles.
 type Seg struct {
 	Tenant string
 	N      int
+	Wall   uint64
 }
 
-// LaunchContext carries the labels the engine's compute stage knows
-// and the simulator does not: which function/method the kernel serves,
-// which pipeline stage (or fused-program phase) is launching, and the
-// tenant segments the batch carries. The launching goroutine writes it
-// immediately before LaunchShard and the observer — which runs
-// synchronously on the same goroutine — reads it; no lock is needed
-// and the Segs slice is reused across batches.
+// LaunchContext carries what the engine knows about a launch and the
+// simulator does not: which function/method the kernel serves, which
+// pipeline stage (or fused-program phase) is launching, the launch's
+// wall cycles, and the tenant segments the batch carries with their
+// wall shares (which sum to Wall). The launching goroutine fills it
+// and calls Observe; the Segs slice is reused across launches.
 type LaunchContext struct {
 	Function string
 	Method   string
 	Stage    string
+	Wall     uint64
 	Segs     []Seg
 	N        int // total elements across Segs
-}
-
-// Set fills the context in place, reusing the Segs backing array.
-func (lc *LaunchContext) Set(function, method, stage string) {
-	lc.Function, lc.Method, lc.Stage = function, method, stage
 }
 
 // frameKey identifies one leaf of the attribution tree.
@@ -203,24 +200,15 @@ func (c *Collector) Close() {
 	})
 }
 
-// Observe is the launch observer body: attribute one launch's counter
-// deltas to the context's frames. It runs synchronously on the
-// launching goroutine (one shard's compute stage), so distinct shards
-// contend only on the frame map's read lock and the cells' atomics.
+// Observe attributes one launch's counter deltas to the context's
+// frames. It runs synchronously on the launching goroutine (one
+// shard's compute stage), so distinct shards contend only on the frame
+// map's read lock and the cells' atomics.
 func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 	if c == nil || len(prof.Cores) == 0 {
 		return
 	}
-	// The launch wall: slowest lane's closed-form cycles over the
-	// deltas — identical to the engine's batch charge and the
-	// simulator's attribution counter.
-	var wall uint64
-	for i := range prof.Cores {
-		cp := &prof.Cores[i]
-		if w := pimsim.ClosedFormCycles(cp.IssueCycles, cp.DMACycles, cp.Tasklets); w > wall {
-			wall = w
-		}
-	}
+	wall := lc.Wall
 	c.launches.Add(1)
 	for i := range prof.Cores {
 		cp := &prof.Cores[i]
@@ -252,17 +240,13 @@ func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 		return
 	}
 
-	// Split wall cycles and per-class counters across tenant segments
-	// by exact integer prefix partitioning — the ledger's rule, in the
-	// ledger's segment order, so per-tenant profile cycles reconcile
-	// ±0 against per-tenant ledger cycles.
-	var cum, wallPrev uint64
+	// Split the per-class counters across tenant segments by exact
+	// integer prefix partitioning over their element counts; each
+	// segment's wall share arrives precomputed.
+	var cum uint64
 	var prev pimsim.Counters // prefix state: Cycles and Ops per class
 	for _, sg := range segs {
 		cum += uint64(sg.N)
-		wallCum := wall * cum / n
-		wallShare := wallCum - wallPrev
-		wallPrev = wallCum
 		var seg pimsim.Counters
 		for cl := range tot.Cycles {
 			cc := tot.Cycles[cl] * cum / n
@@ -272,7 +256,7 @@ func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 			prev.Cycles[cl] = cc
 			prev.Ops[cl] = oc
 		}
-		c.attributeSeg(lc, sg.Tenant, wallShare, &seg)
+		c.attributeSeg(lc, sg.Tenant, sg.Wall, &seg)
 	}
 }
 

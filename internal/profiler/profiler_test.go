@@ -34,6 +34,29 @@ func launchWall(prof pimsim.LaunchProfile) uint64 {
 	return mx
 }
 
+// split fills lc's launch wall and per-segment wall shares the way the
+// engine's launch does: the slowest lane's closed-form cycles, divided
+// by exact integer prefix partitioning over the segments' elements.
+func split(lc *LaunchContext, prof pimsim.LaunchProfile) *LaunchContext {
+	lc.Wall = launchWall(prof)
+	var cum, prev uint64
+	for i := range lc.Segs {
+		cum += uint64(lc.Segs[i].N)
+		c := lc.Wall * cum / uint64(lc.N)
+		lc.Segs[i].Wall = c - prev
+		prev = c
+	}
+	return lc
+}
+
+func launchTotal(prof pimsim.LaunchProfile) pimsim.Counters {
+	var t pimsim.Counters
+	for i := range prof.Cores {
+		t.Add(&prof.Cores[i].Counters)
+	}
+	return t
+}
+
 func sumProfile(p Profile) (ops, cycles, wall uint64) {
 	for _, f := range p.Frames {
 		ops += f.Ops
@@ -54,11 +77,11 @@ func TestObserveAttributionExact(t *testing.T) {
 		Segs: []Seg{{Tenant: "a", N: 7}, {Tenant: "b", N: 13}, {Tenant: "a", N: 3}},
 		N:    23,
 	}
-	c.Observe(lc, prof)
+	c.Observe(split(lc, prof), prof)
 
 	p := c.Snapshot()
 	wall := launchWall(prof)
-	tot := prof.Total()
+	tot := launchTotal(prof)
 	ops, cycles, gotWall := sumProfile(p)
 	if gotWall != wall {
 		t.Fatalf("wall sum = %d, want %d", gotWall, wall)
@@ -73,10 +96,9 @@ func TestObserveAttributionExact(t *testing.T) {
 		t.Fatalf("profile totals %d/%d/%d diverge from frame sums", p.TotalWall, p.TotalCycles, p.TotalOps)
 	}
 
-	// Per-tenant wall shares follow the ledger's prefix rule over the
-	// segment order: cum ∈ {7, 20, 23} of 23.
-	wantA := wall*7/23 + (wall - wall*20/23)
-	wantB := wall*20/23 - wall*7/23
+	// Per-tenant wall is exactly the sum of the context's shares.
+	wantA := lc.Segs[0].Wall + lc.Segs[2].Wall
+	wantB := lc.Segs[1].Wall
 	var gotA, gotB uint64
 	for _, f := range p.Frames {
 		switch f.Tenant {
@@ -107,7 +129,7 @@ func TestObserveNoClassCyclesFallsToCtrl(t *testing.T) {
 	}}
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "t", N: 4}}, N: 4}
-	c.Observe(lc, prof)
+	c.Observe(split(lc, prof), prof)
 	p := c.Snapshot()
 	wall := launchWall(prof)
 	if len(p.Frames) != 1 || p.Frames[0].Class != pimsim.OpCtrl.String() || p.Frames[0].WallCycles != wall {
@@ -120,8 +142,8 @@ func TestHeatmapDecompositionSumsToWall(t *testing.T) {
 	prof := synthProfile()
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 8}}, N: 8}
-	c.Observe(lc, prof)
-	c.Observe(lc, prof)
+	c.Observe(split(lc, prof), prof)
+	c.Observe(split(lc, prof), prof)
 	wall := 2 * launchWall(prof)
 	h := c.HeatmapSnapshot()
 	if len(h.DPUs) != 2 {
@@ -151,9 +173,10 @@ func TestHeatmapWindowRingWraparound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		// i+1 launches in window i → per-window launch delta = i+1.
 		for j := 0; j <= i; j++ {
-			c.Observe(lc, pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
+			prof := pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
 				{DPU: 0, Tasklets: 16, IssueCycles: 10},
-			}})
+			}}
+			c.Observe(split(lc, prof), prof)
 		}
 		c.Tick(base.Add(time.Duration(i+1) * time.Second))
 	}
@@ -177,7 +200,7 @@ func TestMergeSumsAndDiffOfIdenticalIsEmpty(t *testing.T) {
 	c := New(Config{Enabled: true}, 2)
 	lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 		Segs: []Seg{{Tenant: "a", N: 5}}, N: 5}
-	c.Observe(lc, synthProfile())
+	c.Observe(split(lc, synthProfile()), synthProfile())
 	p := c.Snapshot()
 
 	m := Merge(p, p)
@@ -204,9 +227,9 @@ func TestSubIsIntervalDelta(t *testing.T) {
 	c := New(Config{Enabled: true}, 2)
 	lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 		Segs: []Seg{{Tenant: "a", N: 5}}, N: 5}
-	c.Observe(lc, synthProfile())
+	c.Observe(split(lc, synthProfile()), synthProfile())
 	before := c.Snapshot()
-	c.Observe(lc, synthProfile())
+	c.Observe(split(lc, synthProfile()), synthProfile())
 	delta := Sub(c.Snapshot(), before)
 	if delta.TotalWall != before.TotalWall {
 		t.Fatalf("interval wall = %d, want %d", delta.TotalWall, before.TotalWall)
@@ -221,9 +244,9 @@ func TestRollupCollapsesTenantAndStage(t *testing.T) {
 	for _, tn := range []string{"a", "b"} {
 		lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 			Segs: []Seg{{Tenant: tn, N: 5}}, N: 5}
-		c.Observe(lc, synthProfile())
+		c.Observe(split(lc, synthProfile()), synthProfile())
 		lc.Stage = "remap"
-		c.Observe(lc, synthProfile())
+		c.Observe(split(lc, synthProfile()), synthProfile())
 	}
 	p := c.Snapshot()
 	r := Rollup(p)
@@ -248,7 +271,7 @@ func TestMaxFramesOverflow(t *testing.T) {
 	for _, fn := range []string{"a", "b", "c", "d"} {
 		lc := &LaunchContext{Function: fn, Method: "m", Stage: "kernel",
 			Segs: []Seg{{Tenant: "", N: 1}}, N: 1}
-		c.Observe(lc, prof)
+		c.Observe(split(lc, prof), prof)
 	}
 	p := c.Snapshot()
 	if len(p.Frames) != 3 { // 2 real + 1 overflow
@@ -276,7 +299,7 @@ func TestWriteFoldedFormat(t *testing.T) {
 	c := New(Config{Enabled: true}, 2)
 	lc := &LaunchContext{Function: "sin", Method: "l-lut(i)", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 5}}, N: 5}
-	c.Observe(lc, synthProfile())
+	c.Observe(split(lc, synthProfile()), synthProfile())
 	var sb strings.Builder
 	if err := c.Snapshot().WriteFolded(&sb); err != nil {
 		t.Fatal(err)
@@ -310,7 +333,7 @@ func TestObserveConcurrent(t *testing.T) {
 			lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 				Segs: []Seg{{Tenant: "t", N: 3}, {Tenant: "u", N: 5}}, N: 8}
 			for i := 0; i < per; i++ {
-				c.Observe(lc, prof)
+				c.Observe(split(lc, prof), prof)
 				if i%10 == 0 {
 					c.Tick(time.Now())
 				}
@@ -345,9 +368,10 @@ func TestStartCloseSealsPartialWindow(t *testing.T) {
 	c.Start()
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 1}}, N: 1}
-	c.Observe(lc, pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
+	prof := pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
 		{DPU: 0, Tasklets: 16, IssueCycles: 10},
-	}})
+	}}
+	c.Observe(split(lc, prof), prof)
 	c.Close()
 	h := c.HeatmapSnapshot()
 	if len(h.Windows) == 0 || h.Windows[len(h.Windows)-1].DPUs[0].Launches != 1 {
