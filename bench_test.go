@@ -15,6 +15,7 @@
 package transpimlib
 
 import (
+	"math"
 	"testing"
 
 	"transpimlib/internal/cordic"
@@ -125,11 +126,15 @@ func BenchmarkFig7SineMemory(b *testing.B) {
 
 // --- Figure 8: range reduction/extension ---
 
-func BenchmarkFig8RangeReduction(b *testing.B) {
-	cases := []struct {
-		name string
-		f    func(*pimsim.Ctx)
-	}{
+// fig8Case is one range reduction/extension of Fig. 8, run on one
+// representative input.
+type fig8Case struct {
+	name string
+	f    func(*pimsim.Ctx)
+}
+
+func fig8Cases() []fig8Case {
+	return []fig8Case{
 		{"sin", func(c *pimsim.Ctx) {
 			r := rangered.To2Pi(c, 123.456)
 			theta, q := rangered.FoldQuadrant(c, r)
@@ -148,7 +153,10 @@ func BenchmarkFig8RangeReduction(b *testing.B) {
 			rangered.JoinSqrt(c, m, h)
 		}},
 	}
-	for _, tc := range cases {
+}
+
+func BenchmarkFig8RangeReduction(b *testing.B) {
+	for _, tc := range fig8Cases() {
 		b.Run(tc.name, func(b *testing.B) {
 			dpu := pimsim.NewDPU(0, pimsim.Default(), pimsim.DefaultTasklets)
 			ctx := dpu.NewCtx()
@@ -158,6 +166,31 @@ func BenchmarkFig8RangeReduction(b *testing.B) {
 			}
 			b.ReportMetric(float64(dpu.Cycles())/float64(b.N), "pim-cycles/op")
 		})
+	}
+}
+
+// TestFig8RangeReductionCycles pins Fig. 8: the modeled cycles per
+// element of each range reduction alone, and their ordering
+// sin > exp > log > sqrt (trigonometric reduction costs most, the
+// square root's exponent halving least).
+func TestFig8RangeReductionCycles(t *testing.T) {
+	want := map[string]uint64{"sin": 609, "exp": 471, "log": 193, "sqrt": 35}
+	cases := fig8Cases()
+	if len(cases) != len(want) {
+		t.Fatalf("Fig. 8 has %d cases, the golden table %d", len(cases), len(want))
+	}
+	prev := uint64(math.MaxUint64)
+	for _, tc := range cases {
+		dpu := pimsim.NewDPU(0, pimsim.Default(), pimsim.DefaultTasklets)
+		tc.f(dpu.NewCtx())
+		got := dpu.Cycles()
+		if got != want[tc.name] {
+			t.Errorf("%s: %d cycles, want %d", tc.name, got, want[tc.name])
+		}
+		if got >= prev {
+			t.Errorf("%s: %d cycles, not below the previous case's %d", tc.name, got, prev)
+		}
+		prev = got
 	}
 }
 

@@ -14,8 +14,17 @@
 // exercised (-fail-replica) while proving zero incorrect results.
 // -max-shed bounds the measured shed fraction for CI.
 //
-// Exit codes: 0 success; 1 incorrect results, request errors, or a
-// violated -max-shed bound; 2 bad usage.
+// Arrivals are due at absolute offsets from the start, so sleep
+// overshoot delays an arrival but never drops one. The report gives the
+// achieved rate next to the target: the measured arrivals over the wall
+// time the generator took to fire them (at least the window length).
+// With a fixed -seed the schedule, and so the offered count, is
+// deterministic; a Poisson window of rate×duration arrivals varies by
+// about 1/√(rate×duration) across seeds.
+//
+// Exit codes: 0 success; 1 incorrect results, request errors, a
+// violated -max-shed bound, or an achieved rate below 95% of -rate;
+// 2 bad usage.
 //
 // Usage:
 //
@@ -83,6 +92,7 @@ type report struct {
 		FailReplica int     `json:"fail_replica"`
 	} `json:"config"`
 	Offered   uint64  `json:"offered_requests"`
+	Achieved  float64 `json:"achieved_rate_rps"`
 	Served    uint64  `json:"served_requests"`
 	Shed      uint64  `json:"shed_requests"`
 	Errors    uint64  `json:"error_requests"`
@@ -198,8 +208,8 @@ func main() {
 		ref.Close()
 	}
 
-	// Open-loop generator: a ticker goroutine draws inter-arrival gaps
-	// from the chosen process and fires each request on its own
+	// Open-loop generator: the arrival schedule draws inter-arrival
+	// gaps from the chosen process and fires each request on its own
 	// goroutine, never waiting for completions.
 	var (
 		wg         sync.WaitGroup
@@ -211,7 +221,6 @@ func main() {
 		latMu      sync.Mutex
 		lats       []time.Duration
 	)
-	measuring := atomic.Bool{}
 	rng := rand.New(rand.NewSource(*seed))
 	gap := func(now time.Duration) time.Duration {
 		r := *rate
@@ -264,22 +273,19 @@ func main() {
 	}
 
 	begin := time.Now()
-	deadline := begin.Add(*warmup + *duration)
-	var i uint64
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		now := time.Since(begin)
-		if !measuring.Load() && now >= *warmup {
-			measuring.Store(true)
-		}
-		m := measuring.Load()
-		if m {
-			offered.Add(1)
-		}
-		wg.Add(1)
-		go fire(i, m)
-		i++
-		time.Sleep(gap(now))
-	}
+	elapsed := func() time.Duration { return time.Since(begin) }
+	lastFired := *warmup // when the last measured arrival was fired
+	schedule(*warmup+*duration, gap, elapsed, time.Sleep,
+		func() bool { return ctx.Err() != nil },
+		func(i uint64, due time.Duration) {
+			m := due >= *warmup
+			if m {
+				offered.Add(1)
+				lastFired = elapsed()
+			}
+			wg.Add(1)
+			go fire(i, m)
+		})
 	wg.Wait()
 	measured := *duration
 	if ctx.Err() != nil {
@@ -288,6 +294,7 @@ func main() {
 			measured = time.Millisecond
 		}
 	}
+	firing := max(measured, lastFired-*warmup)
 
 	// Report.
 	var rep report
@@ -299,6 +306,7 @@ func main() {
 	rep.Config.Tenants = *tenants
 	rep.Config.FailReplica = *failReplica
 	rep.Offered = offered.Load()
+	rep.Achieved = float64(rep.Offered) / firing.Seconds()
 	rep.Served = served.Load()
 	rep.Shed = shedN.Load()
 	rep.Errors = errN.Load()
@@ -355,9 +363,9 @@ func main() {
 		tableDst = os.Stderr
 	}
 	w := tabwriter.NewWriter(tableDst, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "offered\tserved\tshed\tshed%%\terrors\tgoodput(Melem/s)\n")
-	fmt.Fprintf(w, "%d\t%d\t%d\t%.1f\t%d\t%.2f\n",
-		rep.Offered, rep.Served, rep.Shed, rep.ShedRate*100, rep.Errors, rep.GoodputME)
+	fmt.Fprintf(w, "rate(req/s)\tachieved\toffered\tserved\tshed\tshed%%\terrors\tgoodput(Melem/s)\n")
+	fmt.Fprintf(w, "%.0f\t%.0f\t%d\t%d\t%d\t%.1f\t%d\t%.2f\n",
+		rep.Config.Rate, rep.Achieved, rep.Offered, rep.Served, rep.Shed, rep.ShedRate*100, rep.Errors, rep.GoodputME)
 	fmt.Fprintf(w, "\nlatency\tp50\tp95\tp99\tmax\n")
 	fmt.Fprintf(w, "(ms)\t%.3f\t%.3f\t%.3f\t%.3f\n",
 		rep.LatencyMS.P50, rep.LatencyMS.P95, rep.LatencyMS.P99, rep.LatencyMS.Max)
@@ -400,5 +408,28 @@ func main() {
 	case rep.ShedRate > *maxShed:
 		fmt.Fprintf(os.Stderr, "tplload: FAIL: shed rate %.3f exceeds -max-shed %.3f\n", rep.ShedRate, *maxShed)
 		os.Exit(1)
+	case rep.Achieved < 0.95*rep.Config.Rate:
+		fmt.Fprintf(os.Stderr, "tplload: FAIL: achieved rate %.0f req/s is below 95%% of -rate %.0f\n",
+			rep.Achieved, rep.Config.Rate)
+		os.Exit(1)
+	}
+}
+
+// schedule runs the open-loop arrival process over due times [0, end):
+// arrival i is due at an absolute offset from the start and arrival i+1
+// gap(due_i) later, so sleep overshoot delays arrivals without
+// accumulating into a lower offered rate. It sleeps only until the next
+// arrival is due and fires every overdue arrival without sleeping.
+// elapsed and sleep are the clock; stop ends the run early.
+func schedule(end time.Duration, gap func(due time.Duration) time.Duration,
+	elapsed func() time.Duration, sleep func(time.Duration), stop func() bool,
+	fire func(i uint64, due time.Duration)) {
+	var i uint64
+	for due := time.Duration(0); due < end && !stop(); i++ {
+		if wait := due - elapsed(); wait > 0 {
+			sleep(wait)
+		}
+		fire(i, due)
+		due += gap(due)
 	}
 }

@@ -108,11 +108,11 @@ func TestRecordStreamSigMatchesEngineRecipe(t *testing.T) {
 	}
 	// More operands stream more: monotone in loads and stores.
 	one := RecordStreamSig(model, 1, 1)
-	if two := RecordStreamSig(model, 2, 1); two.Issue <= one.Issue {
-		t.Errorf("two-load stream sig (%d) must out-cost one-load (%d)", two.Issue, one.Issue)
+	if two := RecordStreamSig(model, 2, 1); two.Ops.TotalCycles() <= one.Ops.TotalCycles() {
+		t.Errorf("two-load stream sig (%d) must out-cost one-load (%d)", two.Ops.TotalCycles(), one.Ops.TotalCycles())
 	}
-	if zero := RecordStreamSig(model, 1, 0); zero.Issue >= one.Issue {
-		t.Errorf("store-free stream sig (%d) must undercut one-store (%d)", zero.Issue, one.Issue)
+	if zero := RecordStreamSig(model, 1, 0); zero.Ops.TotalCycles() >= one.Ops.TotalCycles() {
+		t.Errorf("store-free stream sig (%d) must undercut one-store (%d)", zero.Ops.TotalCycles(), one.Ops.TotalCycles())
 	}
 }
 

@@ -171,6 +171,12 @@ func (c *Counters) Add(other *Counters) {
 	}
 }
 
+// addN adds n ops of class at the given per-op cycle cost.
+func (c *Counters) addN(class OpClass, n uint64, cycles int) {
+	c.Ops[class] += n
+	c.Cycles[class] += n * uint64(cycles)
+}
+
 // TotalCycles returns the sum of cycles across all classes.
 func (c *Counters) TotalCycles() uint64 {
 	var t uint64

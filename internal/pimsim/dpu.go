@@ -37,9 +37,87 @@ type DPU struct {
 	model    CostModel
 	tasklets int
 
-	issueCycles uint64 // pipeline-issue cycles charged by Ctx ops
-	dmaCycles   uint64 // DMA-engine busy cycles (MRAM transfers)
-	counters    Counters
+	// Accounting. A Ctx method counts one op of its kind in tally;
+	// Charge(n) also adds n to ctrlCycles. The per-class counters and
+	// the issue cycles are derived from these when read (fold).
+	tally      [numKinds]uint64
+	ctrlCycles uint64
+	bulk       Counters // pre-aggregated charges (ChargeOps, ChargeSig)
+	slow       uint64   // issue cycles added by injected straggler verdicts
+	dmaCycles  uint64   // DMA-engine busy cycles (MRAM transfers)
+}
+
+// opKind is one distinct (class, cost) charge a Ctx method makes. The
+// cost is a constant of the core's CostModel, so the simulator counts
+// ops per kind, one increment per simulated instruction, and fold
+// turns the tally into per-class ops and cycles when they are read.
+type opKind uint8
+
+const (
+	kIALU opKind = iota
+	kQAbs        // 2·IALU: compare and negate
+	kIMul
+	kIDiv
+	kQDiv // IDiv+4: the 64-bit shift-divide
+	kBranch
+	kMove
+	kCtrl   // Charge(n): n cycles, summed in ctrlCycles
+	kI64Add // also sub, neg and compare
+	kI64Shl
+	kI64Shr
+	kI64Mul // the Q3.28 multiply
+	kFAdd
+	kFSub // charged to OpFAdd at its own cost
+	kFMul
+	kFDiv
+	kFNeg // also abs
+	kFCmp
+	kFToI
+	kIToF
+	kLdexp
+	kFrexp
+	kF32ToFix64 // FToI conversion + I64Shl scaling
+	kFix64ToF32 // I64Shr scaling + IToF conversion
+	kWRAMLoad
+	kWRAMStore
+	kWRAMLoad64 // 2·WRAMLoad: two word loads
+	kMRAM       // MRAMIssue; the DMA cycles go to dmaCycles
+	numKinds
+)
+
+// fold derives the per-class counters from the kind tally, the cost
+// model and the bulk-merged charges. Counters are read once per launch
+// or per recorded signature, so this stays off the per-op path.
+func (d *DPU) fold() Counters {
+	c, t, m := d.bulk, &d.tally, &d.model
+	c.addN(OpIALU, t[kIALU], m.IALU)
+	c.addN(OpIALU, t[kQAbs], 2*m.IALU)
+	c.addN(OpIMul, t[kIMul], m.IMul)
+	c.addN(OpIDiv, t[kIDiv], m.IDiv)
+	c.addN(OpIDiv, t[kQDiv], m.IDiv+4)
+	c.addN(OpCtrl, t[kBranch], m.Branch)
+	c.addN(OpCtrl, t[kMove], m.Move)
+	c.Ops[OpCtrl] += t[kCtrl]
+	c.Cycles[OpCtrl] += d.ctrlCycles
+	c.addN(OpI64, t[kI64Add], m.I64Add)
+	c.addN(OpI64, t[kI64Shl]+t[kF32ToFix64], m.I64Shl)
+	c.addN(OpI64, t[kI64Shr]+t[kFix64ToF32], m.I64Shr)
+	c.addN(OpI64, t[kI64Mul], m.I64Mul)
+	c.addN(OpFAdd, t[kFAdd], m.FAdd)
+	c.addN(OpFAdd, t[kFSub], m.FSub)
+	c.addN(OpFMul, t[kFMul], m.FMul)
+	c.addN(OpFDiv, t[kFDiv], m.FDiv)
+	c.addN(OpFMisc, t[kFNeg], m.FNeg)
+	c.addN(OpFMisc, t[kFCmp], m.FCmp)
+	c.addN(OpConv, t[kFToI]+t[kF32ToFix64], m.FToI)
+	c.addN(OpConv, t[kIToF]+t[kFix64ToF32], m.IToF)
+	c.addN(OpLdexp, t[kLdexp], m.Ldexp)
+	c.addN(OpFrexp, t[kFrexp], m.Frexp)
+	c.addN(OpWRAM, t[kWRAMLoad], m.WRAMLoad)
+	c.addN(OpWRAM, t[kWRAMStore], m.WRAMStore)
+	c.addN(OpWRAM, t[kWRAMLoad64], 2*m.WRAMLoad)
+	c.addN(OpMRAM, t[kMRAM], m.MRAMIssue)
+	return c
 }
 
 // NewDPU creates a PIM core with the given cost model and resident
@@ -64,8 +142,12 @@ func (d *DPU) Model() CostModel { return d.model }
 func (d *DPU) Tasklets() int { return d.tasklets }
 
 // IssueCycles returns the raw pipeline-issue cycles charged so far,
-// before the pipeline-occupancy correction.
-func (d *DPU) IssueCycles() uint64 { return d.issueCycles }
+// before the pipeline-occupancy correction: the counters' total plus
+// any cycles an injected straggler verdict added.
+func (d *DPU) IssueCycles() uint64 {
+	c := d.fold()
+	return c.TotalCycles() + d.slow
+}
 
 // DMACycles returns the cycles the DMA engine has been busy.
 func (d *DPU) DMACycles() uint64 { return d.dmaCycles }
@@ -81,14 +163,7 @@ func (d *DPU) DMACycles() uint64 { return d.dmaCycles }
 // the bottleneck — which is how the paper's observation that MRAM- and
 // WRAM-resident LUTs perform alike (§4.2.1, observation 4) emerges.
 func (d *DPU) Cycles() uint64 {
-	pipe := d.issueCycles
-	if d.tasklets < PipelineDepth {
-		pipe = (d.issueCycles*PipelineDepth + uint64(d.tasklets) - 1) / uint64(d.tasklets)
-	}
-	if d.dmaCycles > pipe {
-		return d.dmaCycles
-	}
-	return pipe
+	return ClosedFormCycles(d.IssueCycles(), d.dmaCycles, d.tasklets)
 }
 
 // Seconds converts Cycles to wall time at the given core clock.
@@ -96,15 +171,17 @@ func (d *DPU) Seconds(clockHz float64) float64 {
 	return float64(d.Cycles()) / clockHz
 }
 
-// Counters returns a copy of the per-class operation counters.
-func (d *DPU) Counters() Counters { return d.counters }
+// Counters returns the per-class operation counters.
+func (d *DPU) Counters() Counters { return d.fold() }
 
 // ResetCycles zeroes all cycle and operation accounting but leaves
 // memory contents intact (like rereading a hardware counter).
 func (d *DPU) ResetCycles() {
-	d.issueCycles = 0
+	d.tally = [numKinds]uint64{}
+	d.ctrlCycles = 0
+	d.bulk = Counters{}
+	d.slow = 0
 	d.dmaCycles = 0
-	d.counters = Counters{}
 }
 
 // Ctx is the execution context a kernel uses on a DPU. Every method
@@ -116,7 +193,6 @@ func (d *DPU) ResetCycles() {
 // pipeline-occupancy correction.
 type Ctx struct {
 	d *DPU
-	m CostModel
 
 	// dma is the reusable staging buffer for MramRead/MramWrite, so the
 	// simulated bulk DMAs do not allocate on every call.
@@ -124,20 +200,20 @@ type Ctx struct {
 }
 
 // NewCtx returns an execution context for d.
-func (d *DPU) NewCtx() *Ctx { return &Ctx{d: d, m: d.model} }
+func (d *DPU) NewCtx() *Ctx { return &Ctx{d: d} }
 
 // DPU returns the core this context executes on.
 func (c *Ctx) DPU() *DPU { return c.d }
 
-func (c *Ctx) charge(class OpClass, cycles int) {
-	c.d.issueCycles += uint64(cycles)
-	c.d.counters.Ops[class]++
-	c.d.counters.Cycles[class] += uint64(cycles)
-}
+// charge counts one op of kind k.
+func (c *Ctx) charge(k opKind) { c.d.tally[k]++ }
 
 // Charge accounts n cycles of control overhead (loop bookkeeping,
-// address arithmetic folded into a macro-op, …).
-func (c *Ctx) Charge(n int) { c.charge(OpCtrl, n) }
+// address arithmetic folded into a macro-op, …) as one OpCtrl op.
+func (c *Ctx) Charge(n int) {
+	c.charge(kCtrl)
+	c.d.ctrlCycles += uint64(n)
+}
 
 // CycleCount returns the DPU's current modeled cycle count; kernels use
 // it like the UPMEM hardware performance counter (§4.1.1).
@@ -146,32 +222,32 @@ func (c *Ctx) CycleCount() uint64 { return c.d.Cycles() }
 // --- 32-bit integer ops (native, single cycle) ---
 
 // IAdd returns a+b.
-func (c *Ctx) IAdd(a, b int32) int32 { c.charge(OpIALU, c.m.IALU); return a + b }
+func (c *Ctx) IAdd(a, b int32) int32 { c.charge(kIALU); return a + b }
 
 // ISub returns a-b.
-func (c *Ctx) ISub(a, b int32) int32 { c.charge(OpIALU, c.m.IALU); return a - b }
+func (c *Ctx) ISub(a, b int32) int32 { c.charge(kIALU); return a - b }
 
 // IShl returns a<<s.
-func (c *Ctx) IShl(a int32, s uint) int32 { c.charge(OpIALU, c.m.IALU); return a << s }
+func (c *Ctx) IShl(a int32, s uint) int32 { c.charge(kIALU); return a << s }
 
 // IShr returns the arithmetic shift a>>s.
-func (c *Ctx) IShr(a int32, s uint) int32 { c.charge(OpIALU, c.m.IALU); return a >> s }
+func (c *Ctx) IShr(a int32, s uint) int32 { c.charge(kIALU); return a >> s }
 
 // IUShr returns the logical shift a>>s.
-func (c *Ctx) IUShr(a uint32, s uint) uint32 { c.charge(OpIALU, c.m.IALU); return a >> s }
+func (c *Ctx) IUShr(a uint32, s uint) uint32 { c.charge(kIALU); return a >> s }
 
 // IAnd returns a&b.
-func (c *Ctx) IAnd(a, b int32) int32 { c.charge(OpIALU, c.m.IALU); return a & b }
+func (c *Ctx) IAnd(a, b int32) int32 { c.charge(kIALU); return a & b }
 
 // IOr returns a|b.
-func (c *Ctx) IOr(a, b int32) int32 { c.charge(OpIALU, c.m.IALU); return a | b }
+func (c *Ctx) IOr(a, b int32) int32 { c.charge(kIALU); return a | b }
 
 // IXor returns a^b.
-func (c *Ctx) IXor(a, b int32) int32 { c.charge(OpIALU, c.m.IALU); return a ^ b }
+func (c *Ctx) IXor(a, b int32) int32 { c.charge(kIALU); return a ^ b }
 
 // ICmp compares a and b, returning -1/0/+1.
 func (c *Ctx) ICmp(a, b int32) int {
-	c.charge(OpIALU, c.m.IALU)
+	c.charge(kIALU)
 	switch {
 	case a < b:
 		return -1
@@ -182,37 +258,37 @@ func (c *Ctx) ICmp(a, b int32) int {
 }
 
 // IMul returns a*b through the emulated 32-bit multiply.
-func (c *Ctx) IMul(a, b int32) int32 { c.charge(OpIMul, c.m.IMul); return a * b }
+func (c *Ctx) IMul(a, b int32) int32 { c.charge(kIMul); return a * b }
 
 // IDiv returns a/b through the emulated 32-bit divide.
-func (c *Ctx) IDiv(a, b int32) int32 { c.charge(OpIDiv, c.m.IDiv); return a / b }
+func (c *Ctx) IDiv(a, b int32) int32 { c.charge(kIDiv); return a / b }
 
 // Branch accounts a conditional branch.
-func (c *Ctx) Branch() { c.charge(OpCtrl, c.m.Branch) }
+func (c *Ctx) Branch() { c.charge(kBranch) }
 
 // Move accounts a register move.
-func (c *Ctx) Move() { c.charge(OpCtrl, c.m.Move) }
+func (c *Ctx) Move() { c.charge(kMove) }
 
 // --- 64-bit integer ops (multi-instruction on the 32-bit datapath) ---
 
 // I64Add returns a+b on the 64-bit emulated path.
-func (c *Ctx) I64Add(a, b int64) int64 { c.charge(OpI64, c.m.I64Add); return a + b }
+func (c *Ctx) I64Add(a, b int64) int64 { c.charge(kI64Add); return a + b }
 
 // I64Sub returns a-b on the 64-bit emulated path.
-func (c *Ctx) I64Sub(a, b int64) int64 { c.charge(OpI64, c.m.I64Add); return a - b }
+func (c *Ctx) I64Sub(a, b int64) int64 { c.charge(kI64Add); return a - b }
 
 // I64Shl returns a<<s on the 64-bit emulated path.
-func (c *Ctx) I64Shl(a int64, s uint) int64 { c.charge(OpI64, c.m.I64Shl); return a << s }
+func (c *Ctx) I64Shl(a int64, s uint) int64 { c.charge(kI64Shl); return a << s }
 
 // I64Shr returns the arithmetic shift a>>s on the 64-bit emulated path.
-func (c *Ctx) I64Shr(a int64, s uint) int64 { c.charge(OpI64, c.m.I64Shr); return a >> s }
+func (c *Ctx) I64Shr(a int64, s uint) int64 { c.charge(kI64Shr); return a >> s }
 
 // I64Neg returns -a.
-func (c *Ctx) I64Neg(a int64) int64 { c.charge(OpI64, c.m.I64Add); return -a }
+func (c *Ctx) I64Neg(a int64) int64 { c.charge(kI64Add); return -a }
 
 // I64Cmp compares a and b, returning -1/0/+1.
 func (c *Ctx) I64Cmp(a, b int64) int {
-	c.charge(OpI64, c.m.I64Add)
+	c.charge(kI64Add)
 	switch {
 	case a < b:
 		return -1
@@ -225,68 +301,68 @@ func (c *Ctx) I64Cmp(a, b int64) int {
 // --- Q3.28 fixed-point ops ---
 
 // QAdd returns a+b; a native integer add.
-func (c *Ctx) QAdd(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(OpIALU, c.m.IALU); return a.Add(b) }
+func (c *Ctx) QAdd(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(kIALU); return a.Add(b) }
 
 // QSub returns a-b; a native integer subtract.
-func (c *Ctx) QSub(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(OpIALU, c.m.IALU); return a.Sub(b) }
+func (c *Ctx) QSub(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(kIALU); return a.Sub(b) }
 
 // QMul returns the fixed-point product, charged as the emulated 64-bit
 // multiply sequence — the paper's "fixed-point multiplications
 // [significantly cheaper] than floating-point multiplications" (§4.2.1).
-func (c *Ctx) QMul(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(OpI64, c.m.I64Mul); return a.Mul(b) }
+func (c *Ctx) QMul(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(kI64Mul); return a.Mul(b) }
 
 // QAbs returns |a| with saturation (Abs(Min) = Max), charged as the
 // compare-and-negate pair.
-func (c *Ctx) QAbs(a fixed.Q3_28) fixed.Q3_28 { c.charge(OpIALU, 2*c.m.IALU); return a.Abs() }
+func (c *Ctx) QAbs(a fixed.Q3_28) fixed.Q3_28 { c.charge(kQAbs); return a.Abs() }
 
 // QDiv returns the fixed-point quotient, charged as the emulated
 // 64-bit shift-divide sequence.
-func (c *Ctx) QDiv(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(OpIDiv, c.m.IDiv+4); return a.Div(b) }
+func (c *Ctx) QDiv(a, b fixed.Q3_28) fixed.Q3_28 { c.charge(kQDiv); return a.Div(b) }
 
 // QShr returns a>>s.
-func (c *Ctx) QShr(a fixed.Q3_28, s uint) fixed.Q3_28 { c.charge(OpIALU, c.m.IALU); return a.Shr(s) }
+func (c *Ctx) QShr(a fixed.Q3_28, s uint) fixed.Q3_28 { c.charge(kIALU); return a.Shr(s) }
 
 // QShl returns a<<s.
-func (c *Ctx) QShl(a fixed.Q3_28, s uint) fixed.Q3_28 { c.charge(OpIALU, c.m.IALU); return a.Shl(s) }
+func (c *Ctx) QShl(a fixed.Q3_28, s uint) fixed.Q3_28 { c.charge(kIALU); return a.Shl(s) }
 
 // QFromF converts float32 → Q3.28 (an FToI-class conversion).
 func (c *Ctx) QFromF(f float32) fixed.Q3_28 {
-	c.charge(OpConv, c.m.FToI)
+	c.charge(kFToI)
 	return fixed.FromFloat32(f)
 }
 
 // QToF converts Q3.28 → float32 (an IToF-class conversion).
 func (c *Ctx) QToF(q fixed.Q3_28) float32 {
-	c.charge(OpConv, c.m.IToF)
+	c.charge(kIToF)
 	return q.Float32()
 }
 
 // --- software floating point ---
 
 // FAdd returns a+b through the emulated float path.
-func (c *Ctx) FAdd(a, b float32) float32 { c.charge(OpFAdd, c.m.FAdd); return a + b }
+func (c *Ctx) FAdd(a, b float32) float32 { c.charge(kFAdd); return a + b }
 
 // FSub returns a-b through the emulated float path.
-func (c *Ctx) FSub(a, b float32) float32 { c.charge(OpFAdd, c.m.FSub); return a - b }
+func (c *Ctx) FSub(a, b float32) float32 { c.charge(kFSub); return a - b }
 
 // FMul returns a*b through the emulated float path.
-func (c *Ctx) FMul(a, b float32) float32 { c.charge(OpFMul, c.m.FMul); return a * b }
+func (c *Ctx) FMul(a, b float32) float32 { c.charge(kFMul); return a * b }
 
 // FDiv returns a/b through the emulated float path.
-func (c *Ctx) FDiv(a, b float32) float32 { c.charge(OpFDiv, c.m.FDiv); return a / b }
+func (c *Ctx) FDiv(a, b float32) float32 { c.charge(kFDiv); return a / b }
 
 // FNeg returns -a (a one-instruction sign-bit flip).
-func (c *Ctx) FNeg(a float32) float32 { c.charge(OpFMisc, c.m.FNeg); return -a }
+func (c *Ctx) FNeg(a float32) float32 { c.charge(kFNeg); return -a }
 
 // FAbs returns |a| (a one-instruction mask).
 func (c *Ctx) FAbs(a float32) float32 {
-	c.charge(OpFMisc, c.m.FNeg)
+	c.charge(kFNeg)
 	return fpbits.FromBits(fpbits.Bits(a) &^ fpbits.SignMask)
 }
 
 // FCmp compares a and b, returning -1/0/+1.
 func (c *Ctx) FCmp(a, b float32) int {
-	c.charge(OpFMisc, c.m.FCmp)
+	c.charge(kFCmp)
 	switch {
 	case a < b:
 		return -1
@@ -298,57 +374,55 @@ func (c *Ctx) FCmp(a, b float32) int {
 
 // FToIRound converts a float32 to the nearest int32 (ties to even).
 func (c *Ctx) FToIRound(a float32) int32 {
-	c.charge(OpConv, c.m.FToI)
+	c.charge(kFToI)
 	return RoundToEven32(a)
 }
 
 // FToITrunc converts a float32 to int32 truncating toward zero.
-func (c *Ctx) FToITrunc(a float32) int32 { c.charge(OpConv, c.m.FToI); return int32(a) }
+func (c *Ctx) FToITrunc(a float32) int32 { c.charge(kFToI); return int32(a) }
 
 // FToIFloor converts a float32 to int32 rounding toward -∞.
 func (c *Ctx) FToIFloor(a float32) int32 {
-	c.charge(OpConv, c.m.FToI)
+	c.charge(kFToI)
 	return FloorToInt32(a)
 }
 
 // IToF converts an int32 to float32.
-func (c *Ctx) IToF(a int32) float32 { c.charge(OpConv, c.m.IToF); return float32(a) }
+func (c *Ctx) IToF(a int32) float32 { c.charge(kIToF); return float32(a) }
 
 // Ldexp returns f×2ⁿ through TransPimLib's custom C99 ldexp (§3.2.2):
 // integer manipulation of the exponent field.
 func (c *Ctx) Ldexp(f float32, n int) float32 {
-	c.charge(OpLdexp, c.m.Ldexp)
+	c.charge(kLdexp)
 	return fpbits.Ldexp(f, n)
 }
 
 // Frexp splits f into mantissa ∈ [0.5,1) and exponent; the integer
 // bit-field split used by range extension (§2.2.3).
 func (c *Ctx) Frexp(f float32) (float32, int) {
-	c.charge(OpFrexp, c.m.Frexp)
+	c.charge(kFrexp)
 	return fpbits.Frexp(f)
 }
 
 // FBits exposes the raw bit pattern (a free reinterpretation on
 // hardware; charged as a move).
-func (c *Ctx) FBits(f float32) uint32 { c.charge(OpCtrl, c.m.Move); return fpbits.Bits(f) }
+func (c *Ctx) FBits(f float32) uint32 { c.charge(kMove); return fpbits.Bits(f) }
 
 // FFromBits reinterprets bits as float32 (charged as a move).
-func (c *Ctx) FFromBits(b uint32) float32 { c.charge(OpCtrl, c.m.Move); return fpbits.FromBits(b) }
+func (c *Ctx) FFromBits(b uint32) float32 { c.charge(kMove); return fpbits.FromBits(b) }
 
 // F32ToFix64 converts a float32 to a 64-bit fixed-point value with the
 // given number of fractional bits, charged as a float→int conversion
 // plus the 64-bit scaling shifts.
 func (c *Ctx) F32ToFix64(f float32, frac uint) int64 {
-	c.charge(OpConv, c.m.FToI)
-	c.charge(OpI64, c.m.I64Shl)
+	c.charge(kF32ToFix64)
 	return int64(float64(f) * float64(uint64(1)<<frac))
 }
 
 // Fix64ToF32 converts a 64-bit fixed-point value back to float32,
 // charged as the 64-bit scaling shift plus an int→float conversion.
 func (c *Ctx) Fix64ToF32(v int64, frac uint) float32 {
-	c.charge(OpI64, c.m.I64Shr)
-	c.charge(OpConv, c.m.IToF)
+	c.charge(kFix64ToF32)
 	return float32(float64(v) / float64(uint64(1)<<frac))
 }
 
@@ -356,31 +430,31 @@ func (c *Ctx) Fix64ToF32(v int64, frac uint) float32 {
 
 // WramLoadF32 loads a float32 from the scratchpad.
 func (c *Ctx) WramLoadF32(addr int) float32 {
-	c.charge(OpWRAM, c.m.WRAMLoad)
+	c.charge(kWRAMLoad)
 	return c.d.WRAM.Float32(addr)
 }
 
 // WramStoreF32 stores a float32 to the scratchpad.
 func (c *Ctx) WramStoreF32(addr int, v float32) {
-	c.charge(OpWRAM, c.m.WRAMStore)
+	c.charge(kWRAMStore)
 	c.d.WRAM.PutFloat32(addr, v)
 }
 
 // WramLoadI32 loads an int32 from the scratchpad.
 func (c *Ctx) WramLoadI32(addr int) int32 {
-	c.charge(OpWRAM, c.m.WRAMLoad)
+	c.charge(kWRAMLoad)
 	return c.d.WRAM.Int32(addr)
 }
 
 // WramStoreI32 stores an int32 to the scratchpad.
 func (c *Ctx) WramStoreI32(addr int, v int32) {
-	c.charge(OpWRAM, c.m.WRAMStore)
+	c.charge(kWRAMStore)
 	c.d.WRAM.PutInt32(addr, v)
 }
 
 // WramLoadI64 loads an int64 from the scratchpad (two word accesses).
 func (c *Ctx) WramLoadI64(addr int) int64 {
-	c.charge(OpWRAM, 2*c.m.WRAMLoad)
+	c.charge(kWRAMLoad64)
 	return c.d.WRAM.Int64(addr)
 }
 
@@ -439,8 +513,9 @@ func (c *Ctx) dmaBuf(n int) []byte {
 }
 
 func (c *Ctx) mramAccess(bytes int) {
-	c.charge(OpMRAM, c.m.MRAMIssue)
-	c.d.dmaCycles += uint64(c.m.MRAMLatency) + uint64(float64(bytes)*c.m.MRAMPerByte)
+	c.charge(kMRAM)
+	m := &c.d.model
+	c.d.dmaCycles += uint64(m.MRAMLatency) + uint64(float64(bytes)*m.MRAMPerByte)
 }
 
 // RoundToEven32 converts a float32 to the nearest int32, ties to even,
@@ -505,13 +580,13 @@ func (c *Ctx) ChargeDMA(bytes int) { c.mramAccess(bytes) }
 // the scratchpad with a bulk DMA: charged as a scratchpad load, read
 // from the DRAM-bank backing store so the data is not duplicated.
 func (c *Ctx) LoadStreamedF32(m *Mem, addr int) float32 {
-	c.charge(OpWRAM, c.m.WRAMLoad)
+	c.charge(kWRAMLoad)
 	return m.Float32(addr)
 }
 
 // StoreStreamedF32 is the symmetric scratchpad store for results that
 // a later bulk DMA writes back to the DRAM bank.
 func (c *Ctx) StoreStreamedF32(m *Mem, addr int, v float32) {
-	c.charge(OpWRAM, c.m.WRAMStore)
+	c.charge(kWRAMStore)
 	m.PutFloat32(addr, v)
 }

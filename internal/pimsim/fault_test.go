@@ -71,17 +71,28 @@ func TestLaunchShardSeqFail(t *testing.T) {
 	}
 }
 
-// TestLaunchShardSeqSlow: a slowed lane's cycle delta is scaled by the
-// factor relative to a clean lane.
+// TestLaunchShardSeqSlow: a slowed lane's issue-cycle delta is scaled
+// by the factor relative to a clean lane, launch after launch, while
+// its per-class counters stay those of the work it ran; ResetCycles
+// clears the added cycles too.
 func TestLaunchShardSeqSlow(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
 	sys.SetFaultAgent(scriptedAgent{slowLanes: map[int]float64{1: 3}})
-	if err := sys.LaunchShardSeq(0, 0, []int{0, 1}, burnKernel); err != nil {
-		t.Fatal(err)
+	for launch := uint64(0); launch < 2; launch++ {
+		if err := sys.LaunchShardSeq(launch, 0, []int{0, 1}, burnKernel); err != nil {
+			t.Fatal(err)
+		}
+		clean, slow := sys.DPU(0).IssueCycles(), sys.DPU(1).IssueCycles()
+		if slow != clean*3 {
+			t.Errorf("launch %d: slowed lane issue cycles %d, want %d (3x %d)", launch, slow, clean*3, clean)
+		}
 	}
-	clean, slow := sys.DPU(0).IssueCycles(), sys.DPU(1).IssueCycles()
-	if slow != clean*3 {
-		t.Errorf("slowed lane issue cycles %d, want %d (3x %d)", slow, clean*3, clean)
+	if got, want := sys.DPU(1).Counters(), sys.DPU(0).Counters(); got != want {
+		t.Errorf("slowed lane counters %+v, want the clean lane's %+v", got, want)
+	}
+	sys.DPU(1).ResetCycles()
+	if got := sys.DPU(1).IssueCycles(); got != 0 {
+		t.Errorf("IssueCycles after ResetCycles = %d, want 0", got)
 	}
 }
 

@@ -86,18 +86,26 @@ func (m *Mem) Reset() {
 	m.brk = 0
 }
 
+// ensure makes the backing store cover [0, end). It is small enough to
+// inline into every scalar access; growth happens out of line.
 func (m *Mem) ensure(end int) {
+	if end > len(m.data) {
+		m.grow(end)
+	}
+}
+
+// grow extends the backing store to cover [0, end), panicking on an
+// access past the architectural capacity (len(m.data) never exceeds it).
+func (m *Mem) grow(end int) {
 	if end > m.size {
 		panic(fmt.Sprintf("pimsim: %s access at %d beyond capacity %d", m.name, end, m.size))
 	}
-	if end > len(m.data) {
-		grown := make([]byte, roundUp(end, 4096))
-		if len(grown) > m.size {
-			grown = grown[:m.size]
-		}
-		copy(grown, m.data)
-		m.data = grown
+	grown := make([]byte, roundUp(end, 4096))
+	if len(grown) > m.size {
+		grown = grown[:m.size]
 	}
+	copy(grown, m.data)
+	m.data = grown
 }
 
 func roundUp(v, to int) int { return (v + to - 1) / to * to }

@@ -6,9 +6,8 @@ package pimsim
 // signature n times in one call instead of replaying n × per-op
 // charges, with bit-identical accounting.
 type CostSig struct {
-	Ops   Counters
-	Issue uint64 // total pipeline-issue cycles (sum of Ops.Cycles)
-	DMA   uint64 // DMA-engine busy cycles
+	Ops Counters // per-class ops and cycles; the issue cycles are Ops.TotalCycles()
+	DMA uint64   // DMA-engine busy cycles
 }
 
 // NewSigRecorder returns a Ctx on a throwaway core used purely to
@@ -24,7 +23,7 @@ func NewSigRecorder(model CostModel) *Ctx {
 // TakeSig snapshots everything charged on the context's core since the
 // last TakeSig (or creation) as a CostSig and resets the accounting.
 func (c *Ctx) TakeSig() CostSig {
-	s := CostSig{Ops: c.d.counters, Issue: c.d.issueCycles, DMA: c.d.dmaCycles}
+	s := CostSig{Ops: c.d.fold(), DMA: c.d.dmaCycles}
 	c.d.ResetCycles()
 	return s
 }
@@ -32,21 +31,17 @@ func (c *Ctx) TakeSig() CostSig {
 // ChargeOps bulk-merges pre-aggregated per-class counts into the
 // core's accounting, exactly as if each op had been charged
 // individually.
-func (c *Ctx) ChargeOps(ops Counters) {
-	c.d.counters.Add(&ops)
-	c.d.issueCycles += ops.TotalCycles()
-}
+func (c *Ctx) ChargeOps(ops Counters) { c.d.bulk.Add(&ops) }
 
 // ChargeSig charges a recorded signature n times in one step.
 func (c *Ctx) ChargeSig(sig *CostSig, n uint64) {
 	if n == 0 {
 		return
 	}
-	cnt := &c.d.counters
+	cnt := &c.d.bulk
 	for i := range cnt.Ops {
 		cnt.Ops[i] += sig.Ops.Ops[i] * n
 		cnt.Cycles[i] += sig.Ops.Cycles[i] * n
 	}
-	c.d.issueCycles += sig.Issue * n
 	c.d.dmaCycles += sig.DMA * n
 }

@@ -169,7 +169,7 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 		for k := range ids {
 			verdicts[k] = agent.Launch(seq, attempt, k)
 			d := s.dpus[ids[k]]
-			preIssue[k] = d.issueCycles
+			preIssue[k] = d.IssueCycles()
 			preDMA[k] = d.dmaCycles
 		}
 	} else if attrib {
@@ -179,7 +179,7 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 		preDMA = make([]uint64, len(ids))
 		for k := range ids {
 			d := s.dpus[ids[k]]
-			preIssue[k] = d.issueCycles
+			preIssue[k] = d.IssueCycles()
 			preDMA[k] = d.dmaCycles
 		}
 	}
@@ -228,7 +228,8 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 			}
 			if v.SlowFactor > 1 {
 				d := s.dpus[ids[k]]
-				d.issueCycles = preIssue[k] + uint64(float64(d.issueCycles-preIssue[k])*v.SlowFactor)
+				issue := d.IssueCycles() - preIssue[k]
+				d.slow += uint64(float64(issue)*v.SlowFactor) - issue
 				d.dmaCycles = preDMA[k] + uint64(float64(d.dmaCycles-preDMA[k])*v.SlowFactor)
 			}
 		}
@@ -240,7 +241,7 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 		var worst uint64
 		for k, i := range ids {
 			d := s.dpus[i]
-			c := ClosedFormCycles(d.issueCycles-preIssue[k], d.dmaCycles-preDMA[k], d.tasklets)
+			c := ClosedFormCycles(d.IssueCycles()-preIssue[k], d.dmaCycles-preDMA[k], d.tasklets)
 			if c > worst {
 				worst = c
 			}

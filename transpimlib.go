@@ -104,7 +104,7 @@ type Lib struct {
 	cfg Config
 	dpu *pimsim.DPU
 	ctx *pimsim.Ctx
-	ops map[Function]*core.Operator
+	ops []*core.Operator // indexed by Function; nil when not compiled
 
 	setupSeconds float64
 	tableBytes   int
@@ -126,9 +126,9 @@ func New(cfg Config, fns ...Function) (*Lib, error) {
 			}
 		}
 	}
-	l := &Lib{cfg: cfg, dpu: dpu, ctx: dpu.NewCtx(), ops: make(map[Function]*core.Operator)}
+	l := &Lib{cfg: cfg, dpu: dpu, ctx: dpu.NewCtx(), ops: make([]*core.Operator, len(Functions()))}
 	for _, f := range fns {
-		if _, dup := l.ops[f]; dup {
+		if l.Compiled(f) {
 			continue
 		}
 		op, err := core.Build(f, cfg.params(), dpu)
@@ -163,24 +163,27 @@ func (l *Lib) TableBytes() int { return l.tableBytes }
 // Eval computes fn(x) on the PIM core. It panics if fn was not
 // compiled into the library; use Compiled to check.
 func (l *Lib) Eval(fn Function, x float32) float32 {
-	op, ok := l.ops[fn]
-	if !ok {
-		panic(fmt.Sprintf("transpimlib: %v was not compiled into this Lib", fn))
-	}
-	return op.Eval(l.ctx, x)
+	return l.op(fn).Eval(l.ctx, x)
 }
 
 // Compiled reports whether fn is available in this library instance.
-func (l *Lib) Compiled(fn Function) bool { _, ok := l.ops[fn]; return ok }
+func (l *Lib) Compiled(fn Function) bool {
+	return uint(fn) < uint(len(l.ops)) && l.ops[fn] != nil
+}
+
+// op returns fn's compiled operator, panicking if there is none.
+func (l *Lib) op(fn Function) *core.Operator {
+	if !l.Compiled(fn) {
+		panic(fmt.Sprintf("transpimlib: %v was not compiled into this Lib", fn))
+	}
+	return l.ops[fn]
+}
 
 // EvalSlice computes fn over a whole slice, writing into out (which
 // must be at least as long as xs) — the microbenchmark access pattern:
 // one streamed chunk DMA, then element-wise evaluation.
 func (l *Lib) EvalSlice(fn Function, xs, out []float32) {
-	op, ok := l.ops[fn]
-	if !ok {
-		panic(fmt.Sprintf("transpimlib: %v was not compiled into this Lib", fn))
-	}
+	op := l.op(fn)
 	l.ctx.ChargeDMA(4 * len(xs))
 	if op.HasFastPath() {
 		op.EvalBatch(l.ctx, xs, out)
