@@ -10,15 +10,23 @@ import (
 )
 
 // diffInputs samples the function's domain plus the boundary and sign
-// specials the branch classifiers have to get right.
+// specials the branch classifiers have to get right, and the inputs
+// that drive the conversions into their clamp and saturation paths:
+// NaN, ±Inf, ±MaxFloat32, ±3e9 (past the int32 range), subnormals and
+// magnitudes at and past Q3.28's ±8.
 func diffInputs(fn Function) []float32 {
 	lo, hi := fn.Domain()
 	xs := stats.RandomInputs(lo, hi, 240, 7)
-	return append(xs,
+	xs = append(xs,
 		float32(lo), float32(hi),
 		0, float32(math.Copysign(0, -1)),
 		0.5, -0.5, 1, -1,
+		float32(math.NaN()),
 	)
+	for _, x := range []float32{float32(math.Inf(1)), math.MaxFloat32, 3e9, 1e-45, 1e-40, 100, 8} {
+		xs = append(xs, x, -x)
+	}
+	return xs
 }
 
 // TestEvalBatchDifferential is the fast path's correctness contract:

@@ -53,8 +53,29 @@ func FromFloat64(f float64) Q3_28 {
 }
 
 // FromFloat32 converts a float32 to Q3.28 with the same rounding and
-// saturation rules as FromFloat64.
-func FromFloat32(f float32) Q3_28 { return FromFloat64(float64(f)) }
+// saturation rules as FromFloat64; NaN converts to Min.
+//
+// It works on the float32 bits with integer ops only, so no step
+// branches on the value's fraction or sign and batch loops over random
+// inputs do not mispredict; only |f| ≥ 8, ±Inf and NaN take the
+// saturation branch.
+func FromFloat32(f float32) Q3_28 {
+	b := math.Float32bits(f)
+	if b&0x7FFFFFFF >= 0x41000000 { // |f| ≥ 8, ±Inf or NaN
+		if b <= 0x7F800000 { // +8 … +Inf
+			return Max
+		}
+		return Min // −8 … −Inf and NaN
+	}
+	// |f|·2²⁸ = w >> s: the significand pre-shifted left by 32, and
+	// s = 154 − exponent ≥ 25. Adding half−1 plus the quotient's low bit
+	// rounds half to even; a shift of 64 or more yields 0. The sign is
+	// applied by mask: q^neg − neg is −q when f is negative.
+	w := uint64(b&0x7FFFFF|0x800000) << 32
+	s := 154 - b>>23&0xFF
+	neg := int32(b) >> 31
+	return Q3_28(int32((w+1<<(s-1)-1+w>>s&1)>>s) ^ neg - neg)
+}
 
 // FromInt converts a small integer to Q3.28, saturating out-of-range
 // values.

@@ -26,6 +26,11 @@ type DLUT struct {
 	Interp   bool
 	Pos      []float32 // entries for x > 0
 	Neg      []float32 // entries for x < 0
+
+	// both is Pos followed by Neg: the two tables are halves of this one
+	// array, so host mirrors pick a sign's table by an index offset
+	// instead of a branch on the sign bit.
+	both []float32
 }
 
 // BuildDLUT samples f for both signs across exponents [minExp, maxExp)
@@ -43,8 +48,9 @@ func BuildDLUT(f Func, minExp, maxExp, mantBits int, interp bool) (*DLUT, error)
 	if interp {
 		n++ // guard entry at 2^maxExp, continuous across blocks
 	}
-	t.Pos = make([]float32, n)
-	t.Neg = make([]float32, n)
+	t.both = make([]float32, 2*n)
+	t.Pos = t.both[:n:n]
+	t.Neg = t.both[n:]
 	for i := 0; i < n; i++ {
 		v := t.entryValue(i)
 		t.Pos[i] = float32(f(v))
@@ -145,7 +151,7 @@ func (t *DLUT) EvalHost(x float32) float32 {
 	delta := float32(fracBits) / float32(uint32(1)<<(23-uint(t.MantBits)))
 	l0 := entries[idx]
 	l1 := entries[idx+1]
-	return l0 + (l1-l0)*delta
+	return l0 + float32((l1-l0)*delta)
 }
 
 // DLLUT combines an L-LUT covering the dense region around zero with a

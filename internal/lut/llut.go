@@ -111,7 +111,7 @@ func (t *LLUT) EvalHost(x float32) float32 {
 	delta := float32(tt - f)
 	l0 := t.Entries[idx]
 	l1 := t.Entries[idx+1]
-	return l0 + (l1-l0)*delta
+	return l0 + float32((l1-l0)*delta)
 }
 
 // FixedLLUT is the Q3.28 fixed-point variant of the L-LUT: addresses

@@ -24,11 +24,13 @@ import (
 // out-of-line slow class that replays the scalar Mirror arithmetic
 // verbatim. The fast classes use the uint(idx) < uint(hi) comparison
 // form so the compiler proves the table accesses in bounds and drops
-// the checks.
+// the checks. Every product that feeds an add or subtract is rounded by
+// an explicit float32 conversion, as the device's separate FMul and
+// FAdd round it; Go may otherwise fuse the pair into one FMA.
 
 // Mirror mirrors DevMLUT.Eval bit-for-bit without metering.
 func (d *DevMLUT) Mirror(x float32) float32 {
-	tt := (x - d.p) * d.k
+	tt := float32((x - d.p) * d.k)
 	if !d.t.Interp {
 		idx := clampHost(pimsim.RoundToEven32(tt), len(d.t.Entries))
 		return d.t.Entries[idx]
@@ -38,7 +40,7 @@ func (d *DevMLUT) Mirror(x float32) float32 {
 	idx = clampHost(idx, len(d.t.Entries)-1)
 	l0 := d.t.Entries[idx]
 	l1 := d.t.Entries[idx+1]
-	return l0 + (l1-l0)*delta
+	return l0 + float32((l1-l0)*delta)
 }
 
 // MirrorMany mirrors DevMLUT.Eval over a slice: the same arithmetic as
@@ -66,7 +68,7 @@ func (d *DevMLUT) MirrorMany(xs, ys []float32) {
 	}
 	hi := len(entries) - 1
 	for i, x := range xs {
-		tt := (x - p) * k
+		tt := float32((x - p) * k)
 		// Truncation equals FloorToInt32 for non-negative in-range tt,
 		// and the float32 fractional part is exact (Sterbenz); anything
 		// else — negative, NaN, out of table — replays the scalar path.
@@ -75,14 +77,14 @@ func (d *DevMLUT) MirrorMany(xs, ys []float32) {
 			delta := tt - float32(idx)
 			l0 := entries[idx]
 			l1 := entries[idx+1]
-			ys[i] = l0 + (l1-l0)*delta
+			ys[i] = l0 + float32((l1-l0)*delta)
 		} else {
 			fi := pimsim.FloorToInt32(tt)
 			delta := tt - float32(fi)
 			ci := clampHost(fi, hi)
 			l0 := entries[ci]
 			l1 := entries[ci+1]
-			ys[i] = l0 + (l1-l0)*delta
+			ys[i] = l0 + float32((l1-l0)*delta)
 		}
 	}
 }
@@ -111,7 +113,7 @@ func (d *DevLLUT) Mirror(x float32) float32 {
 	idx = clampHost(idx, len(d.t.Entries)-1)
 	l0 := d.t.Entries[idx]
 	l1 := d.t.Entries[idx+1]
-	return l0 + (l1-l0)*delta
+	return l0 + float32((l1-l0)*delta)
 }
 
 // llutSlow replays the scalar Mirror tail (float64 floor, unclamped-
@@ -129,7 +131,7 @@ func llutSlow(entries []float32, tt float32, interp bool) float32 {
 	delta := float32(t64 - f)
 	l0 := entries[idx]
 	l1 := entries[idx+1]
-	return l0 + (l1-l0)*delta
+	return l0 + float32((l1-l0)*delta)
 }
 
 // MirrorMany mirrors DevLLUT.Eval over a slice. The per-element body
@@ -199,7 +201,7 @@ func (d *DevLLUT) MirrorMany(xs, ys []float32) {
 			delta := tt - float32(idx)
 			l0 := lo0[idx]
 			l1 := next[idx]
-			ys[i] = l0 + (l1-l0)*delta
+			ys[i] = l0 + float32((l1-l0)*delta)
 		} else {
 			ys[i] = llutSlow(entries, tt, true)
 		}
@@ -310,54 +312,46 @@ func (d *DevFixedLLUT) MirrorFloatMany(xs, ys []float32) {
 func (d *DevDLUT) Mirror(x float32) float32 { return d.t.EvalHost(x) }
 
 // MirrorMany mirrors DevDLUT.Eval over a slice: the bit-pattern
-// address extraction with all constants hoisted, sign routing to the
-// per-sign table, and a bounds-check-free in-range class.
+// address extraction with all constants hoisted, and out-of-table
+// indices clamped as the device does. The sign picks its table as an
+// offset into the joint Pos‖Neg array (the sign mask ANDed with the
+// table length), so mixed-sign inputs cost no branch.
 func (d *DevDLUT) MirrorMany(xs, ys []float32) {
 	t := d.t
 	shift := uint(23 - t.MantBits)
 	sub := int32(uint32(t.MinExp+fpbits.ExpBias) << uint(t.MantBits))
 	fracMask := uint32(1)<<shift - 1
 	scale := float32(uint32(1) << shift)
-	pos, neg := t.Pos, t.Neg
+	n := len(t.Pos)
+	both := t.both
 	ys = ys[:len(xs)]
 	if !t.Interp {
 		for i, x := range xs {
 			bits := fpbits.Bits(x)
-			entries := pos
-			if bits&fpbits.SignMask != 0 {
-				entries = neg
-			}
+			off := int(int32(bits)>>31) & n
 			idx := int(int32((bits&^uint32(fpbits.SignMask))>>shift) - sub)
-			if uint(idx) < uint(len(entries)) {
-				ys[i] = entries[idx]
-			} else {
-				ys[i] = entries[clampHost(int32(idx), len(entries))]
+			if uint(idx) >= uint(n) {
+				idx = int(clampHost(int32(idx), n))
 			}
+			ys[i] = both[off+idx]
 		}
 		return
 	}
-	if len(pos) < 2 || len(neg) < 2 {
+	if n < 2 {
 		return // interpolated tables always hold ≥ 2 entries + guard
 	}
+	hi := n - 1
 	for i, x := range xs {
 		bits := fpbits.Bits(x)
-		entries := pos
-		if bits&fpbits.SignMask != 0 {
-			entries = neg
-		}
+		off := int(int32(bits)>>31) & n
 		idx := int(int32((bits&^uint32(fpbits.SignMask))>>shift) - sub)
 		delta := float32(bits&fracMask) / scale
-		hi := len(entries) - 1
-		var l0, l1 float32
-		if uint(idx) < uint(hi) {
-			l0 = entries[idx]
-			l1 = entries[idx+1]
-		} else {
-			ci := clampHost(int32(idx), hi)
-			l0 = entries[ci]
-			l1 = entries[ci+1]
+		if uint(idx) >= uint(hi) {
+			idx = int(clampHost(int32(idx), hi))
 		}
-		ys[i] = l0 + (l1-l0)*delta
+		l0 := both[off+idx]
+		l1 := both[off+idx+1]
+		ys[i] = l0 + float32((l1-l0)*delta)
 	}
 }
 

@@ -100,7 +100,7 @@ func (t *MLUT) EvalHost(x float32) float32 {
 	delta := float32(float64(tt) - f)
 	l0 := t.Entries[idx]
 	l1 := t.Entries[idx+1]
-	return l0 + (l1-l0)*delta
+	return l0 + float32((l1-l0)*delta)
 }
 
 func clampHost(idx int32, n int) int32 {

@@ -2,6 +2,7 @@ package pimsim
 
 import (
 	"fmt"
+	"math"
 
 	"transpimlib/internal/fixed"
 	"transpimlib/internal/fpbits"
@@ -345,8 +346,11 @@ func (c *Ctx) FAdd(a, b float32) float32 { c.charge(kFAdd); return a + b }
 // FSub returns a-b through the emulated float path.
 func (c *Ctx) FSub(a, b float32) float32 { c.charge(kFSub); return a - b }
 
-// FMul returns a*b through the emulated float path.
-func (c *Ctx) FMul(a, b float32) float32 { c.charge(kFMul); return a * b }
+// FMul returns a*b through the emulated float path. The explicit
+// conversion rounds the product, so an inlined caller's next FAdd or
+// FSub cannot fuse with it into one FMA (Go may fuse x*y ± z otherwise,
+// and does on arm64).
+func (c *Ctx) FMul(a, b float32) float32 { c.charge(kFMul); return float32(a * b) }
 
 // FDiv returns a/b through the emulated float path.
 func (c *Ctx) FDiv(a, b float32) float32 { c.charge(kFDiv); return a / b }
@@ -522,16 +526,20 @@ func (c *Ctx) mramAccess(bytes int) {
 // matching the conversion sequence the software float library performs.
 // It is the unmetered value function behind Ctx.FToIRound, exported so
 // host-side mirrors of device kernels reproduce the exact conversion.
+//
+// Out-of-range inputs saturate, as a soft-float float→int conversion
+// (compiler-rt's __fixsfsi) does: below −2³¹ to MinInt32, at or above
+// 2³¹ and NaN to MaxInt32. In range, the float64 round is exact and
+// branch-free (ROUNDSD on amd64 with SSE4.1, FRINTN on arm64), so hot
+// loops over random inputs do not mispredict on the fraction.
 func RoundToEven32(a float32) int32 {
-	i := int32(a)
-	frac := a - float32(i)
-	switch {
-	case frac > 0.5 || (frac == 0.5 && i&1 != 0):
-		i++
-	case frac < -0.5 || (frac == -0.5 && i&1 != 0):
-		i--
+	if a >= -(1<<31) && a < 1<<31 {
+		return int32(math.RoundToEven(float64(a)))
 	}
-	return i
+	if a < 0 {
+		return math.MinInt32
+	}
+	return math.MaxInt32
 }
 
 // FloorToInt32 converts a float32 to int32 rounding toward -∞; the

@@ -8,6 +8,11 @@
 //
 // The package also provides the Abramowitz–Stegun cumulative normal
 // distribution polynomial used by the original Blackscholes benchmark.
+//
+// Products that feed an add are rounded by an explicit conversion, so
+// no architecture fuses them into one FMA: the host mirrors then round
+// per op as the device's FMul and FAdd do, and fitted coefficients are
+// the same on every architecture.
 package poly
 
 import (
@@ -48,13 +53,13 @@ func FitChebyshev(f Func, lo, hi float64, degree int) (*Poly, error) {
 	fv := make([]float64, n)
 	for k := 0; k < n; k++ {
 		xk := math.Cos(math.Pi * (float64(k) + 0.5) / float64(n))
-		fv[k] = f(lo + (hi-lo)*(xk+1)/2)
+		fv[k] = f(lo + float64((hi-lo)*(xk+1)/2))
 	}
 	cheb := make([]float64, n)
 	for j := 0; j < n; j++ {
 		var s float64
 		for k := 0; k < n; k++ {
-			s += fv[k] * math.Cos(math.Pi*float64(j)*(float64(k)+0.5)/float64(n))
+			s += float64(fv[k] * math.Cos(math.Pi*float64(j)*(float64(k)+0.5)/float64(n)))
 		}
 		cheb[j] = 2 * s / float64(n)
 	}
@@ -71,7 +76,7 @@ func FitChebyshev(f Func, lo, hi float64, degree int) (*Poly, error) {
 	}
 	addScaled := func(dst, src []float64, w float64) {
 		for i, v := range src {
-			dst[i] += w * v
+			dst[i] += float64(w * v)
 		}
 	}
 	addScaled(mono, tPrev, cheb[0])
@@ -123,11 +128,11 @@ func (p *Poly) Eval(ctx *pimsim.Ctx, x float32) float32 {
 
 // EvalHost is the unmetered float32 mirror of Eval.
 func (p *Poly) EvalHost(x float32) float32 {
-	t := x*p.scale + p.shift
+	t := float32(x*p.scale) + p.shift
 	n := len(p.Coeffs)
 	acc := p.Coeffs[n-1]
 	for i := n - 2; i >= 0; i-- {
-		acc = acc*t + p.Coeffs[i]
+		acc = float32(acc*t) + p.Coeffs[i]
 	}
 	return acc
 }
@@ -145,10 +150,10 @@ func (p *Poly) EvalHostMany(xs, ys []float32) {
 	lead := coeffs[len(coeffs)-1]
 	rest := coeffs[:len(coeffs)-1]
 	for i, x := range xs {
-		t := x*scale + shift
+		t := float32(x*scale) + shift
 		acc := lead
 		for j := len(rest) - 1; j >= 0; j-- {
-			acc = acc*t + rest[j]
+			acc = float32(acc*t) + rest[j]
 		}
 		ys[i] = acc
 	}

@@ -9,7 +9,9 @@ import (
 // evaluation fast path. Each replays the float32 operation order of
 // its device form exactly, so values are bit-identical; the quadrant /
 // parity results double as the cost-class discriminators the batch
-// accounting charges per branch.
+// accounting charges per branch. Products that feed an add or subtract
+// are rounded by an explicit float32 conversion, as the device's FMul
+// rounds them, so no architecture fuses the pair into one FMA.
 
 // FoldQuadrantHost mirrors FoldQuadrant.
 func FoldQuadrantHost(r float32) (float32, Quadrant) {
@@ -55,8 +57,8 @@ func ApplyCosQuadrantHost(sin, cos float32, q Quadrant) float32 {
 func SplitExpHost(x float32) (r float32, k int32) {
 	k = pimsim.RoundToEven32(x * Log2E)
 	kf := float32(k)
-	r = x - kf*Ln2Hi
-	r = r - kf*Ln2Lo
+	r = x - float32(kf*Ln2Hi)
+	r = r - float32(kf*Ln2Lo)
 	return r, k
 }
 
@@ -71,8 +73,8 @@ func SplitExpHostMany(xs []float32, rs []float32, ks []int32) {
 	for i, x := range xs {
 		k := pimsim.RoundToEven32(x * Log2E)
 		kf := float32(k)
-		r := x - kf*Ln2Hi
-		rs[i] = r - kf*Ln2Lo
+		r := x - float32(kf*Ln2Hi)
+		rs[i] = r - float32(kf*Ln2Lo)
 		ks[i] = k
 	}
 }
@@ -84,7 +86,7 @@ func SplitLogHost(x float32) (m float32, e int32) {
 }
 
 // JoinLogHost mirrors JoinLog.
-func JoinLogHost(logM float32, e int32) float32 { return logM + float32(e)*Ln2 }
+func JoinLogHost(logM float32, e int32) float32 { return logM + float32(float32(e)*Ln2) }
 
 // SplitLogHostMany runs SplitLogHost over a slice.
 func SplitLogHostMany(xs []float32, ms []float32, es []int32) {

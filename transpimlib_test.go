@@ -1,6 +1,7 @@
 package transpimlib
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -233,5 +234,52 @@ func TestPowf(t *testing.T) {
 		if math.Abs(got-c.want)/math.Max(c.want, 1e-9) > 1e-4 {
 			t.Errorf("Powf(%v, %v) = %v, want %v", c.x, c.y, got, c.want)
 		}
+	}
+}
+
+// TestExpLimits pins exp's limits far outside the reduced range:
+// exp(x) = +Inf and exp(−x) = 0 once x·log₂e passes the int32 range,
+// through both the per-element and the batch path. Expf documents the
+// full float range; this needs the scale exponent k = round(x·log₂e)
+// to saturate instead of wrapping to the wrong sign. Values compare
+// with ==, so M-LUT(i)'s −0 for the negatives counts as 0.
+func TestExpLimits(t *testing.T) {
+	huge := []float32{1.5e9, 3e9, 1e30}
+	extreme := []float32{math.MaxFloat32, float32(math.Inf(1))}
+	cases := []struct {
+		cfg Config
+		xs  []float32
+	}{
+		{Config{Method: CORDIC}, append(huge, extreme...)},
+		{Config{Method: CORDIC, Interpolated: true}, append(huge, extreme...)},
+		{Config{Method: MLUT}, append(huge, extreme...)},
+		{Config{Method: MLUT, Interpolated: true}, huge},
+		{Config{Method: LLUT}, append(huge, extreme...)},
+		{Config{Method: LLUT, Interpolated: true}, huge},
+		{Config{Method: LLUTFixed}, append(huge, extreme...)},
+		{Config{Method: LLUTFixed, Interpolated: true}, append(huge, extreme...)},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%v/interp=%v", c.cfg.Method, c.cfg.Interpolated), func(t *testing.T) {
+			lib, err := New(c.cfg, Exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var xs, want []float32
+			for _, x := range c.xs {
+				xs = append(xs, x, -x)
+				want = append(want, float32(math.Inf(1)), 0)
+			}
+			batch := make([]float32, len(xs))
+			lib.EvalSlice(Exp, xs, batch)
+			for i, x := range xs {
+				if got := lib.Eval(Exp, x); got != want[i] {
+					t.Errorf("Eval(exp, %v) = %v, want %v", x, got, want[i])
+				}
+				if batch[i] != want[i] {
+					t.Errorf("EvalSlice(exp, %v) = %v, want %v", x, batch[i], want[i])
+				}
+			}
+		})
 	}
 }
