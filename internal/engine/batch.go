@@ -127,7 +127,7 @@ type batch struct {
 
 	// Set by the pipeline stages.
 	slot   int     // shard buffer slot held while in flight
-	perDPU int     // elements per core after shard planning
+	perDPU int     // elements per core after shard planning (or remapping)
 	hit    bool    // tables were resident on the serving shard
 	setup  float64 // modeled setup charged (cache miss only)
 	tin    float64 // modeled host→PIM seconds
@@ -135,17 +135,6 @@ type batch struct {
 	tout   float64 // modeled PIM→host seconds
 	cycles uint64  // modeled kernel cycles (every launch's slowest core)
 	err    error
-
-	// Compiled-plan staging decisions, made at transfer-in when a plan
-	// hit resolves the batch's shape (plan.go). direct evaluates a
-	// single-segment batch straight between the request's own
-	// input/output slices — no staging copy, no MRAM round-trip;
-	// hostOut stages coalesced batches through the flat host buffers
-	// but skips MRAM. Modeled charges are identical either way (the
-	// differential contract). Both stay false under fault injection.
-	plan    *batchPlan
-	direct  bool
-	hostOut bool
 
 	// Fused-program batch fields (program.go): prog carries the whole
 	// program as one single-segment batch; pIn/pOut accumulate its
@@ -156,13 +145,13 @@ type batch struct {
 	pIn, pOut int
 
 	// Reliability outcomes (fault injection only; see reliability.go).
-	lanes    []int // healthy-lane chunk layout when remapped
-	retries  int   // launch + transfer retries spent on this batch
-	remapped bool  // served by a subset of the shard's cores
-	hedged   bool  // slowest lane relaunched
-	degraded bool  // completed via the recovery ladder's last rung
-	hostEval bool  // outputs produced by the host mirror (staging only)
-	inFailed bool  // transfer-in exhausted its retries
+	lanes    int  // healthy lanes that served a remapped batch
+	retries  int  // launch + transfer retries spent on this batch
+	remapped bool // served by a subset of the shard's cores
+	hedged   bool // slowest lane relaunched
+	degraded bool // completed via the recovery ladder's last rung
+	hostEval bool // outputs produced by the host mirror
+	inFailed bool // transfer-in exhausted its retries
 
 	// tr holds the wall-clock stage stamps when tracing is enabled;
 	// nil otherwise, so the disabled path skips every time.Now call.
@@ -179,8 +168,7 @@ var batchPool = sync.Pool{New: func() any { return new(batch) }}
 func newBatch(spec Spec) *batch {
 	b := batchPool.Get().(*batch)
 	segs := b.segs[:0]
-	lanes := b.lanes[:0]
-	*b = batch{spec: spec, segs: segs, lanes: lanes}
+	*b = batch{spec: spec, segs: segs}
 	return b
 }
 

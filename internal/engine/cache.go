@@ -32,9 +32,10 @@ type tableCache struct {
 	mu      sync.Mutex
 	entries map[Spec]*cacheEntry
 
-	// gen counts invalidations. Compiled batch plans (plan.go) pin the
-	// generation they were built against and self-invalidate when it
-	// moves, so a table hot-swap needs no plan-cache walk.
+	// gen counts invalidations. Compiled plans (shard.plans and the
+	// program plans) pin the generation they were built against and
+	// self-invalidate when it moves, so a table hot-swap needs no plan
+	// walk.
 	gen atomic.Uint64
 }
 
@@ -55,10 +56,10 @@ func newTableCache() *tableCache {
 // shard, zero on a hit).
 //
 // ensure is called from a shard's compute stage, which owns the
-// shard's cores, so loading tables into their memories is safe. The
-// entry lock is held across the build: concurrent requests for the
-// same spec on other shards wait for the generation artifact instead
-// of regenerating it.
+// shard's cores and all their MRAM access, so loading tables into
+// their memories is safe. The entry lock is held across the build:
+// concurrent requests for the same spec on other shards wait for the
+// generation artifact instead of regenerating it.
 func (c *tableCache) ensure(spec Spec, s *shard) (ops []*core.Operator, hit bool, setupSeconds float64, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[spec]
@@ -73,12 +74,7 @@ func (c *tableCache) ensure(spec Spec, s *shard) (ops []*core.Operator, hit bool
 	if ops, ok := e.shardOps[s.id]; ok {
 		return ops, true, 0, nil
 	}
-	// Building loads tables into the shard's core memories, which may
-	// grow their backing stores: exclude the shard's overlapped
-	// transfer stages for the duration (the pimsim discipline).
-	s.memMu.Lock()
 	set, err := core.BuildSet(spec.Fn, spec.Par, s.dpus)
-	s.memMu.Unlock()
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -121,4 +117,38 @@ func (c *tableCache) invalidate(spec Spec) bool {
 		c.gen.Add(1)
 	}
 	return ok
+}
+
+// plan is a shard's compiled recipe for one spec: the operators its
+// cores hold and the table-cache generation they were resolved
+// against. A table hot-swap bumps the generation, which makes the plan
+// stale.
+type plan struct {
+	ops []*core.Operator
+	gen uint64
+}
+
+// batchOps returns the operators serving b's spec on shard s (the
+// cache hit/miss point). A plan hit proves the tables were resident
+// when the plan was compiled and the table-cache generation has not
+// moved since: no table-cache lock, no setup charge. A miss resolves
+// the tables through the cache and compiles the plan. The generation
+// is read before ensure, so a hot-swap racing the build leaves the plan
+// stale and the spec's next batch recompiles it.
+func (e *Engine) batchOps(s *shard, b *batch) ([]*core.Operator, error) {
+	gen := e.cache.generation()
+	if p, ok := s.plans[b.spec]; ok && p.gen == gen {
+		e.met.planHits.Inc()
+		b.hit = true
+		return p.ops, nil
+	}
+	e.met.planMisses.Inc()
+	ops, hit, setup, err := e.cache.ensure(b.spec, s)
+	e.met.cachedSpecs.Set(int64(e.cache.size()))
+	if err != nil {
+		return nil, err
+	}
+	b.hit, b.setup = hit, setup
+	s.plans[b.spec] = plan{ops: ops, gen: gen}
+	return ops, nil
 }

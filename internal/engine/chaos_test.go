@@ -37,6 +37,19 @@ func runSequential(t *testing.T, e *Engine, fn core.Function, par core.Params, i
 	return outs, sts
 }
 
+// sameKernelCycles requires a fast-path run and a Reference run of the
+// same requests under the same fault plan to charge every request the
+// same kernel cycles: the two lane kinds count identically, so the
+// ladder takes the same rungs on both.
+func sameKernelCycles(t *testing.T, fast, ref []RequestStats) {
+	t.Helper()
+	for i := range fast {
+		if fast[i].KernelCycles != ref[i].KernelCycles {
+			t.Fatalf("request %d kernel cycles: fast %d != reference %d", i, fast[i].KernelCycles, ref[i].KernelCycles)
+		}
+	}
+}
+
 func chaosInputs(n, elems int) [][]float32 {
 	out := make([][]float32, n)
 	for i := range out {
@@ -117,7 +130,8 @@ func chaosConfig(seed string) Config {
 // stragglers, bit-flips and transfer errors, every request completes
 // and every output is bit-identical to the fault-free engine — either
 // the device produced it after recovery, or the bit-exact host mirror
-// did and the request carries the Degraded marker.
+// did and the request carries the Degraded marker. Fast-path and
+// Reference engines charge the same kernel cycles.
 func TestChaosAllRequestsCorrect(t *testing.T) {
 	fn, par := llutSpec()
 	inputs := chaosInputs(40, 333)
@@ -127,28 +141,36 @@ func TestChaosAllRequestsCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
-	chaos, err := New(chaosConfig("42"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chaos.Close()
-
 	outC, _ := runSequential(t, clean, fn, par, inputs)
-	outX, stX := runSequential(t, chaos, fn, par, inputs)
-	for i := range inputs {
-		if !reflect.DeepEqual(outC[i], outX[i]) {
-			t.Fatalf("request %d outputs wrong under chaos (degraded=%v)", i, stX[i].Degraded)
+
+	var runs [2][]RequestStats
+	for ri, reference := range []bool{false, true} {
+		cfg := chaosConfig("42")
+		cfg.Reference = reference
+		chaos, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer chaos.Close()
+
+		outX, stX := runSequential(t, chaos, fn, par, inputs)
+		for i := range inputs {
+			if !reflect.DeepEqual(outC[i], outX[i]) {
+				t.Fatalf("reference=%v: request %d outputs wrong under chaos (degraded=%v)", reference, i, stX[i].Degraded)
+			}
+		}
+		runs[ri] = stX
+		st := chaos.Stats()
+		if st.FaultsInjected == 0 {
+			t.Fatal("chaos plan injected no faults — the scenario tested nothing")
+		}
+		if len(chaos.FaultEvents()) == 0 {
+			t.Fatal("no fault events recorded")
+		}
+		t.Logf("chaos (reference=%v): %d faults, %d launch retries, %d transfer retries, %d remaps, %d degraded, %d repairs",
+			reference, st.FaultsInjected, st.LaunchRetries, st.TransferRetries, st.Remaps, st.DegradedBatches, st.TableRepairs)
 	}
-	st := chaos.Stats()
-	if st.FaultsInjected == 0 {
-		t.Fatal("chaos plan injected no faults — the scenario tested nothing")
-	}
-	if len(chaos.FaultEvents()) == 0 {
-		t.Fatal("no fault events recorded")
-	}
-	t.Logf("chaos: %d faults, %d launch retries, %d transfer retries, %d remaps, %d degraded, %d repairs",
-		st.FaultsInjected, st.LaunchRetries, st.TransferRetries, st.Remaps, st.DegradedBatches, st.TableRepairs)
+	sameKernelCycles(t, runs[0], runs[1])
 }
 
 // TestChaosEventLogReproducible: re-running the identical workload
@@ -233,26 +255,31 @@ func TestForcedDegrade(t *testing.T) {
 	defer clean.Close()
 	outC, _ := runSequential(t, clean, fn, par, inputs)
 
-	e, err := New(Config{
-		DPUs: 2, Shards: 1, MaxBatch: 256,
-		Faults: mustPlan(t, "seed=7,dpufail=1"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	outX, stX := runSequential(t, e, fn, par, inputs)
-	for i := range inputs {
-		if !stX[i].Degraded {
-			t.Fatalf("request %d not marked degraded under total DPU failure", i)
+	var runs [2][]RequestStats
+	for ri, reference := range []bool{false, true} {
+		e, err := New(Config{
+			DPUs: 2, Shards: 1, MaxBatch: 256, Reference: reference,
+			Faults: mustPlan(t, "seed=7,dpufail=1"),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(outC[i], outX[i]) {
-			t.Fatalf("request %d degraded outputs differ from the device reference", i)
+		defer e.Close()
+		outX, stX := runSequential(t, e, fn, par, inputs)
+		for i := range inputs {
+			if !stX[i].Degraded {
+				t.Fatalf("reference=%v: request %d not marked degraded under total DPU failure", reference, i)
+			}
+			if !reflect.DeepEqual(outC[i], outX[i]) {
+				t.Fatalf("reference=%v: request %d degraded outputs differ from the device reference", reference, i)
+			}
 		}
+		if st := e.Stats(); st.DegradedBatches == 0 {
+			t.Fatalf("reference=%v: no degraded batches counted", reference)
+		}
+		runs[ri] = stX
 	}
-	if st := e.Stats(); st.DegradedBatches == 0 {
-		t.Fatal("no degraded batches counted")
-	}
+	sameKernelCycles(t, runs[0], runs[1])
 }
 
 // TestBitFlipScrubRepair: with flips on every batch, the scrubber must
@@ -307,36 +334,41 @@ func TestQuarantineRemap(t *testing.T) {
 	defer clean.Close()
 	outC, _ := runSequential(t, clean, fn, par, inputs)
 
-	e, err := New(Config{
-		DPUs: 2, Shards: 1, MaxBatch: 256,
-		Faults: mustPlan(t, "seed=1,failat=1:1;2:1;3:1"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	outX, _ := runSequential(t, e, fn, par, inputs)
-	for i := range inputs {
-		if !reflect.DeepEqual(outC[i], outX[i]) {
-			t.Fatalf("request %d outputs wrong after quarantine remap", i)
+	var runs [2][]RequestStats
+	for ri, reference := range []bool{false, true} {
+		e, err := New(Config{
+			DPUs: 2, Shards: 1, MaxBatch: 256, Reference: reference,
+			Faults: mustPlan(t, "seed=1,failat=1:1;2:1;3:1"),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := e.Stats()
-	if st.Remaps == 0 {
-		t.Fatal("no remaps despite a quarantined core")
-	}
-	if st.DegradedBatches != 0 {
-		t.Fatalf("%d batches degraded; remapping should have absorbed the failures", st.DegradedBatches)
-	}
-	quarantined := 0
-	for _, lh := range e.Health() {
-		if lh.Quarantined || lh.Probation {
-			quarantined++
+		defer e.Close()
+		outX, stX := runSequential(t, e, fn, par, inputs)
+		for i := range inputs {
+			if !reflect.DeepEqual(outC[i], outX[i]) {
+				t.Fatalf("reference=%v: request %d outputs wrong after quarantine remap", reference, i)
+			}
 		}
+		st := e.Stats()
+		if st.Remaps == 0 {
+			t.Fatalf("reference=%v: no remaps despite a quarantined core", reference)
+		}
+		if st.DegradedBatches != 0 {
+			t.Fatalf("reference=%v: %d batches degraded; remapping should have absorbed the failures", reference, st.DegradedBatches)
+		}
+		quarantined := 0
+		for _, lh := range e.Health() {
+			if lh.Quarantined || lh.Probation {
+				quarantined++
+			}
+		}
+		if quarantined == 0 {
+			t.Fatalf("reference=%v: health scoreboard shows no quarantined/probation core", reference)
+		}
+		runs[ri] = stX
 	}
-	if quarantined == 0 {
-		t.Fatal("health scoreboard shows no quarantined/probation core")
-	}
+	sameKernelCycles(t, runs[0], runs[1])
 }
 
 // TestHedgedLaunch: a triggered straggler beyond the hedge ratio gets
@@ -352,31 +384,36 @@ func TestHedgedLaunch(t *testing.T) {
 	defer clean.Close()
 	outC, _ := runSequential(t, clean, fn, par, inputs)
 
-	e, err := New(Config{
-		DPUs: 2, Shards: 1, MaxBatch: 256,
-		Faults:      mustPlan(t, "seed=5,slowat=1:1;2:1;3:1,slowfactor=8"),
-		Reliability: ReliabilityConfig{HedgeRatio: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	outX, stX := runSequential(t, e, fn, par, inputs)
-	for i := range inputs {
-		if !reflect.DeepEqual(outC[i], outX[i]) {
-			t.Fatalf("request %d outputs wrong with hedging", i)
+	var runs [2][]RequestStats
+	for ri, reference := range []bool{false, true} {
+		e, err := New(Config{
+			DPUs: 2, Shards: 1, MaxBatch: 256, Reference: reference,
+			Faults:      mustPlan(t, "seed=5,slowat=1:1;2:1;3:1,slowfactor=8"),
+			Reliability: ReliabilityConfig{HedgeRatio: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer e.Close()
+		outX, stX := runSequential(t, e, fn, par, inputs)
+		for i := range inputs {
+			if !reflect.DeepEqual(outC[i], outX[i]) {
+				t.Fatalf("reference=%v: request %d outputs wrong with hedging", reference, i)
+			}
+		}
+		if st := e.Stats(); st.Hedges == 0 {
+			t.Fatalf("reference=%v: no hedged launches despite forced stragglers", reference)
+		}
+		hedged := false
+		for _, st := range stX {
+			hedged = hedged || st.Hedges > 0
+		}
+		if !hedged {
+			t.Fatalf("reference=%v: no request reported a hedge", reference)
+		}
+		runs[ri] = stX
 	}
-	if st := e.Stats(); st.Hedges == 0 {
-		t.Fatal("no hedged launches despite forced stragglers")
-	}
-	hedged := false
-	for _, st := range stX {
-		hedged = hedged || st.Hedges > 0
-	}
-	if !hedged {
-		t.Fatal("no request reported a hedge")
-	}
+	sameKernelCycles(t, runs[0], runs[1])
 }
 
 // TestLaunchTimeout: a straggler beyond the modeled launch timeout is

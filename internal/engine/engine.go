@@ -17,10 +17,9 @@
 //
 // Concurrency discipline (see pimsim.System): each shard's cores are
 // owned by that shard's pipeline; the transfer clock is shared and
-// internally locked; all per-shard MRAM I/O buffers are pre-touched
-// at construction so overlapped stages never grow a Mem under a
-// reader, and table builds (which do grow memories) serialize against
-// the shard's transfer stages via a per-shard memory lock.
+// internally locked; the compute stage owns all MRAM access — table
+// builds, scrubbing and the interpreted lanes' I/O buffers — so the
+// transfer stages, which overlap it, touch only host memory.
 package engine
 
 import (
@@ -160,21 +159,18 @@ type shard struct {
 	dpus []*pimsim.DPU
 
 	capPerDPU int // elements per core per slot
-	// inAddr/outAddr are [slot][localCore] MRAM addresses, allocated
-	// and pre-touched at construction.
+	// inAddr/outAddr are [slot][localCore] MRAM addresses of the
+	// interpreted lanes' I/O buffers, allocated and pre-touched at
+	// construction.
 	inAddr  [][]int
 	outAddr [][]int
 
-	// inBuf/outBuf are [slot] flat host staging buffers in core-major
-	// order (core k owns [k·perDPU, (k+1)·perDPU)), sized
-	// capPerDPU·cores: segments pack into them with contiguous copies
-	// and each core's chunk moves to/from MRAM in one typed bulk
-	// access. A slot's staging is owned by the batch holding the slot.
+	// inBuf/outBuf are [slot] flat host staging buffers in chunk-major
+	// order (chunk j owns [j·per, (j+1)·per)), sized capPerDPU·cores: a
+	// coalesced batch's segments pack into them with contiguous copies.
+	// A slot's staging is owned by the batch holding the slot.
 	inBuf  [][]float32
 	outBuf [][]float32
-	// ys is per-local-core kernel scratch for the batch fast path's
-	// outputs; safe because a shard computes one batch at a time.
-	ys [][]float32
 	// arena is per-local-core classifier scratch for the fused batch
 	// kernels' SoA lanes, pre-grown to capPerDPU at construction so
 	// steady-state batches allocate nothing. Indexed by serving lane,
@@ -193,27 +189,29 @@ type shard struct {
 	mid   chan *batch // transfer-in → compute
 	out   chan *batch // compute → transfer-out
 
-	// memMu serializes operations that may grow a core's Mem (table
-	// builds) against the transfer stages that read/write the
-	// pre-touched I/O buffers concurrently with kernels.
-	memMu sync.Mutex
+	// plans memoizes each spec's resolved operators on this shard (see
+	// batchOps). Only the shard's compute stage touches it, so it needs
+	// no lock, and it holds at most one entry per spec served here.
+	plans map[Spec]plan
 
-	// Reliability state, allocated only when fault injection is on
-	// (see reliability.go). rec is a throwaway recorder Ctx for
-	// host-mirror degraded evaluation; ioEnd[k] marks the end of lane
-	// k's pre-touched I/O region, so [ioEnd, MRAM.Used()) is the
-	// resident-table region that golden/goldenSum scrub against.
-	rec          *pimsim.Ctx
-	ioEnd        []int
-	goldenEnd    []int
-	golden       [][]byte
-	goldenSum    []uint64
-	scratch      []byte
+	// Per-launch lane scratch for computeBatch's recovery ladder.
 	lanesScratch []int
 	launchIDs    []int
 	chunkOf      []int  // local lane -> chunk index in the current launch
 	failedLane   []bool // lanes that failed within the current batch
 	medScratch   []uint64
+
+	// Fault-injection state, allocated only when injection is on (see
+	// reliability.go). rec is a throwaway recorder Ctx for host-mirror
+	// degraded evaluation; ioEnd[k] marks the end of lane k's
+	// pre-touched I/O region, so [ioEnd, MRAM.Used()) is the
+	// resident-table region that golden/goldenSum scrub against.
+	rec       *pimsim.Ctx
+	ioEnd     []int
+	goldenEnd []int
+	golden    [][]byte
+	goldenSum []uint64
+	scratch   []byte
 }
 
 // Engine is the serving runtime. Create with New, submit with
@@ -223,12 +221,9 @@ type Engine struct {
 	sys    *pimsim.System
 	shards []*shard
 	cache  *tableCache
-	// plans caches compiled batch plans per (spec, shard, size) so the
-	// steady state skips table-cache locking and shard planning; see
-	// plan.go. Invalidated lazily by the table cache's generation.
-	plans *planCache
-	// pplans caches fused-program execution plans per (program, shard,
-	// size); see program.go. Pins the same table-cache generation.
+	// pplans caches fused-program execution plans per (program, shard);
+	// see program.go. Like shard.plans, entries pin the table-cache
+	// generation.
 	pplans *progPlanCache
 
 	submit   chan *request
@@ -283,7 +278,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		sys:      pimsim.NewSystem(pimsim.Config{DPUs: cfg.DPUs, Cost: cfg.Cost}),
 		cache:    newTableCache(),
-		plans:    newPlanCache(defaultPlanCacheLimit),
 		pplans:   newProgPlanCache(defaultProgPlanLimit),
 		submit:   make(chan *request, cfg.QueueDepth),
 		dispatch: make(chan *batch, cfg.Shards),
@@ -358,12 +352,18 @@ func New(cfg Config) (*Engine, error) {
 			dma0:      make([]uint64, perShard),
 			deltas:    make([]uint64, perShard),
 			cores:     make([]pimsim.CoreProfile, perShard),
+			plans:     make(map[Spec]plan),
+
+			lanesScratch: make([]int, 0, perShard),
+			launchIDs:    make([]int, 0, perShard),
+			chunkOf:      make([]int, perShard),
+			failedLane:   make([]bool, perShard),
+			medScratch:   make([]uint64, 0, perShard),
 		}
 		for k := 0; k < perShard; k++ {
 			id := sID*perShard + k
 			s.ids = append(s.ids, id)
 			s.dpus = append(s.dpus, e.sys.DPU(id))
-			s.ys = append(s.ys, make([]float32, capPerDPU))
 			sc := new(lut.Scratch)
 			sc.Grow(capPerDPU)
 			sc.GrowQ(capPerDPU)
@@ -382,8 +382,8 @@ func New(cfg Config) (*Engine, error) {
 			for k, d := range s.dpus {
 				s.inAddr[slot][k] = d.MRAM.MustAlloc(capPerDPU * 4)
 				s.outAddr[slot][k] = d.MRAM.MustAlloc(capPerDPU * 4)
-				// Pre-touch so the backing store never grows while
-				// stages overlap (the pimsim ownership discipline).
+				// Pre-touch so serving a batch never grows the
+				// backing store.
 				d.MRAM.Write(s.inAddr[slot][k], zero)
 				d.MRAM.Write(s.outAddr[slot][k], zero)
 			}
@@ -395,11 +395,6 @@ func New(cfg Config) (*Engine, error) {
 			s.goldenEnd = make([]int, perShard)
 			s.golden = make([][]byte, perShard)
 			s.goldenSum = make([]uint64, perShard)
-			s.lanesScratch = make([]int, 0, perShard)
-			s.launchIDs = make([]int, 0, perShard)
-			s.chunkOf = make([]int, perShard)
-			s.failedLane = make([]bool, perShard)
-			s.medScratch = make([]uint64, 0, perShard)
 			for k, d := range s.dpus {
 				// Everything below this brk is the pre-touched I/O
 				// region; tables built later live above it.
@@ -454,9 +449,6 @@ func (e *Engine) Traces() []*telemetry.Trace { return e.tracer.Traces() }
 // CachedSpecs returns how many (function, method) configurations hold
 // resident tables.
 func (e *Engine) CachedSpecs() int { return e.cache.size() }
-
-// CachedPlans returns how many compiled batch plans are live.
-func (e *Engine) CachedPlans() int { return e.plans.size() }
 
 // InvalidateTables drops the resident tables for one configuration —
 // the hot-swap hook for regenerating a function's tables (say, after
@@ -689,11 +681,11 @@ func (e *Engine) batcher() {
 
 // stageTransferIn is a shard's first pipeline stage: claim a buffer
 // slot (blocking until the drain stage recycles one — the
-// double-buffer backpressure), pack the batch's segments into the
-// slot's flat staging buffer with contiguous copies, push each core's
-// chunk to MRAM in one typed bulk write, and charge the rank-parallel
-// host→PIM transfer. It overlaps with the compute stage working on the
-// previous batch in another slot.
+// double-buffer backpressure), pack a coalesced batch's segments into
+// the slot's flat staging buffer with contiguous copies, and charge the
+// rank-parallel host→PIM transfer. It overlaps with the compute stage
+// working on the previous batch in another slot, and touches no MRAM:
+// lanes read their chunk from host memory (see computeLane).
 func (e *Engine) stageTransferIn(s *shard) {
 	defer e.wg.Done()
 	defer close(s.mid)
@@ -703,65 +695,20 @@ func (e *Engine) stageTransferIn(s *shard) {
 			b.tr.shard = s.id
 			b.tr.inStart = time.Now()
 		}
+		per, padded := shardPlan(b.n, len(s.dpus))
+		b.perDPU = per
 		if b.prog != nil {
 			e.stageProgramIn(s, b)
-			if b.tr != nil {
-				b.tr.inEnd = time.Now()
-			}
-			s.mid <- b
-			continue
-		}
-		var per, padded int
-		if e.inj == nil {
-			b.plan = e.plans.lookup(planKey{spec: b.spec, shard: s.id, n: b.n}, e.cache.generation())
-			if b.plan != nil {
-				e.met.planHits.Inc()
-			} else {
-				e.met.planMisses.Inc()
-			}
-		}
-		if b.plan != nil {
-			per, padded = b.plan.perDPU, b.plan.padded
-			// A fast plan licenses host-side staging: the fused kernels
-			// read and write host memory while the simulator charges the
-			// exact same DMA/transfer costs, so the MRAM round-trip (and
-			// for single-segment batches, the pack copy too) is elided.
-			b.direct = b.plan.fast && len(b.segs) == 1
-			b.hostOut = b.plan.fast && !b.direct
 		} else {
-			per, padded = shardPlan(b.n, len(s.dpus))
-		}
-		b.perDPU = per
-
-		if !b.direct {
-			flat := s.inBuf[b.slot]
-			idx := 0
-			for _, sg := range b.segs {
-				copy(flat[idx:idx+sg.n], sg.req.inputs[sg.off:sg.off+sg.n])
-				idx += sg.n
-			}
-			if !b.hostOut {
-				s.memMu.Lock()
-				for d := range s.dpus {
-					lo := d * per
-					if lo >= b.n {
-						break
-					}
-					hi := lo + per
-					if hi > b.n {
-						hi = b.n
-					}
-					s.dpus[d].MRAM.WriteF32s(s.inAddr[b.slot][d], flat[lo:hi])
+			if len(b.segs) > 1 {
+				flat := s.inBuf[b.slot]
+				idx := 0
+				for _, sg := range b.segs {
+					copy(flat[idx:idx+sg.n], sg.req.inputs[sg.off:sg.off+sg.n])
+					idx += sg.n
 				}
-				s.memMu.Unlock()
 			}
-		}
-
-		if e.inj != nil {
 			e.chargeTransferIn(s, b, padded)
-		} else {
-			e.sys.ChargeHostToPIM(padded, true)
-			b.tin = float64(padded) / e.sys.Config().HostToPIMBandwidth
 		}
 		if b.tr != nil {
 			b.tr.inEnd = time.Now()
@@ -770,87 +717,16 @@ func (e *Engine) stageTransferIn(s *shard) {
 	}
 }
 
-// stageCompute is a shard's second stage: ensure the spec's tables
-// are resident (the cache hit/miss point), then launch the streaming
-// kernel on the shard's cores and account its cycles.
+// stageCompute is a shard's second stage: run each batch's kernel
+// launches on the shard's cores and account their cycles.
 func (e *Engine) stageCompute(s *shard) {
 	defer e.wg.Done()
 	defer close(s.out)
 	for b := range s.mid {
 		if b.prog != nil {
 			e.computeProgram(s, b)
-			s.out <- b
-			continue
-		}
-		if e.inj != nil {
-			e.computeShardFaulty(s, b)
-			s.out <- b
-			continue
-		}
-		if b.tr != nil {
-			b.tr.setupStart = time.Now()
-		}
-		var ops []*core.Operator
-		if b.plan != nil {
-			// A plan hit proves the tables were resident when the plan
-			// was compiled and the generation hasn't moved since: no
-			// table-cache lock, no shard planning, no setup charge.
-			ops = b.plan.ops
-			b.hit, b.setup = true, 0
 		} else {
-			gen := e.cache.generation()
-			resolved, hit, setup, err := e.cache.ensure(b.spec, s)
-			e.met.cachedSpecs.Set(int64(e.cache.size()))
-			if err != nil {
-				if b.tr != nil {
-					b.tr.setupEnd = time.Now()
-				}
-				b.err = err
-				s.out <- b
-				continue
-			}
-			ops = resolved
-			b.hit, b.setup = hit, setup
-			// Compile the batch plan for this shape. The generation was
-			// read before ensure: a hot-swap racing the build leaves the
-			// plan stale, and the next lookup recompiles it.
-			per, padded := shardPlan(b.n, len(s.dpus))
-			evicted := e.plans.store(planKey{spec: b.spec, shard: s.id, n: b.n}, &batchPlan{
-				ops:    ops,
-				fast:   !e.cfg.Reference && len(ops) > 0 && ops[0].HasFastPath(),
-				perDPU: per,
-				padded: padded,
-				gen:    gen,
-			})
-			if evicted > 0 {
-				e.met.planEvictions.Add(uint64(evicted))
-			}
-		}
-		if b.tr != nil {
-			b.tr.setupEnd = time.Now()
-		}
-
-		if b.tr != nil {
-			b.tr.kernStart = time.Now()
-		}
-		per := b.perDPU
-		base := s.ids[0]
-		wall, err := e.launch(s, b, "kernel", 0, s.ids, func(ctx *pimsim.Ctx, id int) error {
-			local := id - base
-			count := b.n - local*per
-			if count > per {
-				count = per
-			}
-			if count <= 0 {
-				return nil
-			}
-			e.computeCore(ctx, s, b, ops[local], local, count)
-			return nil
-		})
-		b.err = err
-		b.tcomp += float64(wall) / e.sys.Config().ClockHz
-		if b.tr != nil {
-			b.tr.kernEnd = time.Now()
+			e.computeBatch(s, b)
 		}
 		s.out <- b
 	}
@@ -932,94 +808,25 @@ func (e *Engine) launch(s *shard, b *batch, stage string, attempt uint64, ids []
 	return wall, err
 }
 
-// computeCore runs one core's share of a batch: the streamed kernel of
-// Fig. 3(a) — input DMA, per-element evaluation, output DMA. With the
-// operator's batch fast path it evaluates the staged inputs through
-// the fused mirror, bulk-charges the per-element streaming overhead,
-// and stores the results with one typed bulk write; accounting is
-// bit-identical to the per-element interpreted loop (Config.Reference
-// forces the latter). Allocation-free in steady state.
-func (e *Engine) computeCore(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, local, count int) {
-	if b.direct || b.hostOut {
-		e.computeCoreHost(ctx, s, b, op, local, count)
-		return
-	}
-	e.computeCoreAt(ctx, s, b, op, local, local, b.perDPU, count)
-}
-
-// computeCoreHost is the compiled-plan staging path: the fused mirror
-// reads and writes host memory — the request's own slices for a direct
-// batch, the slot's flat staging buffers for a coalesced one — while
-// every modeled charge of computeCoreAt's fast branch is replayed
-// verbatim (loop setup, input DMA, per-class kernel signatures,
-// streaming overhead, output DMA), so cycle accounting stays
-// bit-identical to the MRAM round-trip it elides. Lanes own disjoint
-// [lo, lo+count) windows, so concurrent cores never overlap.
-func (e *Engine) computeCoreHost(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, local, count int) {
-	lo := local * b.perDPU
-	var xs, ys []float32
-	if b.direct {
+// vectors returns a batch's input and output vectors in host memory:
+// a single-segment batch's are its request's own slices, a coalesced
+// batch's are the slot's staging buffers.
+func (s *shard) vectors(b *batch) (xs, ys []float32) {
+	if len(b.segs) == 1 {
 		sg := b.segs[0]
-		xs = sg.req.inputs[sg.off+lo : sg.off+lo+count]
-		ys = sg.req.outputs[sg.off+lo : sg.off+lo+count]
-	} else {
-		xs = s.inBuf[b.slot][lo : lo+count]
-		ys = s.outBuf[b.slot][lo : lo+count]
+		return sg.req.inputs[sg.off : sg.off+sg.n], sg.req.outputs[sg.off : sg.off+sg.n]
 	}
-	ctx.Charge(4)
-	ctx.ChargeDMA(count * 4)
-	op.EvalBatchWith(ctx, xs, ys, s.arena[local])
-	ctx.ChargeSig(&e.streamSig, uint64(count))
-	ctx.ChargeDMA(count * 4)
+	return s.inBuf[b.slot][:b.n], s.outBuf[b.slot][:b.n]
 }
 
-// gatherOutputs reads a drained batch's results back into its
-// requests' output slices: one typed bulk read per core into the
-// slot's flat staging buffer, then contiguous copies out to the
-// segments.
+// gatherOutputs copies a coalesced batch's results out of the slot's
+// staging buffer to its segments with contiguous copies. A
+// single-segment batch's lanes already wrote its request's outputs.
 func (s *shard) gatherOutputs(b *batch) {
-	if b.direct {
-		// The compiled-plan direct path wrote straight into the
-		// request's output slice; nothing to gather.
+	if len(b.segs) == 1 {
 		return
 	}
-	per := b.perDPU
 	flat := s.outBuf[b.slot]
-	switch {
-	case b.hostEval || b.hostOut:
-		// Host-side results — the degraded mirror's, or the
-		// compiled-plan host staging path's — are already in the
-		// staging buffer; there is nothing to read back from MRAM.
-	case b.remapped:
-		// Remapped: chunk j lives on healthy lane b.lanes[j].
-		s.memMu.Lock()
-		for j, k := range b.lanes {
-			lo := j * per
-			if lo >= b.n {
-				break
-			}
-			hi := lo + per
-			if hi > b.n {
-				hi = b.n
-			}
-			s.dpus[k].MRAM.ReadF32s(s.outAddr[b.slot][k], flat[lo:hi])
-		}
-		s.memMu.Unlock()
-	default:
-		s.memMu.Lock()
-		for d := range s.dpus {
-			lo := d * per
-			if lo >= b.n {
-				break
-			}
-			hi := lo + per
-			if hi > b.n {
-				hi = b.n
-			}
-			s.dpus[d].MRAM.ReadF32s(s.outAddr[b.slot][d], flat[lo:hi])
-		}
-		s.memMu.Unlock()
-	}
 	idx := 0
 	for _, sg := range b.segs {
 		copy(sg.req.outputs[sg.off:sg.off+sg.n], flat[idx:idx+sg.n])
@@ -1044,26 +851,15 @@ func (e *Engine) stageTransferOut(s *shard) {
 			bytesIn, bytesOut = e.drainProgramOut(s, b)
 		case b.err == nil:
 			s.gatherOutputs(b)
-			var padded int
-			if b.plan != nil {
-				padded = b.plan.padded
-			} else {
-				_, padded = shardPlan(b.n, len(s.dpus))
-			}
+			_, padded := shardPlan(b.n, len(s.dpus))
 			bytesIn = padded
-			switch {
-			case b.hostEval:
-				// Degraded results come from host memory: nothing to
-				// transfer back from the cores.
-			case e.inj != nil:
+			// Degraded results come from host memory: nothing to
+			// transfer back from the cores.
+			if !b.hostEval {
 				if b.remapped {
-					padded = b.perDPU * 4 * len(b.lanes)
+					padded = b.perDPU * 4 * b.lanes
 				}
 				e.chargeTransferOut(s, b, padded)
-				bytesOut = padded
-			default:
-				e.sys.ChargePIMToHost(padded, true)
-				b.tout = float64(padded) / e.sys.Config().PIMToHostBandwidth
 				bytesOut = padded
 			}
 		}

@@ -68,43 +68,47 @@ func TestFastPathMatchesReference(t *testing.T) {
 
 // TestComputeCoreZeroAlloc pins the zero-allocation contract of the
 // compute stage: once the engine is warm (tables resident, staging and
-// scratch buffers constructed), evaluating a core's share of a batch
-// through the fast path allocates nothing.
+// scratch buffers constructed), evaluating a lane's share of a batch
+// allocates nothing — through the fast path, and through the
+// interpreted lane of a Reference engine, which also stages its chunk
+// through its MRAM buffers.
 func TestComputeCoreZeroAlloc(t *testing.T) {
-	e, err := New(Config{DPUs: 1, Shards: 1, MaxBatch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	fn, par := llutSpec()
-	xs := stats.RandomInputs(-7.9, 7.9, 256, 3)
-	if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
-		t.Fatal(err) // warm: tables built, pools primed
-	}
+	for _, reference := range []bool{false, true} {
+		e, err := New(Config{DPUs: 1, Shards: 1, MaxBatch: 256, Reference: reference})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		fn, par := llutSpec()
+		xs := stats.RandomInputs(-7.9, 7.9, 256, 3)
+		if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
+			t.Fatal(err) // warm: tables built, pools primed
+		}
 
-	s := e.shards[0]
-	ops, hit, _, err := e.cache.ensure(makeSpec(fn, par), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("warmup did not populate the table cache")
-	}
-	op := ops[0]
-	if !op.HasFastPath() {
-		t.Fatal("LLUT operator has no batch fast path")
-	}
+		s := e.shards[0]
+		ops, hit, _, err := e.cache.ensure(makeSpec(fn, par), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit {
+			t.Fatal("warmup did not populate the table cache")
+		}
+		op := ops[0]
+		if !op.HasFastPath() {
+			t.Fatal("LLUT operator has no batch fast path")
+		}
 
-	// The pipeline is idle (the warmup request completed), so driving
-	// slot 0 directly is safe.
-	b := &batch{spec: makeSpec(fn, par), n: 256, perDPU: 256, slot: 0}
-	copy(s.inBuf[0][:256], xs)
-	s.dpus[0].MRAM.WriteF32s(s.inAddr[0][0], s.inBuf[0][:256])
-	ctx := s.dpus[0].NewCtx()
+		// The pipeline is idle (the warmup request completed), so driving
+		// slot 0 directly is safe. A batch without segments evaluates the
+		// slot's staging buffers.
+		b := &batch{spec: makeSpec(fn, par), n: 256, perDPU: 256, slot: 0}
+		copy(s.inBuf[0][:256], xs)
+		ctx := s.dpus[0].NewCtx()
 
-	if avg := testing.AllocsPerRun(200, func() {
-		e.computeCore(ctx, s, b, op, 0, 256)
-	}); avg != 0 {
-		t.Fatalf("computeCore allocates %.1f objects per batch, want 0", avg)
+		if avg := testing.AllocsPerRun(200, func() {
+			e.computeLane(ctx, s, b, op, 0, 0, 256, 256)
+		}); avg != 0 {
+			t.Fatalf("reference=%v: computeLane allocates %.1f objects per batch, want 0", reference, avg)
+		}
 	}
 }

@@ -67,15 +67,14 @@ func (s PerOpStats) ModeledSeconds() float64 {
 }
 
 // progKey identifies a cached program execution plan: one compiled
-// program, one shard (whose cores hold the operator tables), one batch
-// shape.
+// program on one shard (whose cores hold the operator tables). Exec.Bind
+// sizes the plan for each batch.
 type progKey struct {
 	pid   uint64
 	shard int
-	n     int
 }
 
-// progEntry pins the table-cache generation like batchPlan does: a
+// progEntry pins the table-cache generation like shard.plans does: a
 // table hot-swap bumps the generation and the entry self-invalidates.
 type progEntry struct {
 	ex  *fusion.Exec
@@ -84,10 +83,11 @@ type progEntry struct {
 
 const defaultProgPlanLimit = 64
 
-// progPlanCache is the bounded FIFO cache of program execution plans.
-// An Exec carries per-batch mutable state, but a shard's compute stage
-// runs one batch at a time and entries are keyed by shard, so a cached
-// Exec never serves two batches concurrently.
+// progPlanCache is the bounded FIFO cache of program execution plans;
+// the bound matters because every CompileProgram call mints a new
+// program ID. An Exec carries per-batch mutable state, but a shard's
+// compute stage runs one batch at a time and entries are keyed by
+// shard, so a cached Exec never serves two batches concurrently.
 type progPlanCache struct {
 	mu    sync.Mutex
 	m     map[progKey]progEntry
@@ -237,20 +237,12 @@ func (e *Engine) EvaluateProgramPerOp(tenant string, c *fusion.Compiled, inputs 
 
 // stageProgramIn is transfer-in for a program batch: charge the
 // program's inbound bytes — every input vector rank-padded plus the
-// initial scalar broadcasts — in one checked (or plain) transfer.
-// Programs always use host staging (the compiled-plan convention): the
-// fused kernels read and write host memory while the simulator charges
-// the exact modeled costs, so no MRAM copies are made here.
+// initial scalar broadcasts — in one checked transfer. Programs use
+// host staging like ordinary batches: the fused kernels read and write
+// host memory while the simulator charges the exact modeled costs.
 func (e *Engine) stageProgramIn(s *shard, b *batch) {
-	per, _ := shardPlan(b.n, len(s.dpus))
-	b.perDPU = per
 	inBytes := b.prog.InBytes(b.n, len(s.dpus))
-	if e.inj != nil {
-		e.chargeTransferIn(s, b, inBytes)
-	} else {
-		e.sys.ChargeHostToPIM(inBytes, true)
-		b.tin = float64(inBytes) / e.sys.Config().HostToPIMBandwidth
-	}
+	e.chargeTransferIn(s, b, inBytes)
 	b.pIn = inBytes
 }
 
@@ -268,11 +260,8 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 		b.tr.setupStart = time.Now()
 	}
 	gen := e.cache.generation()
-	key := progKey{pid: c.ID(), shard: s.id, n: b.n}
-	var ex *fusion.Exec
-	if e.inj == nil {
-		ex = e.pplans.lookup(key, gen)
-	}
+	key := progKey{pid: c.ID(), shard: s.id}
+	ex := e.pplans.lookup(key, gen)
 	if ex != nil {
 		b.hit, b.setup = true, 0
 		e.met.planHits.Inc()
@@ -298,9 +287,7 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 			ex.SetOps(i, ops)
 		}
 		b.hit, b.setup = hit, setup
-		if e.inj == nil {
-			e.pplans.store(key, ex, gen)
-		}
+		e.pplans.store(key, ex, gen)
 	}
 	if b.tr != nil {
 		b.tr.setupEnd = time.Now()
@@ -417,12 +404,7 @@ func (e *Engine) drainProgramOut(s *shard, b *batch) (bytesIn, bytesOut int) {
 	if b.err == nil && !b.hostEval {
 		ob := b.prog.OutBytes(b.n, len(s.dpus))
 		if ob > 0 {
-			if e.inj != nil {
-				e.chargeTransferOut(s, b, ob)
-			} else {
-				e.sys.ChargePIMToHost(ob, true)
-				b.tout += float64(ob) / e.sys.Config().PIMToHostBandwidth
-			}
+			e.chargeTransferOut(s, b, ob)
 			b.pOut += ob
 		}
 	}

@@ -312,9 +312,10 @@ func TestProgramLedgerAttribution(t *testing.T) {
 	}
 }
 
-// TestProgramPlanCache: the second evaluation of the same program at
-// the same batch shape must reuse the cached execution plan — zero
-// setup seconds and a plan hit, mirroring the batchPlan contract.
+// TestProgramPlanCache: the second evaluation of the same program
+// must reuse the cached execution plan — zero setup seconds and a plan
+// hit, mirroring the batch-plan contract — and so must an evaluation at
+// another batch size, which Bind resizes the plan for.
 func TestProgramPlanCache(t *testing.T) {
 	e, err := New(Config{DPUs: 4, Shards: 1, MaxBatch: 4096})
 	if err != nil {
@@ -326,13 +327,14 @@ func TestProgramPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func() [][]float32 {
+	mkN := func(n int) [][]float32 {
 		return [][]float32{
-			stats.RandomInputs(-4, 4, 300, 41),
-			stats.RandomInputs(-1, 1, 300, 42),
-			stats.RandomInputs(0.5, 1.5, 300, 43),
+			stats.RandomInputs(-4, 4, n, 41),
+			stats.RandomInputs(-1, 1, n, 42),
+			stats.RandomInputs(0.5, 1.5, n, 43),
 		}
 	}
+	mk := func() [][]float32 { return mkN(300) }
 	out1, _, err := e.EvaluateProgramTenant("", prog, mk(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +354,19 @@ func TestProgramPlanCache(t *testing.T) {
 	if e.Stats().PlanHits <= hits0 {
 		t.Fatal("second evaluation did not hit the program plan cache")
 	}
+	hits1 := e.Stats().PlanHits
+	outBig, _, err := e.EvaluateProgramTenant("", prog, mkN(1000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().PlanHits <= hits1 {
+		t.Fatal("a larger batch did not hit the program plan cache")
+	}
+	wantBig, _, err := e.EvaluateProgramPerOp("", prog, mkN(1000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBits(t, "resized plan", outBig, wantBig)
 	// A table invalidation must drop the pinned generation: the next
 	// run rebuilds rather than serving stale operators.
 	if !e.InvalidateTables(core.GELU, progParams()) {

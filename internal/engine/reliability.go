@@ -9,14 +9,14 @@ import (
 	"transpimlib/internal/pimsim"
 )
 
-// This file is the engine's recovery ladder, active only when
-// Config.Faults enables the injector (e.inj != nil): launch retries
-// with modeled exponential backoff, health-driven shard remapping onto
-// the surviving cores, optional hedged relaunches for stragglers,
-// MRAM table scrubbing with checksum repair, and — when everything
-// else is exhausted — graceful degradation onto the bit-exact host
-// mirrors. With injection disabled none of these paths run and the
-// pipeline is bit-identical to the fault-free engine.
+// This file is the engine's batch compute path and the recovery ladder
+// it walks: launch retries with modeled exponential backoff,
+// health-driven shard remapping onto the surviving cores, optional
+// hedged relaunches for stragglers, MRAM table scrubbing with checksum
+// repair, and — when everything else is exhausted — graceful
+// degradation onto the bit-exact host mirrors. Only Config.Faults
+// (e.inj != nil) can make a launch or transfer fail, so without it no
+// rung past the first launch runs.
 
 // engineFaultAgent adapts the faultsim injector to the simulator's
 // FaultAgent hook, counting injected faults into the engine metrics.
@@ -134,8 +134,7 @@ func (e *Engine) captureGolden(s *shard) {
 // rewrites the golden image (charged as a serial host→PIM re-stage
 // into the batch's setup time). Tables are verified-clean when it
 // returns, so kernels and mirror-nil fallbacks never read corrupted
-// entries. The region is pre-backed and disjoint from the I/O
-// buffers, so no memory lock is needed.
+// entries.
 func (e *Engine) flipAndRepair(s *shard, b *batch) {
 	bw := e.sys.Config().HostToPIMBandwidth
 	for k, d := range s.dpus {
@@ -173,11 +172,12 @@ func (e *Engine) flipAndRepair(s *shard, b *batch) {
 }
 
 // healthyLanes returns the shard-local indices of the cores allowed to
-// serve seq (probation re-admissions happen inside available).
+// serve seq (probation re-admissions happen inside Available). Without
+// fault injection there is no health tracker and every core serves.
 func (e *Engine) healthyLanes(s *shard, seq uint64) []int {
 	lanes := s.lanesScratch[:0]
 	for k, id := range s.ids {
-		if e.health.Available(id, seq) {
+		if e.health == nil || e.health.Available(id, seq) {
 			lanes = append(lanes, k)
 		}
 	}
@@ -185,67 +185,45 @@ func (e *Engine) healthyLanes(s *shard, seq uint64) []int {
 	return lanes
 }
 
-// restage rewrites the batch's inputs into the healthy lanes' MRAM
-// input buffers under the remapped ceil(n/len(lanes)) layout and
-// charges the extra rank-parallel transfer into the batch.
-func (e *Engine) restage(s *shard, b *batch, lanes []int, per int) {
-	flat := s.inBuf[b.slot]
-	for j, k := range lanes {
-		lo := j * per
-		if lo >= b.n {
-			break
-		}
-		hi := lo + per
-		if hi > b.n {
-			hi = b.n
-		}
-		s.dpus[k].MRAM.WriteF32s(s.inAddr[b.slot][k], flat[lo:hi])
-	}
-	padded := per * 4 * len(lanes)
-	e.sys.ChargeHostToPIM(padded, true)
-	b.tin += float64(padded) / e.sys.Config().HostToPIMBandwidth
-}
-
-// computeShardFaulty is the compute stage's body under fault
-// injection: ensure tables, scrub them, then walk the recovery ladder
-// — retry (fresh injector draws per attempt), remap onto healthy
-// lanes, hedge stragglers, and finally degrade to the host mirror.
-func (e *Engine) computeShardFaulty(s *shard, b *batch) {
+// computeBatch is the compute stage for an ordinary batch: resolve the
+// spec's operators, scrub the tables when bit-flips are injected, then
+// launch the streamed kernel on the shard's healthy lanes and walk the
+// recovery ladder — retry (fresh injector draws per attempt), remap
+// onto healthy lanes, hedge stragglers, and finally degrade to the host
+// mirror. Without a fault plan every lane is healthy and no launch
+// fails or times out, so the first launch is the only rung that runs.
+func (e *Engine) computeBatch(s *shard, b *batch) {
 	if b.tr != nil {
 		b.tr.setupStart = time.Now()
 	}
-	ops, hit, setup, err := e.cache.ensure(b.spec, s)
+	ops, err := e.batchOps(s, b)
 	if b.tr != nil {
 		b.tr.setupEnd = time.Now()
 	}
-	e.met.cachedSpecs.Set(int64(e.cache.size()))
 	if err != nil {
 		b.err = err
 		return
 	}
-	b.hit, b.setup = hit, setup
 
 	if b.tr != nil {
 		b.tr.kernStart = time.Now()
 		defer func() { b.tr.kernEnd = time.Now() }()
 	}
-	if e.inj.Active(faultsim.BitFlip) {
+	if e.inj != nil && e.inj.Active(faultsim.BitFlip) {
 		e.captureGolden(s)
 		e.flipAndRepair(s, b)
 	}
 	if b.inFailed {
-		// Transfer-in never delivered the inputs to the cores; the host
-		// staging copy still has them.
+		// Transfer-in never delivered the inputs to the cores; host
+		// memory still has them.
 		e.degradeBatch(s, b, ops)
 		return
 	}
 
 	base := s.ids[0]
 	minLanes := (b.n + s.capPerDPU - 1) / s.capPerDPU
-	staged := -1 // number of lanes the current MRAM layout targets; -1 = original full layout
-	for i := range s.failedLane {
-		s.failedLane[i] = false
-	}
+	staged := -1 // lanes the last charged input layout targets; -1 = the original full layout
+	clear(s.failedLane)
 	for attempt := uint64(0); ; attempt++ {
 		lanes := e.healthyLanes(s, b.seq)
 		if len(lanes) < minLanes {
@@ -255,7 +233,11 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 		per := (b.n + len(lanes) - 1) / len(lanes)
 		remapped := len(lanes) < len(s.ids)
 		if remapped && len(lanes) != staged {
-			e.restage(s, b, lanes, per)
+			// Re-send the inputs to the healthy lanes under the
+			// remapped ceil(n/len(lanes)) layout.
+			padded := per * 4 * len(lanes)
+			e.sys.ChargeHostToPIM(padded, true)
+			b.tin += float64(padded) / e.sys.Config().HostToPIMBandwidth
 			staged = len(lanes)
 			if !b.remapped {
 				b.remapped = true
@@ -280,14 +262,9 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 		mx, err := e.launch(s, b, stage, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
 			ln := id - base
 			j := s.chunkOf[ln]
-			count := b.n - j*per
-			if count > per {
-				count = per
+			if count := min(b.n-j*per, per); count > 0 {
+				e.computeLane(ctx, s, b, ops[ln], ln, j, per, count)
 			}
-			if count <= 0 {
-				return nil
-			}
-			e.computeCoreAt(ctx, s, b, ops[ln], ln, j, per, count)
 			return nil
 		})
 
@@ -302,9 +279,17 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 		}
 
 		retry := false
-		var le *pimsim.LaunchError
 		switch {
-		case errors.As(err, &le):
+		case err != nil:
+			// Declared here, not at loop scope: errors.As makes le escape,
+			// and only a failed launch should pay for its allocation.
+			var le *pimsim.LaunchError
+			if !errors.As(err, &le) {
+				// A genuine kernel error is not recoverable by retry.
+				b.tcomp += float64(mx) / e.sys.Config().ClockHz
+				b.err = err
+				return
+			}
 			for _, p := range le.Lanes {
 				s.failedLane[lanes[p]] = true
 				if e.health.RecordFailure(s.ids[lanes[p]], b.seq) && e.log != nil {
@@ -314,11 +299,6 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 				}
 			}
 			retry = true
-		case err != nil:
-			// A genuine kernel error is not recoverable by retry.
-			b.tcomp += float64(mx) / e.sys.Config().ClockHz
-			b.err = err
-			return
 		case e.rel.LaunchTimeout > 0 && float64(mx)/e.sys.Config().ClockHz > e.rel.LaunchTimeout:
 			e.met.timeouts.Inc()
 			s.failedLane[lanes[slowest]] = true
@@ -351,17 +331,19 @@ func (e *Engine) computeShardFaulty(s *shard, b *batch) {
 
 		crit := e.maybeHedge(s, b, ops, lanes, per, slowest, mx)
 		b.tcomp += float64(crit) / e.sys.Config().ClockHz
-		for _, k := range lanes {
-			// A lane that failed earlier in this batch keeps its streak:
-			// a retry succeeding elsewhere says nothing good about it.
-			if !s.failedLane[k] {
-				e.health.RecordSuccess(s.ids[k])
+		if e.health != nil {
+			for _, k := range lanes {
+				// A lane that failed earlier in this batch keeps its
+				// streak: a retry succeeding elsewhere says nothing good
+				// about it.
+				if !s.failedLane[k] {
+					e.health.RecordSuccess(s.ids[k])
+				}
 			}
+			e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
 		}
-		e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
 		if b.remapped {
-			b.lanes = append(b.lanes[:0], lanes...)
-			b.perDPU = per
+			b.lanes, b.perDPU = len(lanes), per
 		}
 		return
 	}
@@ -404,7 +386,7 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	// A large attempt bias gives the hedge a fresh, independent draw
 	// stream that ordinary retries never reach.
 	hedged, err := e.launch(s, b, "hedge", uint64(e.rel.MaxRetries)+1000, s.ids[k:k+1], func(ctx *pimsim.Ctx, id int) error {
-		e.computeCoreAt(ctx, s, b, ops[k], k, j, per, count)
+		e.computeLane(ctx, s, b, ops[k], k, j, per, count)
 		return nil
 	})
 	e.met.hedges.Inc()
@@ -434,11 +416,10 @@ func medianCycles(deltas, scratch []uint64) uint64 {
 // degradeBatch is the ladder's last rung: evaluate the batch on the
 // host-side mirrors (bit-exact with the device kernels by the PR-3
 // differential contract), charging a throwaway recorder so no device
-// cycles are accounted. Results land directly in the output staging
-// buffer and the batch is marked degraded.
+// cycles are accounted. Results land directly in the batch's host
+// output vector and the batch is marked degraded.
 func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
-	xs := s.inBuf[b.slot][:b.n]
-	ys := s.outBuf[b.slot][:b.n]
+	xs, ys := s.vectors(b)
 	ops[0].EvalBatch(s.rec, xs, ys)
 	b.degraded, b.hostEval = true, true
 	e.met.degraded.Inc()
@@ -450,29 +431,39 @@ func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
 	}
 }
 
-// computeCoreAt is computeCore generalized for remapping and hedging:
-// the serving lane ln (MRAM buffers, scratch, operator) is decoupled
-// from the batch chunk j it evaluates. computeCore is the ln == j
-// case.
-func (e *Engine) computeCoreAt(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, ln, j, per, count int) {
-	m := ctx.DPU().MRAM
-	in, out := s.inAddr[b.slot][ln], s.outAddr[b.slot][ln]
+// computeLane runs one lane's share of a batch: the streamed kernel of
+// Fig. 3(a) — input DMA, per-element evaluation, output DMA — on
+// serving lane ln (its operator, scratch and MRAM buffers) over batch
+// chunk j, the count elements from j·per. An ordinary launch has
+// ln == j; remapped and hedged launches decouple them. With the
+// operator's batch fast path the lane evaluates the batch's host
+// vectors through the fused mirror and bulk-charges the per-element
+// streaming overhead. Otherwise (Config.Reference, or no fast path) it
+// copies its chunk into its MRAM input buffer, streams it through the
+// per-element interpreted loop, and copies the results back out; the
+// copies are uncharged because the transfer stages charge those
+// transfers. Accounting is bit-identical either way. Allocation-free in
+// steady state.
+func (e *Engine) computeLane(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, ln, j, per, count int) {
+	xs, ys := s.vectors(b)
+	lo := j * per
+	xs, ys = xs[lo:lo+count], ys[lo:lo+count]
 	ctx.Charge(4)
 	ctx.ChargeDMA(count * 4)
 	if !e.cfg.Reference && op.HasFastPath() {
-		lo := j * per
-		xs := s.inBuf[b.slot][lo : lo+count]
-		ys := s.ys[ln][:count]
 		op.EvalBatchWith(ctx, xs, ys, s.arena[ln])
 		ctx.ChargeSig(&e.streamSig, uint64(count))
-		m.WriteF32s(out, ys)
 	} else {
+		m := ctx.DPU().MRAM
+		in, out := s.inAddr[b.slot][ln], s.outAddr[b.slot][ln]
+		m.WriteF32s(in, xs)
 		for i := 0; i < count; i++ {
 			x := ctx.LoadStreamedF32(m, in+4*i)
 			y := op.Eval(ctx, x)
 			ctx.StoreStreamedF32(m, out+4*i, y)
 			ctx.Charge(2)
 		}
+		m.ReadF32s(out, ys)
 	}
 	ctx.ChargeDMA(count * 4)
 }

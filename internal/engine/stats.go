@@ -93,12 +93,10 @@ type Stats struct {
 	CacheMisses uint64
 
 	// PlanHits/PlanMisses count per-batch compiled-plan lookups: a hit
-	// skips table-cache locking and shard planning entirely; a miss
-	// compiles (or recompiles, after a table hot-swap) the plan.
-	// PlanEvictions counts plans dropped by the bounded plan cache.
-	PlanHits      uint64
-	PlanMisses    uint64
-	PlanEvictions uint64
+	// skips table-cache locking entirely; a miss compiles (or
+	// recompiles, after a table hot-swap) the plan.
+	PlanHits   uint64
+	PlanMisses uint64
 
 	// SetupSeconds is the total modeled setup time paid (all misses).
 	SetupSeconds float64
@@ -147,7 +145,6 @@ type metrics struct {
 	cacheMisses   *telemetry.Counter
 	planHits      *telemetry.Counter
 	planMisses    *telemetry.Counter
-	planEvictions *telemetry.Counter
 
 	setupSeconds *telemetry.FloatCounter
 	tinSeconds   *telemetry.FloatCounter
@@ -203,7 +200,6 @@ func newMetrics(reg *telemetry.Registry, shards int) *metrics {
 		cacheMisses:   reg.Counter("engine_cache_misses_total", "per-batch table lookups that built tables"),
 		planHits:      reg.Counter("engine_plan_hits_total", "batches served by a compiled batch plan"),
 		planMisses:    reg.Counter("engine_plan_misses_total", "batches that compiled or recompiled their plan"),
-		planEvictions: reg.Counter("engine_plan_evictions_total", "compiled plans evicted by the bounded plan cache"),
 		setupSeconds:  reg.FloatCounter("engine_setup_seconds_total", "modeled table generation + broadcast seconds"),
 		tinSeconds:    reg.FloatCounter("engine_transfer_in_seconds_total", "modeled host-to-PIM transfer seconds"),
 		tcompSeconds:  reg.FloatCounter("engine_compute_seconds_total", "modeled kernel seconds (slowest core per batch)"),
@@ -298,7 +294,6 @@ func (m *metrics) snapshot() Stats {
 		CacheMisses:        m.cacheMisses.Load(),
 		PlanHits:           m.planHits.Load(),
 		PlanMisses:         m.planMisses.Load(),
-		PlanEvictions:      m.planEvictions.Load(),
 		SetupSeconds:       m.setupSeconds.Load(),
 		TransferInSeconds:  m.tinSeconds.Load(),
 		ComputeSeconds:     m.tcompSeconds.Load(),

@@ -16,11 +16,11 @@ var progIDs atomic.Uint64
 // step is one device operation inside a phase, executed per element of
 // a lane's chunk inside the fused kernel loop.
 type step struct {
-	node int
-	kind nodeKind
-	a, b int // operand node ids (scalar operands deref'd past Broadcast)
-	eop  core.ElemOp
-	rop  core.ReduceOp
+	node   int
+	kind   nodeKind
+	a, b   int // operand node ids (scalar operands deref'd past Broadcast)
+	eop    core.ElemOp
+	rop    core.ReduceOp
 	fnIdx  int // nFunc: index into the compiled funcs list
 	redIdx int // nReduce: index into the compiled reduces list
 }

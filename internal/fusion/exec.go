@@ -6,12 +6,13 @@ import (
 	"transpimlib/internal/pimsim"
 )
 
-// Exec is the per-(program, shard, batch-size) execution state the
-// engine's program-plan cache holds: resolved operator tables for every
-// Func node, the intermediate vector buffers that model MRAM residency,
-// the reduction partial slots, and the runtime scalar values. One Exec
+// Exec is the per-(program, shard) execution state the engine's
+// program-plan cache holds: resolved operator tables for every Func
+// node, the intermediate vector buffers that model MRAM residency, the
+// reduction partial slots, and the runtime scalar values. One Exec
 // serves one shard's compute stage at a time (the engine serializes per
-// shard); Bind rebinds it to each batch.
+// shard); Bind rebinds it to each batch, growing its buffers to the
+// batch size.
 type Exec struct {
 	c     *Compiled
 	lanes int

@@ -181,7 +181,7 @@ func min64(a, b uint64) uint64 {
 
 // FrameDelta is one frame's change between two profiles.
 type FrameDelta struct {
-	Frame      // identity fields; Ops/Cycles/WallCycles carry the NEW values
+	Frame              // identity fields; Ops/Cycles/WallCycles carry the NEW values
 	OldOps     uint64  `json:"old_ops"`
 	OldCycles  uint64  `json:"old_cycles"`
 	OldWall    uint64  `json:"old_wall_cycles"`
