@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,9 +40,10 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// skeleton renders a span tree's deterministic shape — names, process
-// lanes, attributes, errors — without the wall-clock fields, so a
-// golden file can pin the connected-trace structure.
+// skeleton renders a span tree's deterministic content — names,
+// process lanes, attributes, errors, shards and modeled seconds —
+// without the wall-clock fields, so a golden file can pin the
+// connected-trace structure.
 func skeleton(s *telemetry.Span, indent string, sb *strings.Builder) {
 	sb.WriteString(indent)
 	sb.WriteString(s.Name)
@@ -54,7 +56,7 @@ func skeleton(s *telemetry.Span, indent string, sb *strings.Builder) {
 	if s.Err != "" {
 		fmt.Fprintf(sb, " err=%q", s.Err)
 	}
-	sb.WriteString("\n")
+	fmt.Fprintf(sb, " shard=%d modeled=%s\n", s.Shard, strconv.FormatFloat(s.Modeled, 'g', -1, 64))
 	for _, c := range s.Child {
 		skeleton(c, indent+"  ", sb)
 	}
@@ -80,6 +82,11 @@ func TestClusterConnectedTrace(t *testing.T) {
 
 	fn := core.Sigmoid
 	p := core.Params{Method: core.LLUT, Interp: true, SizeLog2: 10}
+	// Prewarm: a cold setup span's modeled seconds include the measured
+	// host table-build time, which the golden cannot pin.
+	if err := cl.Prewarm(fn, p, "acme"); err != nil {
+		t.Fatal(err)
+	}
 	xs := stats.RandomInputs(-6, 6, 64, 3)
 	_, st, err := cl.EvaluateBatchTenant("acme", fn, p, xs)
 	if err != nil {
@@ -131,8 +138,9 @@ func TestClusterConnectedTrace(t *testing.T) {
 		}
 	}
 
-	// Pin the exact skeleton. The kernel cycle count is modeled (cost
-	// table × workload), deterministic across runs and platforms.
+	// Pin the exact skeleton. The kernel cycle count and the warm
+	// spans' modeled seconds come from the cost model, deterministic
+	// across runs and platforms.
 	checkGolden(t, "trace.skeleton.golden", out)
 }
 
