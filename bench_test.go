@@ -16,6 +16,7 @@ package transpimlib
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"transpimlib/internal/cordic"
@@ -359,6 +360,77 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		run(b, EngineConfig{DPUs: 4, Shards: 1, MaxBatch: n, Reference: true})
 	})
+}
+
+// --- Observer overhead: a 2-replica cluster serving 1–256-element
+// sigmoid L-LUT(i) requests over 4 tenants, with every observer off
+// and with perfbench cluster-small's five on (request tracing, the
+// modeled-cycle profiler, the accuracy shadow sampler, the per-tenant
+// ledger, the windowed timeline). elems/s is the headline metric; CI
+// gates the all/off ratio against BENCH_baseline.json's
+// observers_on_over_off, which ports across hardware where raw elems/s
+// does not. Run with -cpu 2 for cluster-small's two callers. ---
+
+var (
+	observerTenants = []string{"tenant-0", "tenant-1", "tenant-2", "tenant-3"}
+	observerSpec    = Config{Method: LLUT, Interpolated: true, SizeLog2: 12}
+)
+
+// newObserverCluster starts a 2-replica cluster with cluster-small's
+// observers all on or all off, and prewarms the spec for every tenant.
+func newObserverCluster(tb testing.TB, all bool) *Cluster {
+	cfg := ClusterConfig{Replicas: 2}
+	if all {
+		cfg.Engine.Accuracy = AccuracyConfig{Enabled: true}
+		cfg.TraceDepth = 32
+		cfg.Ledger = true
+		cfg.Timeline = TimelineConfig{Enabled: true}
+		cfg.Profiler = ProfilerConfig{Enabled: true}
+	}
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, t := range observerTenants {
+		if err := cl.Prewarm(Sigmoid, observerSpec, t); err != nil {
+			cl.Close()
+			tb.Fatal(err)
+		}
+	}
+	return cl
+}
+
+func BenchmarkClusterObservers(b *testing.B) {
+	const pool = 512
+	inputs := make([][]float32, pool)
+	for i := range inputs {
+		inputs[i] = stats.RandomInputs(-6, 6, 1+(i*197)%256, uint64(i+1))
+	}
+	for _, bc := range []struct {
+		name string
+		all  bool
+	}{{"off", false}, {"all", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cl := newObserverCluster(b, bc.all)
+			defer cl.Close()
+			var next atomic.Uint64
+			var elems atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					k := next.Add(1)
+					xs := inputs[k%pool]
+					tenant := observerTenants[(k/pool)%uint64(len(observerTenants))]
+					if _, _, err := cl.EvaluateBatchAs(tenant, Sigmoid, observerSpec, xs); err != nil {
+						b.Error(err)
+						return
+					}
+					elems.Add(int64(len(xs)))
+				}
+			})
+			b.ReportMetric(float64(elems.Load())/b.Elapsed().Seconds(), "elems/s")
+		})
+	}
 }
 
 // --- §4.2.4: per-function microbenchmarks through the public API ---

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"transpimlib/internal/stats"
 )
 
 // TestClusterPublicAPI drives the public Cluster through its paces:
@@ -117,4 +119,32 @@ func TestClusterPublicAPI(t *testing.T) {
 			t.Fatal("bad per-replica fault plan accepted")
 		}
 	})
+}
+
+// TestObservedRequestAllocs bounds what the observers add to one warm
+// request: with cluster-small's five observers on, a 64-element
+// request makes at most 6 more allocations than with all of them off.
+// The warm-up takes trace ids to four digits, so a span or label
+// formatter whose cost grows with the id shows here.
+func TestObservedRequestAllocs(t *testing.T) {
+	xs := stats.RandomInputs(-6, 6, 64, 1)
+	perRequest := func(all bool) float64 {
+		cl := newObserverCluster(t, all)
+		defer cl.Close()
+		for i := 0; i < 2000; i++ {
+			if _, _, err := cl.EvaluateBatchAs(observerTenants[i%len(observerTenants)], Sigmoid, observerSpec, xs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(1000, func() {
+			if _, _, err := cl.EvaluateBatchAs(observerTenants[0], Sigmoid, observerSpec, xs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off, all := perRequest(false), perRequest(true)
+	t.Logf("allocs per request: observers off %.0f, all on %.0f", off, all)
+	if all > off+6 {
+		t.Fatalf("observers add %.0f allocs per request (off %.0f, all on %.0f), want at most 6", all-off, off, all)
+	}
 }

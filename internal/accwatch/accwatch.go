@@ -34,6 +34,7 @@ import (
 	"log/slog"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -376,9 +377,10 @@ func (w *Watcher) Sample(req Request, xs, ys []float32) Outcome {
 			w.oorTotal.Inc()
 		}
 
-		exLabels := exemplarLabels(req.TraceID, x)
-		s.absHist.ObserveExemplar(abs, exLabels)
-		s.ulpHist.ObserveExemplar(ulps, exLabels)
+		// Built only when a sample displaces its bucket's exemplar.
+		labels := func() string { return exemplarLabels(req.TraceID, x) }
+		s.absHist.ObserveExemplar(abs, labels)
+		s.ulpHist.ObserveExemplar(ulps, labels)
 		if abs > s.worstAbs.AbsErr || !s.worstAbs.Set {
 			s.worstAbs = makeExemplar(x, y, want, abs, ulps, i, req)
 		}
@@ -409,25 +411,19 @@ func expValue(x float32) float64 {
 	return float64(e)
 }
 
+// exemplarLabels renders an exemplar's label block — the trace id and
+// the input's float32 bits — with one allocation, the result string.
 func exemplarLabels(traceID uint64, x float32) string {
-	return `trace_id="` + utoa(traceID) + `",x="0x` + hex32(fpbits.Bits(x)) + `"`
-}
-
-func utoa(v uint64) string {
-	if v < 10 {
-		return string(rune('0' + v))
-	}
-	return utoa(v/10) + string(rune('0'+v%10))
-}
-
-func hex32(b uint32) string {
 	const digits = "0123456789abcdef"
-	var out [8]byte
-	for i := 7; i >= 0; i-- {
-		out[i] = digits[b&0xF]
-		b >>= 4
+	var buf [64]byte
+	b := append(buf[:0], `trace_id="`...)
+	b = strconv.AppendUint(b, traceID, 10)
+	b = append(b, `",x="0x`...)
+	bits := fpbits.Bits(x)
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[bits>>uint(shift)&0xF])
 	}
-	return string(out[:])
+	return string(append(b, '"'))
 }
 
 func makeExemplar(x, y float32, want, abs, ulps float64, idx int, req Request) Exemplar {

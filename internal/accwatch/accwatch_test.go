@@ -296,3 +296,25 @@ func TestNilWatcher(t *testing.T) {
 		t.Fatal("nil watcher produced violations")
 	}
 }
+
+// TestExemplarLabels pins the exemplar label block and its cost: one
+// allocation, the result string, whatever the trace id's width.
+func TestExemplarLabels(t *testing.T) {
+	for _, c := range []struct {
+		id   uint64
+		x    float32
+		want string
+	}{
+		{0, 0, `trace_id="0",x="0x00000000"`},
+		{7, 1.5, `trace_id="7",x="0x3fc00000"`},
+		{1234567, -2, `trace_id="1234567",x="0xc0000000"`},
+		{math.MaxUint64, float32(math.Inf(1)), `trace_id="18446744073709551615",x="0x7f800000"`},
+	} {
+		if got := exemplarLabels(c.id, c.x); got != c.want {
+			t.Errorf("exemplarLabels(%d, %g) = %s, want %s", c.id, c.x, got, c.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { exemplarLabels(c.id, c.x) }); a != 1 {
+			t.Errorf("exemplarLabels(%d, %g) allocates %.0f times, want 1", c.id, c.x, a)
+		}
+	}
+}

@@ -363,13 +363,13 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 		if pl.Spilled {
 			c.met.spills.Inc()
 		}
-		var span *telemetry.Span
+		var at *attemptRecord // valid until the next attempt
 		if tr != nil {
-			span = tr.attempt(pl, attempt)
+			at = tr.attempt(pl)
 		}
-		out, st, err := c.execute(tr, pl.Replica, tenant, fn, p, xs)
-		if span != nil {
-			span.End = time.Now()
+		out, st, rec, err := c.execute(tr, pl.Replica, tenant, fn, p, xs)
+		if at != nil {
+			at.end, at.err, at.rec = time.Now(), err, rec
 		}
 		switch {
 		case err == nil:
@@ -382,11 +382,7 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 			}
 			if tr != nil {
 				st.TraceID = tr.id
-				if span != nil {
-					// Prewarm/replication visibility: were the spec's
-					// tables already resident on the serving replica?
-					span.SetAttr("cache_hit", fmt.Sprint(st.CacheHit))
-				}
+				at.served, at.cacheHit = true, st.CacheHit
 				tr.finish(c, nil)
 			}
 			return out, st, nil
@@ -395,9 +391,8 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 			c.noteFailure(pl.Replica, seq, "replica_error")
 			c.met.failovers.Inc()
 			c.chargeRoute(tenant, fn, p, telemetry.LedgerEntry{Failovers: 1})
-			if span != nil {
-				span.Err = err.Error()
-				span.SetAttr("failover", "true")
+			if at != nil {
+				at.failover = true
 			}
 			tried |= 1 << uint(pl.Replica)
 			lastErr = err
@@ -409,9 +404,6 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 			// Deterministic request error (unsupported method, table too
 			// large): every replica would answer the same — no failover,
 			// no health penalty.
-			if span != nil {
-				span.Err = err.Error()
-			}
 			if tr != nil {
 				tr.finish(c, err)
 			}
@@ -430,23 +422,20 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 
 // execute runs the request on one replica. On a traced request it
 // prefers the executor's traced entry point, propagating the
-// cluster-minted trace ID into the replica's pipeline and grafting the
-// returned engine span tree (rendered in the replica's own process
-// lane) under the cluster trace — one connected tree across layers.
-func (c *Cluster) execute(tr *reqTrace, replica int, tenant string, fn core.Function, p core.Params, xs []float32) ([]float32, engine.RequestStats, error) {
+// cluster-minted trace ID into the replica's pipeline and returning
+// the replica's trace record, which the caller stores on the current
+// attempt so the cluster tree grafts the engine spans (rendered in the
+// replica's own process lane) under it — one connected tree across
+// layers. The record is shared with the replica's own trace ring; it
+// is immutable once pushed.
+func (c *Cluster) execute(tr *reqTrace, replica int, tenant string, fn core.Function, p core.Params, xs []float32) ([]float32, engine.RequestStats, telemetry.Record, error) {
 	if tr != nil {
 		if te, ok := c.execs[replica].(engine.TracedExecutor); ok {
-			out, st, etr, err := te.EvaluateBatchTraced(tenant, tr.id, fn, p, xs)
-			if etr != nil && len(tr.root.Child) > 0 {
-				// Graft under the current attempt span. The subtree is
-				// shared with the replica's own trace ring; it is
-				// read-only from here on.
-				tr.root.Child[len(tr.root.Child)-1].AddChild(etr.Root)
-			}
-			return out, st, err
+			return te.EvaluateBatchTraced(tenant, tr.id, fn, p, xs)
 		}
 	}
-	return c.execs[replica].EvaluateBatchTenant(tenant, fn, p, xs)
+	out, st, err := c.execs[replica].EvaluateBatchTenant(tenant, fn, p, xs)
+	return out, st, nil, err
 }
 
 // chargeRoute adds router-level ledger deltas (sheds, failovers) to

@@ -9,61 +9,121 @@ import (
 	"transpimlib/internal/telemetry"
 )
 
-// reqTrace carries one routed request's cluster-side span tree while
-// the placement ladder runs. It exists only when tracing is enabled
-// (nil otherwise, so the disabled path takes no timestamps and
-// allocates nothing) and lives entirely on the request goroutine —
-// no locking until the finished tree is pushed into the tracer ring.
+// reqTrace is one routed request's trace record: the plain fields the
+// placement ladder stamps, from which Materialize builds the span tree
+// when a reader asks. It exists only when tracing is enabled (nil
+// otherwise, so the disabled path takes no timestamps and allocates
+// nothing) and lives entirely on the request goroutine until finish
+// pushes it into the tracer ring, after which it is immutable.
 type reqTrace struct {
-	id   uint64
-	root *telemetry.Span
+	id         uint64
+	start, end time.Time
+	fn         core.Function
+	par        core.Params
+	n          int
+	tenant     string
+	err        error
+
+	// shedReason is the terminal shed span's reason ("quota" or
+	// "queue"), empty when the request was not shed.
+	shedReason string
+	shedAt     time.Time
+
+	// attempts holds one record per placement-ladder rung. It starts on
+	// inline, which covers one failover without a second allocation.
+	attempts []attemptRecord
+	inline   [2]attemptRecord
 }
 
-// beginTrace mints the cluster-boundary trace identity and opens the
-// root span. Returns nil when tracing is disabled.
+// attemptRecord is one placement-ladder rung: the routing decision
+// and, on a served attempt, the chosen replica's own trace record,
+// grafted by reference.
+type attemptRecord struct {
+	pl         placement
+	start, end time.Time
+	err        error
+	failover   bool
+	served     bool // cacheHit is set
+	cacheHit   bool
+	rec        telemetry.Record // the replica's record; nil if none
+}
+
+// beginTrace mints the cluster-boundary trace identity and stamps the
+// root's start. Returns nil when tracing is disabled.
 func (c *Cluster) beginTrace(tenant string, fn core.Function, p core.Params, n int) *reqTrace {
 	if c.tracer == nil {
 		return nil
 	}
-	root := &telemetry.Span{Name: "cluster_request", Proc: "cluster", Start: time.Now()}
-	root.SetAttr("fn", fn.String())
-	root.SetAttr("method", engine.MethodLabel(p))
-	root.SetAttr("elements", fmt.Sprint(n))
-	if tenant != "" {
-		root.SetAttr("tenant", tenant)
-	}
-	return &reqTrace{id: c.tracer.NextID(), root: root}
+	t := &reqTrace{start: time.Now(), fn: fn, par: p, n: n, tenant: tenant}
+	t.attempts = t.inline[:0]
+	t.id = c.tracer.NextID()
+	return t
 }
 
-// shed records a terminal shed span (admission quota or backlog bound)
-// under the root.
+// shed records a terminal shed (admission quota or backlog bound).
 func (t *reqTrace) shed(reason string) {
-	now := time.Now()
-	s := &telemetry.Span{Name: "shed", Start: now, End: now, Err: "overloaded"}
-	s.SetAttr("reason", reason)
-	t.root.AddChild(s)
+	t.shedReason, t.shedAt = reason, time.Now()
 }
 
-// attempt opens one placement-ladder rung: the span covers the routing
-// decision and, on a served attempt, the execution on the chosen
-// replica (whose engine span tree is grafted underneath).
-func (t *reqTrace) attempt(pl placement, n int) *telemetry.Span {
-	s := &telemetry.Span{Name: fmt.Sprintf("attempt[%d]", n), Start: time.Now()}
-	s.SetAttr("primary", fmt.Sprint(pl.Primary))
-	s.SetAttr("replica", fmt.Sprint(pl.Replica))
-	if pl.Spilled {
-		s.SetAttr("spilled", "true")
-	}
-	t.root.AddChild(s)
-	return s
+// attempt opens the next placement-ladder rung, which covers the
+// routing decision and, on a served attempt, the execution on the
+// chosen replica. The returned pointer is valid until the next attempt.
+func (t *reqTrace) attempt(pl placement) *attemptRecord {
+	t.attempts = append(t.attempts, attemptRecord{pl: pl, start: time.Now()})
+	return &t.attempts[len(t.attempts)-1]
 }
 
-// finish closes the root span and publishes the tree. err, when
+// finish stamps the root's end and publishes the record. err, when
 // non-nil, marks the whole trace failed.
 func (t *reqTrace) finish(c *Cluster, err error) {
-	t.root.End = time.Now()
-	if err != nil {
-		t.root.Err = err.Error()
+	t.end = time.Now()
+	t.err = err
+	c.tracer.Push(t)
+}
+
+// Materialize builds the routed request's span tree: the
+// cluster_request root, one attempt[k] span per ladder rung with the
+// serving replica's request subtree (in its own process lane) under
+// it, then the shed span if the request was shed.
+func (t *reqTrace) Materialize() *telemetry.Trace {
+	root := &telemetry.Span{Name: "cluster_request", Proc: "cluster", Start: t.start, End: t.end}
+	root.SetAttr("fn", t.fn.String())
+	root.SetAttr("method", engine.MethodLabel(t.par))
+	root.SetAttr("elements", fmt.Sprint(t.n))
+	if t.tenant != "" {
+		root.SetAttr("tenant", t.tenant)
 	}
-	c.tracer.Push(&telemetry.Trace{ID: t.id, Root: t.root})
+	for i := range t.attempts {
+		a := &t.attempts[i]
+		s := &telemetry.Span{Name: fmt.Sprintf("attempt[%d]", i), Start: a.start, End: a.end}
+		s.SetAttr("primary", fmt.Sprint(a.pl.Primary))
+		s.SetAttr("replica", fmt.Sprint(a.pl.Replica))
+		if a.pl.Spilled {
+			s.SetAttr("spilled", "true")
+		}
+		if a.rec != nil {
+			s.AddChild(a.rec.Materialize().Root)
+		}
+		if a.err != nil {
+			s.Err = a.err.Error()
+		}
+		if a.failover {
+			s.SetAttr("failover", "true")
+		}
+		if a.served {
+			// Prewarm/replication visibility: were the spec's tables
+			// already resident on the serving replica?
+			s.SetAttr("cache_hit", fmt.Sprint(a.cacheHit))
+		}
+		root.AddChild(s)
+	}
+	if t.shedReason != "" {
+		s := &telemetry.Span{Name: "shed", Start: t.shedAt, End: t.shedAt, Err: "overloaded"}
+		s.SetAttr("reason", t.shedReason)
+		root.AddChild(s)
+	}
+	if t.err != nil {
+		root.Err = t.err.Error()
+	}
+	return &telemetry.Trace{ID: t.id, Root: root}
 }

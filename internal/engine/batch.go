@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"transpimlib/internal/fusion"
-	"transpimlib/internal/telemetry"
 )
 
 // request is one in-flight EvaluateBatch call. A request may be split
@@ -36,31 +35,16 @@ type request struct {
 	err       error
 	stats     RequestStats
 
-	// sloBreached is set by the drain stage's shadow-sampling hook
-	// when this request's samples closed a window that failed an
-	// accuracy SLO; buildTrace annotates the root span with it. The
-	// request is quiescent when it is written (see finishRequest).
-	sloBreached bool
-
-	// batchTraces collects the stage stamps of every batch the request
-	// rode in, in completion order; nil unless tracing is enabled.
-	batchTraces []batchRef
+	// rec is the request's trace record, created when its first traced
+	// batch drains (see record); nil unless tracing is enabled.
+	// finishRequest completes and publishes it.
+	rec *reqRecord
 
 	// extID, when nonzero, is an externally minted trace ID (the
-	// cluster router's) that replaces the tracer's own; wantTrace asks
-	// finishRequest to store the assembled span tree in trace before
-	// releasing the caller (see EvaluateBatchTraced). Both are written
-	// before submit and read only after the request is quiescent.
-	extID     uint64
-	wantTrace bool
-	trace     *telemetry.Trace
-}
-
-// batchRef pairs a drained batch with its wall-clock stage stamps for
-// trace assembly.
-type batchRef struct {
-	b  *batch
-	tr *batchTrace
+	// cluster router's) that replaces the tracer's own (see
+	// EvaluateBatchTraced). It is written before submit and read only
+	// after the request is quiescent.
+	extID uint64
 }
 
 // complete records one drained batch against the request. It reports
@@ -94,7 +78,7 @@ func (r *request) complete(b *batch, shardID int) (last bool) {
 		r.stats.Hedges++
 	}
 	if b.tr != nil {
-		r.batchTraces = append(r.batchTraces, batchRef{b: b, tr: b.tr})
+		r.record(b)
 	}
 	r.remaining--
 	last = r.remaining == 0
@@ -153,14 +137,17 @@ type batch struct {
 	hostEval bool // outputs produced by the host mirror
 	inFailed bool // transfer-in exhausted its retries
 
-	// tr holds the wall-clock stage stamps when tracing is enabled;
-	// nil otherwise, so the disabled path skips every time.Now call.
-	tr *batchTrace
+	// tr points at trace, the wall-clock stage stamps, when tracing is
+	// enabled; nil otherwise, so the disabled path skips every
+	// time.Now call.
+	tr    *batchTrace
+	trace batchTrace
 }
 
 // batchPool recycles drained batches (and their segment slices) so the
-// steady-state pipeline allocates nothing per batch. Traced batches
-// are retained by request span trees and bypass the pool.
+// steady-state pipeline allocates nothing per batch. A drained batch's
+// trace stamps are copied into its requests' records, so traced
+// batches are recycled too.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // newBatch takes a recycled batch from the pool, reset for spec but
@@ -172,15 +159,8 @@ func newBatch(spec Spec) *batch {
 	return b
 }
 
-// releaseBatch returns a fully drained batch to the pool. Batches with
-// trace stamps are kept alive by their requests' traces and must not
-// be recycled.
-func releaseBatch(b *batch) {
-	if b.tr != nil {
-		return
-	}
-	batchPool.Put(b)
-}
+// releaseBatch returns a fully drained batch to the pool.
+func releaseBatch(b *batch) { batchPool.Put(b) }
 
 // planBatches packs same-spec requests into batches of at most
 // maxBatch elements, splitting oversized requests across several

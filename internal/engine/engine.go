@@ -502,26 +502,25 @@ func (e *Engine) EvaluateBatch(fn core.Function, p core.Params, xs []float32) ([
 // separable in /debug/accuracy. The tag does not affect batching,
 // coalescing, or results; an empty tenant is the anonymous series.
 func (e *Engine) EvaluateBatchTenant(tenant string, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, error) {
-	out, st, _, err := e.evaluate(tenant, 0, false, fn, p, xs)
+	out, st, _, err := e.evaluate(tenant, 0, fn, p, xs)
 	return out, st, err
 }
 
 // EvaluateBatchTraced is EvaluateBatchTenant with an externally minted
-// trace identity: the request's span tree takes traceID instead of an
-// engine-local one, and the assembled trace is returned to the caller
-// (in addition to the engine's own trace ring) so a router can graft
-// it under its placement spans — one connected trace across layers.
-// With tracing disabled (TraceDepth 0) the returned trace is nil and
-// the call behaves exactly like EvaluateBatchTenant.
-func (e *Engine) EvaluateBatchTraced(tenant string, traceID uint64, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error) {
-	return e.evaluate(tenant, traceID, true, fn, p, xs)
+// trace identity: the request's trace takes traceID instead of an
+// engine-local one, and its record is returned to the caller (in
+// addition to the engine's own trace ring) so a router can graft its
+// span tree under its placement spans — one connected trace across
+// layers. With tracing disabled (TraceDepth 0) the returned record is
+// nil and the call behaves exactly like EvaluateBatchTenant.
+func (e *Engine) EvaluateBatchTraced(tenant string, traceID uint64, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, telemetry.Record, error) {
+	return e.evaluate(tenant, traceID, fn, p, xs)
 }
 
 // evaluate is the shared submit path behind the EvaluateBatch
-// variants. extID, when nonzero, overrides the trace ring's minted ID;
-// wantTrace asks finishRequest to hand the assembled span tree back on
-// the request.
-func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error) {
+// variants. extID, when nonzero, overrides the trace ring's minted ID.
+// The returned record is nil unless tracing is enabled.
+func (e *Engine) evaluate(tenant string, extID uint64, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, telemetry.Record, error) {
 	spec := makeSpec(fn, p)
 	if !spec.Par.Method.Supports(fn) {
 		return nil, RequestStats{}, nil, fmt.Errorf("engine: %v does not support %v (see Table 2)", spec.Par.Method, fn)
@@ -530,14 +529,13 @@ func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.F
 		return nil, RequestStats{}, nil, nil
 	}
 	r := &request{
-		spec:      spec,
-		tenant:    tenant,
-		inputs:    xs,
-		outputs:   make([]float32, len(xs)),
-		extID:     extID,
-		wantTrace: wantTrace,
-		enqueued:  time.Now(),
-		done:      make(chan struct{}),
+		spec:     spec,
+		tenant:   tenant,
+		inputs:   xs,
+		outputs:  make([]float32, len(xs)),
+		extID:    extID,
+		enqueued: time.Now(),
+		done:     make(chan struct{}),
 	}
 	r.stats.CacheHit = true // cleared by the first miss
 
@@ -552,7 +550,10 @@ func (e *Engine) evaluate(tenant string, extID uint64, wantTrace bool, fn core.F
 	e.mu.RUnlock()
 
 	<-r.done
-	return r.outputs, r.stats, r.trace, r.err
+	if r.rec == nil {
+		return r.outputs, r.stats, nil, r.err
+	}
+	return r.outputs, r.stats, r.rec, r.err
 }
 
 // Close drains in-flight work and stops the pipeline. Subsequent
@@ -652,7 +653,7 @@ func (e *Engine) batcher() {
 				e.seq++
 				b.seq = e.seq
 				if e.tracer != nil {
-					b.tr = &batchTrace{}
+					b.tr = &b.trace
 				}
 				e.dispatch <- b
 			}
@@ -669,7 +670,7 @@ func (e *Engine) batcher() {
 			e.seq++
 			b.seq = e.seq
 			if e.tracer != nil {
-				b.tr = &batchTrace{}
+				b.tr = &b.trace
 			}
 			e.dispatch <- b
 		}
@@ -884,12 +885,15 @@ func (e *Engine) stageTransferOut(s *shard) {
 // segment completed and before its caller is released: observe the
 // latency, count request-level errors (the per-request view the batch
 // counter can't give), shadow-sample the outputs for accuracy
-// monitoring, assemble and publish the trace, then close done. The
-// request is quiescent here — every other stage is finished with it
-// and the caller is still parked on done — so the reads and the
+// monitoring, complete and publish the trace record, then close done.
+// The request is quiescent here — every other stage is finished with
+// it and the caller is still parked on done — so the reads and the
 // TraceID write need no lock.
 func (e *Engine) finishRequest(r *request) {
-	end := time.Now()
+	rec := r.rec // nil unless tracing is on
+	if rec != nil {
+		rec.end = time.Now()
+	}
 	e.met.latency.Observe(r.stats.Latency.Seconds())
 	if r.err != nil {
 		e.met.requestErrors.Inc()
@@ -918,6 +922,7 @@ func (e *Engine) finishRequest(r *request) {
 		}
 		e.led.Add(key, d)
 	}
+	var breached bool
 	// The shadow sampler compares outputs[i] against fn(inputs[i]); a
 	// fused program's output is a whole-graph composite with no single
 	// reference function, so programs skip accuracy sampling.
@@ -937,24 +942,46 @@ func (e *Engine) finishRequest(r *request) {
 			Shard:   r.stats.ShardID,
 			TraceID: traceID,
 		}, r.inputs, r.outputs)
-		r.sloBreached = out.Breached
+		breached = out.Breached
 	}
-	if e.tracer != nil {
-		tr := buildTrace(r, traceID, end, e.cfg.ProcName)
-		if r.wantTrace {
-			r.trace = tr
+	if rec != nil {
+		rec.id = traceID
+		rec.proc = e.cfg.ProcName
+		rec.start = r.enqueued
+		rec.shard = r.stats.ShardID
+		rec.spec, rec.prog, rec.tenant = r.spec, r.prog, r.tenant
+		rec.elements = len(r.inputs)
+		if r.prog != nil {
+			rec.elements = len(r.pinputs[0])
 		}
-		e.tracer.Push(tr)
+		rec.cacheHit = r.stats.CacheHit
+		rec.sloBreached = breached
+		rec.err = r.err
+		e.tracer.Push(rec)
 	}
 	close(r.done)
 }
+
+// interpLabels holds each method's interpolated label, built once so
+// the per-request ledger and accuracy keys and the per-launch profiler
+// labels allocate nothing.
+var interpLabels = func() []string {
+	out := make([]string, len(core.Methods()))
+	for i, m := range core.Methods() {
+		out[i] = m.String() + "(i)"
+	}
+	return out
+}()
 
 // methodLabel renders a request's method the way tplaccuracy labels
 // it — "l-lut(i)" for the interpolated variant — so online series and
 // offline reports key identically.
 func methodLabel(p core.Params) string {
-	if p.Interp {
-		return p.Method.String() + "(i)"
+	if !p.Interp {
+		return p.Method.String()
 	}
-	return p.Method.String()
+	if m := int(p.Method); m >= 0 && m < len(interpLabels) {
+		return interpLabels[m]
+	}
+	return p.Method.String() + "(i)"
 }

@@ -30,13 +30,13 @@ type Executor interface {
 var _ Executor = (*Engine)(nil)
 
 // TracedExecutor is an Executor that accepts an externally minted
-// trace identity and returns the request's assembled span tree, so a
-// router can graft the execution-side spans under its own placement
-// spans — one connected trace across layers. Executors without tracing
-// enabled return a nil trace.
+// trace identity and returns the request's trace record, so a router
+// can graft the execution-side spans under its own placement spans —
+// one connected trace across layers. Executors without tracing enabled
+// return a nil record.
 type TracedExecutor interface {
 	Executor
-	EvaluateBatchTraced(tenant string, traceID uint64, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, *telemetry.Trace, error)
+	EvaluateBatchTraced(tenant string, traceID uint64, fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, telemetry.Record, error)
 }
 
 var _ TracedExecutor = (*Engine)(nil)

@@ -245,10 +245,14 @@ func TestEvaluateBatchTraced(t *testing.T) {
 	fn, par := llutSpec()
 	xs := stats.RandomInputs(-7.9, 7.9, 64, 1)
 	const mintID = 0xfeed
-	out, st, tr, err := e.EvaluateBatchTraced("acme", mintID, fn, par, xs)
+	out, st, rec, err := e.EvaluateBatchTraced("acme", mintID, fn, par, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rec == nil {
+		t.Fatal("traced engine returned no record")
+	}
+	tr := rec.Materialize()
 	if len(out) != len(xs) {
 		t.Fatalf("outputs = %d, want %d", len(out), len(xs))
 	}

@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"time"
 
+	"transpimlib/internal/fusion"
 	"transpimlib/internal/telemetry"
 )
 
 // batchTrace carries the wall-clock stage stamps of one batch while
-// it moves through a shard's pipeline. It is allocated only when
-// tracing is enabled (batch.tr stays nil otherwise, so the disabled
-// path never calls time.Now on the stage goroutines), and each field
-// is written by exactly one stage goroutine before the batch is
-// handed to the next stage — the channel send is the happens-before
-// edge, so the drain stage reads a fully stamped struct.
+// it moves through a shard's pipeline. It lives inline in the batch,
+// and batch.tr points at it only when tracing is enabled (nil
+// otherwise, so the disabled path never calls time.Now on the stage
+// goroutines). Each field is written by exactly one stage goroutine
+// before the batch is handed to the next stage — the channel send is
+// the happens-before edge, so the drain stage reads a fully stamped
+// struct.
 type batchTrace struct {
 	shard int
 
@@ -23,7 +25,76 @@ type batchTrace struct {
 	outStart, outEnd     time.Time // stageTransferOut: gather + charge
 }
 
-// buildTrace assembles a completed request's span tree:
+// batchRecord is what a request's trace keeps of one batch it rode
+// in: the stamps and the outcome fields its batch span shows, copied
+// when the batch drains so the batch itself goes back to the pool.
+type batchRecord struct {
+	batchTrace
+	n, reqs                 int
+	setup, tin, tcomp, tout float64
+	cycles                  uint64
+	hit                     bool
+	retries                 int
+	remapped, hedged        bool
+	degraded                bool
+	err                     error
+}
+
+// reqRecord is one traced request as the tracer ring retains it:
+// plain fields filled on the request path (batch records as each
+// batch drains, the rest by finishRequest), with the span tree built
+// only when a reader asks (Materialize). It is immutable once pushed.
+type reqRecord struct {
+	id    uint64
+	proc  string
+	start time.Time // enqueued
+	end   time.Time // finishRequest
+	shard int
+
+	spec     Spec
+	prog     *fusion.Compiled
+	elements int
+	tenant   string
+	cacheHit bool
+	// sloBreached is set when the request's shadow samples closed a
+	// window that failed an accuracy SLO.
+	sloBreached bool
+	err         error
+
+	// batches holds one record per batch the request rode in, in
+	// completion order. It starts on inline, which covers a small
+	// request's single batch without a second allocation.
+	batches []batchRecord
+	inline  [1]batchRecord
+}
+
+// record copies a drained batch's trace fields into the request's
+// record, creating the record on the first traced batch. The caller
+// holds r.mu.
+func (r *request) record(b *batch) {
+	if r.rec == nil {
+		r.rec = &reqRecord{}
+		r.rec.batches = r.rec.inline[:0]
+	}
+	r.rec.batches = append(r.rec.batches, batchRecord{
+		batchTrace: *b.tr,
+		n:          b.n,
+		reqs:       len(b.segs),
+		setup:      b.setup,
+		tin:        b.tin,
+		tcomp:      b.tcomp,
+		tout:       b.tout,
+		cycles:     b.cycles,
+		hit:        b.hit,
+		retries:    b.retries,
+		remapped:   b.remapped,
+		hedged:     b.hedged,
+		degraded:   b.degraded,
+		err:        b.err,
+	})
+}
+
+// Materialize assembles the request's span tree:
 //
 //	request
 //	├─ queue              (enqueue → first batch picked up)
@@ -34,28 +105,27 @@ type batchTrace struct {
 //	│  └─ transfer_out    gather + modeled PIM→host seconds
 //	└─ error              terminal span, present only on failure
 //
-// It runs on the drain-stage goroutine after the request's last
-// segment completed, so every field it reads is quiescent.
-func buildTrace(r *request, id uint64, end time.Time, proc string) *telemetry.Trace {
+// It reads only the immutable record, so concurrent readers may build
+// the tree at the same time, each getting its own copy.
+func (r *reqRecord) Materialize() *telemetry.Trace {
 	root := &telemetry.Span{
 		Name:  "request",
-		Start: r.enqueued,
-		End:   end,
-		Shard: r.stats.ShardID,
-		Proc:  proc,
+		Start: r.start,
+		End:   r.end,
+		Shard: r.shard,
+		Proc:  r.proc,
 	}
 	if r.prog != nil {
 		root.SetAttr("program", r.prog.Name())
 		root.SetAttr("method", "fused:"+r.prog.Name())
 		root.SetAttr("phases", fmt.Sprint(r.prog.NumPhases()))
-		root.SetAttr("elements", fmt.Sprint(len(r.pinputs[0])))
 	} else {
 		root.SetAttr("fn", r.spec.Fn.String())
 		root.SetAttr("method", r.spec.Par.Method.String())
-		root.SetAttr("elements", fmt.Sprint(len(r.inputs)))
 	}
-	root.SetAttr("batches", fmt.Sprint(r.stats.Batches))
-	root.SetAttr("cache_hit", fmt.Sprint(r.stats.CacheHit))
+	root.SetAttr("elements", fmt.Sprint(r.elements))
+	root.SetAttr("batches", fmt.Sprint(len(r.batches)))
+	root.SetAttr("cache_hit", fmt.Sprint(r.cacheHit))
 	if r.tenant != "" {
 		root.SetAttr("tenant", r.tenant)
 	}
@@ -65,26 +135,25 @@ func buildTrace(r *request, id uint64, end time.Time, proc string) *telemetry.Tr
 		root.SetAttr("accuracy_slo_breached", "true")
 	}
 
-	if len(r.batchTraces) > 0 {
-		q := &telemetry.Span{
+	if len(r.batches) > 0 {
+		root.AddChild(&telemetry.Span{
 			Name:  "queue",
-			Start: r.enqueued,
-			End:   r.batchTraces[0].tr.inStart,
-			Shard: r.batchTraces[0].tr.shard,
-		}
-		root.AddChild(q)
+			Start: r.start,
+			End:   r.batches[0].inStart,
+			Shard: r.batches[0].shard,
+		})
 	}
-	for k, bt := range r.batchTraces {
-		b, tr := bt.b, bt.tr
+	for k := range r.batches {
+		b := &r.batches[k]
 		bs := &telemetry.Span{
 			Name:    fmt.Sprintf("batch[%d]", k),
-			Start:   tr.inStart,
-			End:     tr.outEnd,
-			Shard:   tr.shard,
+			Start:   b.inStart,
+			End:     b.outEnd,
+			Shard:   b.shard,
 			Modeled: b.setup + b.tin + b.tcomp + b.tout,
 		}
 		bs.SetAttr("elements", fmt.Sprint(b.n))
-		bs.SetAttr("requests", fmt.Sprint(len(b.segs)))
+		bs.SetAttr("requests", fmt.Sprint(b.reqs))
 		// Recovery outcomes, attached only when something happened so
 		// fault-free traces stay unchanged.
 		if b.retries > 0 {
@@ -103,25 +172,25 @@ func buildTrace(r *request, id uint64, end time.Time, proc string) *telemetry.Tr
 			bs.Err = b.err.Error()
 		}
 		bs.AddChild(&telemetry.Span{
-			Name: "transfer_in", Start: tr.inStart, End: tr.inEnd,
-			Shard: tr.shard, Modeled: b.tin,
+			Name: "transfer_in", Start: b.inStart, End: b.inEnd,
+			Shard: b.shard, Modeled: b.tin,
 		})
 		setup := &telemetry.Span{
-			Name: "setup", Start: tr.setupStart, End: tr.setupEnd,
-			Shard: tr.shard, Modeled: b.setup,
+			Name: "setup", Start: b.setupStart, End: b.setupEnd,
+			Shard: b.shard, Modeled: b.setup,
 		}
 		setup.SetAttr("cache_hit", fmt.Sprint(b.hit))
 		bs.AddChild(setup)
 		if b.err == nil {
 			kern := &telemetry.Span{
-				Name: "kernel", Start: tr.kernStart, End: tr.kernEnd,
-				Shard: tr.shard, Modeled: b.tcomp,
+				Name: "kernel", Start: b.kernStart, End: b.kernEnd,
+				Shard: b.shard, Modeled: b.tcomp,
 			}
 			kern.SetAttr("cycles", fmt.Sprint(b.cycles))
 			bs.AddChild(kern)
 			bs.AddChild(&telemetry.Span{
-				Name: "transfer_out", Start: tr.outStart, End: tr.outEnd,
-				Shard: tr.shard, Modeled: b.tout,
+				Name: "transfer_out", Start: b.outStart, End: b.outEnd,
+				Shard: b.shard, Modeled: b.tout,
 			})
 		}
 		root.AddChild(bs)
@@ -131,9 +200,9 @@ func buildTrace(r *request, id uint64, end time.Time, proc string) *telemetry.Tr
 		// in the trace tree, not just in the error return.
 		root.Err = r.err.Error()
 		root.AddChild(&telemetry.Span{
-			Name: "error", Start: end, End: end,
-			Shard: r.stats.ShardID, Err: r.err.Error(),
+			Name: "error", Start: r.end, End: r.end,
+			Shard: r.shard, Err: r.err.Error(),
 		})
 	}
-	return &telemetry.Trace{ID: id, Root: root}
+	return &telemetry.Trace{ID: r.id, Root: root}
 }

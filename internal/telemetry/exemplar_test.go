@@ -7,13 +7,17 @@ import (
 	"testing"
 )
 
+// labels returns a label builder for a fixed block.
+func labels(s string) func() string { return func() string { return s } }
+
 func TestHistogramExemplarLastWorst(t *testing.T) {
 	h := NewHistogram([]float64{1, 10})
 
-	h.ObserveExemplar(0.5, `trace_id="1"`)
-	h.ObserveExemplar(0.2, `trace_id="2"`) // smaller: must not displace
-	h.ObserveExemplar(0.9, `trace_id="3"`) // worse: must displace
-	h.ObserveExemplar(42, `trace_id="4"`)  // overflow bucket
+	h.ObserveExemplar(0.5, labels(`trace_id="1"`))
+	// Smaller: must not displace, so its labels are never built.
+	h.ObserveExemplar(0.2, func() string { t.Fatal("labels built for a kept exemplar"); return "" })
+	h.ObserveExemplar(0.9, labels(`trace_id="3"`)) // worse: must displace
+	h.ObserveExemplar(42, labels(`trace_id="4"`))  // overflow bucket
 
 	s := h.Snapshot()
 	if s.Count != 4 || s.Counts[0] != 3 || s.Counts[2] != 1 {
@@ -35,8 +39,8 @@ func TestHistogramExemplarLastWorst(t *testing.T) {
 
 func TestHistogramExemplarTieKeepsLatest(t *testing.T) {
 	h := NewHistogram([]float64{1})
-	h.ObserveExemplar(0.5, "first")
-	h.ObserveExemplar(0.5, "second")
+	h.ObserveExemplar(0.5, labels("first"))
+	h.ObserveExemplar(0.5, labels("second"))
 	if ex := h.Snapshot().Exemplars[0]; ex.Labels != "second" {
 		t.Fatalf("tie must keep the latest observation, got %+v", ex)
 	}
@@ -45,7 +49,7 @@ func TestHistogramExemplarTieKeepsLatest(t *testing.T) {
 func TestHistogramExemplarBounded(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 3})
 	for i := 0; i < 10000; i++ {
-		h.ObserveExemplar(float64(i%5), fmt.Sprintf(`i="%d"`, i))
+		h.ObserveExemplar(float64(i%5), labels(fmt.Sprintf(`i="%d"`, i)))
 	}
 	s := h.Snapshot()
 	if len(s.Exemplars) != 4 {
@@ -67,7 +71,7 @@ func TestHistogramExemplarConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.ObserveExemplar(float64(g*1000+i), fmt.Sprintf(`g="%d"`, g))
+				h.ObserveExemplar(float64(g*1000+i), labels(fmt.Sprintf(`g="%d"`, g)))
 			}
 		}()
 	}

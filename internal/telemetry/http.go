@@ -65,17 +65,15 @@ func (t *Telemetry) Handler() http.Handler {
 			http.Error(w, "tracing disabled (set a trace depth)", http.StatusNotFound)
 			return
 		}
-		traces := t.Tracer.Traces()
+		n := -1
 		if q := r.URL.Query().Get("n"); q != "" {
-			n, err := strconv.Atoi(q)
-			if err != nil || n < 0 {
+			var err error
+			if n, err = strconv.Atoi(q); err != nil || n < 0 {
 				http.Error(w, fmt.Sprintf("bad n=%q", q), http.StatusBadRequest)
 				return
 			}
-			if n < len(traces) {
-				traces = traces[len(traces)-n:]
-			}
 		}
+		traces := t.Tracer.Newest(n)
 		switch r.URL.Query().Get("format") {
 		case "chrome":
 			w.Header().Set("Content-Type", "application/json")

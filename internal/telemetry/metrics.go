@@ -170,11 +170,13 @@ func (h *Histogram) bucketOf(v float64) int {
 // ObserveExemplar records one value and attaches an exemplar to its
 // bucket when the value is at least as large as the bucket's current
 // exemplar (last-worst retention, one exemplar per bucket — bounded
-// storage no matter how many observations arrive). The replacement is
-// a CAS loop on the bucket's slot; a lost race means a concurrent
-// writer installed an exemplar at least as bad, which satisfies the
-// retention contract.
-func (h *Histogram) ObserveExemplar(v float64, labels string) {
+// storage no matter how many observations arrive). labels builds the
+// exemplar's label block; it is called only when the exemplar will be
+// stored, so an observation that does not displace the bucket's worst
+// formats and allocates nothing. The replacement is a CAS loop on the
+// bucket's slot; a lost race means a concurrent writer installed an
+// exemplar at least as bad, which satisfies the retention contract.
+func (h *Histogram) ObserveExemplar(v float64, labels func() string) {
 	if h == nil {
 		return
 	}
@@ -192,11 +194,14 @@ func (h *Histogram) ObserveExemplar(v float64, labels string) {
 			set = fresh
 		}
 	}
-	ex := &Exemplar{Value: v, Labels: labels}
+	var ex *Exemplar
 	for {
 		cur := set.slots[i].Load()
 		if cur != nil && cur.Value > v {
 			return
+		}
+		if ex == nil {
+			ex = &Exemplar{Value: v, Labels: labels()}
 		}
 		if set.slots[i].CompareAndSwap(cur, ex) {
 			return

@@ -59,15 +59,29 @@ type Trace struct {
 	Root *Span  `json:"root"`
 }
 
-// Tracer retains the last N completed traces in a ring buffer.
-// Push is lock-protected but runs once per completed request (not
-// per element or per stage), so it is far off the hot path; readers
-// get copies of the slice headers.
+// Record is one completed request as the tracer retains it: the plain
+// fields the request path stamped (timestamps, counts, modeled
+// seconds, errors), from which Materialize builds the span tree when a
+// reader asks for it. A record is immutable once pushed; Materialize
+// may run any number of times, from concurrent readers.
+type Record interface {
+	Materialize() *Trace
+}
+
+// Materialize returns the trace itself: a built tree is its own
+// record.
+func (t *Trace) Materialize() *Trace { return t }
+
+// Tracer retains the last N completed requests in a ring buffer.
+// Push stores a record under the lock once per completed request (not
+// per element or per stage) and formats nothing; readers copy the
+// record references under the lock and build the span trees after
+// releasing it, so a scrape never stalls the request path.
 type Tracer struct {
 	mu   sync.Mutex
-	ring []*Trace
+	ring []Record
 	next int
-	n    int // traces stored (≤ len(ring))
+	n    int // records stored (≤ len(ring))
 
 	ids atomic.Uint64
 }
@@ -78,7 +92,7 @@ func NewTracer(depth int) *Tracer {
 	if depth <= 0 {
 		depth = 1
 	}
-	return &Tracer{ring: make([]*Trace, depth)}
+	return &Tracer{ring: make([]Record, depth)}
 }
 
 // NextID allocates a trace id.
@@ -89,13 +103,13 @@ func (t *Tracer) NextID() uint64 {
 	return t.ids.Add(1)
 }
 
-// Push records a completed trace, evicting the oldest when full.
-func (t *Tracer) Push(tr *Trace) {
-	if t == nil || tr == nil {
+// Push records a completed request, evicting the oldest when full.
+func (t *Tracer) Push(r Record) {
+	if t == nil || r == nil {
 		return
 	}
 	t.mu.Lock()
-	t.ring[t.next] = tr
+	t.ring[t.next] = r
 	t.next = (t.next + 1) % len(t.ring)
 	if t.n < len(t.ring) {
 		t.n++
@@ -103,32 +117,39 @@ func (t *Tracer) Push(tr *Trace) {
 	t.mu.Unlock()
 }
 
-// Last returns the most recently completed trace, or false when none
-// has completed yet.
+// Last returns the span tree of the most recently completed request,
+// or false when none has completed yet.
 func (t *Tracer) Last() (*Trace, bool) {
-	if t == nil {
+	trs := t.Newest(1)
+	if len(trs) == 0 {
 		return nil, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n == 0 {
-		return nil, false
-	}
-	idx := (t.next - 1 + len(t.ring)) % len(t.ring)
-	return t.ring[idx], true
+	return trs[0], true
 }
 
-// Traces returns the retained traces, oldest first.
-func (t *Tracer) Traces() []*Trace {
+// Traces returns the span trees of the retained requests, oldest
+// first.
+func (t *Tracer) Traces() []*Trace { return t.Newest(-1) }
+
+// Newest builds the span trees of the n most recent records, oldest
+// first; n < 0 means every retained record. Only the n trees served
+// are built.
+func (t *Tracer) Newest(n int) []*Trace {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Trace, 0, t.n)
-	start := t.next - t.n
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[((start+i)%len(t.ring)+len(t.ring))%len(t.ring)])
+	if n < 0 || n > t.n {
+		n = t.n
+	}
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = t.ring[(t.next-n+i+len(t.ring))%len(t.ring)]
+	}
+	t.mu.Unlock()
+	out := make([]*Trace, n)
+	for i, r := range recs {
+		out[i] = r.Materialize()
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -23,6 +24,17 @@ func testTrace(id uint64, t0 time.Time) *Trace {
 	root.AddChild(q)
 	root.AddChild(b)
 	return &Trace{ID: id, Root: root}
+}
+
+// countingRecord is a Record that counts how often its tree is built.
+type countingRecord struct {
+	tr    *Trace
+	built *atomic.Int64
+}
+
+func (r countingRecord) Materialize() *Trace {
+	r.built.Add(1)
+	return r.tr
 }
 
 func TestTracerRing(t *testing.T) {
@@ -147,8 +159,9 @@ func TestHTTPHandler(t *testing.T) {
 	reg.Counter("requests_total", "requests").Add(3)
 	tracer := NewTracer(4)
 	t0 := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
+	var built atomic.Int64
 	for i := 1; i <= 3; i++ {
-		tracer.Push(testTrace(uint64(i), t0))
+		tracer.Push(countingRecord{testTrace(uint64(i), t0), &built})
 	}
 	tel := &Telemetry{Registry: reg, Tracer: tracer}
 	srv := httptest.NewServer(tel.Handler())
@@ -184,9 +197,13 @@ func TestHTTPHandler(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &traces); err != nil || len(traces) != 3 {
 		t.Errorf("/debug/trace: %v, %d traces", err, len(traces))
 	}
+	before := built.Load()
 	code, body = get("/debug/trace?n=1")
 	if err := json.Unmarshal([]byte(body), &traces); err != nil || len(traces) != 1 {
 		t.Errorf("/debug/trace?n=1: %v, %d traces (code %d)", err, len(traces), code)
+	}
+	if got := built.Load() - before; got != 1 {
+		t.Errorf("/debug/trace?n=1 built %d trees, want 1", got)
 	}
 	code, body = get("/debug/trace?format=chrome")
 	if code != 200 || !strings.Contains(body, "traceEvents") {
