@@ -123,7 +123,9 @@ func TestClusterPublicAPI(t *testing.T) {
 
 // TestObservedRequestAllocs bounds what the observers add to one warm
 // request: with cluster-small's five observers on, a 64-element
-// request makes at most 6 more allocations than with all of them off.
+// request makes at most 3 more allocations than with all of them off.
+// The simulator measures every launch once whether or not anyone
+// observes it, so the observers pay only for what they record.
 // The warm-up takes trace ids to four digits, so a span or label
 // formatter whose cost grows with the id shows here.
 func TestObservedRequestAllocs(t *testing.T) {
@@ -144,7 +146,7 @@ func TestObservedRequestAllocs(t *testing.T) {
 	}
 	off, all := perRequest(false), perRequest(true)
 	t.Logf("allocs per request: observers off %.0f, all on %.0f", off, all)
-	if all > off+6 {
-		t.Fatalf("observers add %.0f allocs per request (off %.0f, all on %.0f), want at most 6", all-off, off, all)
+	if all > off+3 {
+		t.Fatalf("observers add %.0f allocs per request (off %.0f, all on %.0f), want at most 3", all-off, off, all)
 	}
 }

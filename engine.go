@@ -66,8 +66,10 @@ type EngineConfig struct {
 	// tree, with per-DPU issue/DMA/idle heatmap accounting over a ring
 	// of time windows. Read it via Engine.Profile*, /debug/profile
 	// (folded flamegraph text, pprof profile.proto, or JSON), and
-	// /debug/heatmap. Profiler.Enabled false (the default) leaves the
-	// hot path untouched — launches take no counter snapshots for it.
+	// /debug/heatmap. The simulator measures every launch once either
+	// way; the profiler reads those records, so enabling it adds no
+	// counter reads. Profiler.Enabled false (the default) builds no
+	// collector.
 	Profiler ProfilerConfig
 	// Reference forces the per-element interpreted compute kernel
 	// instead of the fused batch fast path. Outputs and modeled cycles
@@ -106,8 +108,10 @@ type EngineConfig struct {
 type ReliabilityConfig = engine.ReliabilityConfig
 
 // AccuracyConfig tunes the online accuracy watcher: shadow-sampling
-// rate and seed, rolling-window size, series cardinality cap, drift
-// sensitivity, and the accuracy SLOs to enforce.
+// rate and seed, rolling-window size, drift sensitivity, and the
+// accuracy SLOs to enforce. The watcher keeps at most 64 series;
+// further (function, method, tenant) triples share one overflow
+// series.
 type AccuracyConfig = accwatch.Config
 
 // AccuracySLO is one accuracy service-level objective: bounds on mean
@@ -188,7 +192,8 @@ type LedgerRow = telemetry.LedgerRow
 type LedgerSnapshot = telemetry.LedgerSnapshot
 
 // ProfilerConfig tunes the modeled-cycle profiler: heatmap window
-// width and retained window count, and the frame cardinality cap.
+// width and retained window count. The profiler keeps at most 4096
+// frames; further stacks share one "~other" frame.
 type ProfilerConfig = profiler.Config
 
 // CycleProfile is a point-in-time view of the modeled-cycle profiler:

@@ -60,11 +60,6 @@ type Config struct {
 	// Window is the rolling-window length in samples per series; SLO
 	// and drift checks run once per completed window (default 4096).
 	Window int
-	// MaxSeries caps the number of (function, method, tenant) series
-	// (default 64). Beyond the cap, samples collapse into one overflow
-	// series — the same cardinality guard the telemetry registry
-	// applies to label sets.
-	MaxSeries int
 	// DriftFactor flags a completed window whose MAE exceeds
 	// DriftFactor × the series' cumulative MAE (default 8; ≤ 0
 	// disables drift detection).
@@ -103,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 4096
 	}
-	if c.MaxSeries <= 0 {
-		c.MaxSeries = 64
-	}
 	if c.DriftFactor == 0 {
 		c.DriftFactor = 8
 	}
@@ -119,8 +111,14 @@ type Key struct {
 	Tenant   string `json:"tenant,omitempty"`
 }
 
-// overflowKey is where samples land once MaxSeries distinct keys
-// exist — bounded state no matter how many tenants show up.
+// maxSeries caps the number of (function, method, tenant) series.
+// Beyond it, samples collapse into the overflowKey series — bounded
+// state no matter how many tenants show up, the same rule as the cost
+// ledger's rows and the profiler's frames.
+const maxSeries = 64
+
+// overflowKey is where samples land once maxSeries distinct keys
+// exist.
 var overflowKey = Key{Function: "overflow", Method: "overflow", Tenant: "overflow"}
 
 // Request describes one completed request to Sample: identity, the
@@ -307,7 +305,7 @@ func (w *Watcher) getSeries(k Key) *series {
 	if s, ok := w.series[k]; ok {
 		return s
 	}
-	if len(w.series) >= w.cfg.MaxSeries {
+	if len(w.series) >= maxSeries {
 		if s, ok := w.series[overflowKey]; ok {
 			return s
 		}

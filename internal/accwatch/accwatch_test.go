@@ -226,15 +226,16 @@ func TestConcurrentSampling(t *testing.T) {
 // TestSeriesCardinalityGuard pins bounded state under unbounded tenant
 // names.
 func TestSeriesCardinalityGuard(t *testing.T) {
-	w := New(Config{Enabled: true, SampleRate: 1.0, MaxSeries: 4}, telemetry.NewRegistry(), nil)
+	w := New(Config{Enabled: true, SampleRate: 1.0}, telemetry.NewRegistry(), nil)
 	xs := stats.RandomInputs(0, 1, 16, 1)
 	ys := approxSin(xs)
-	for i := 0; i < 50; i++ {
+	const tenants = maxSeries + 4
+	for i := 0; i < tenants; i++ {
 		req := sinReq("tenant-" + itoa(i))
 		w.Sample(req, xs, ys)
 	}
 	snap := w.Snapshot()
-	if len(snap.Series) != 5 { // 4 real + 1 overflow
+	if len(snap.Series) != maxSeries+1 { // maxSeries real + 1 overflow
 		t.Fatalf("cardinality guard failed: %d series", len(snap.Series))
 	}
 	var overflow *SeriesSnapshot
@@ -243,7 +244,7 @@ func TestSeriesCardinalityGuard(t *testing.T) {
 			overflow = &snap.Series[i]
 		}
 	}
-	if overflow == nil || overflow.Samples != 46*16 {
+	if overflow == nil || overflow.Samples != (tenants-maxSeries)*16 {
 		t.Fatalf("overflow series wrong: %+v", overflow)
 	}
 }

@@ -288,7 +288,7 @@ func NewWithExecutors(cfg Config, execs []engine.Executor) (*Cluster, error) {
 		c.tracer = telemetry.NewTracer(cfg.TraceDepth)
 	}
 	if cfg.Ledger {
-		c.led = telemetry.NewLedger(reg, 0)
+		c.led = telemetry.NewLedger(reg)
 	}
 	if cfg.Timeline.Enabled {
 		c.timeline = telemetry.NewTimeline(reg, cfg.Timeline)

@@ -75,8 +75,9 @@ type Config struct {
 	// kernel launch is attributed to (tenant, function, method,
 	// pipeline stage / program phase, instruction class) frames with
 	// per-DPU utilization heatmaps, exported at /debug/profile and
-	// /debug/heatmap (see internal/profiler). Disabled (the zero
-	// value), the launch path takes no counter snapshots for it.
+	// /debug/heatmap (see internal/profiler). The simulator measures
+	// every launch once either way; the profiler reads those records.
+	// Disabled (the zero value), no collector is built.
 	Profiler profiler.Config
 	// Reference forces the compute stage through the per-element
 	// interpreted kernel instead of the fused batch fast path — the
@@ -176,14 +177,13 @@ type shard struct {
 	// steady-state batches allocate nothing. Indexed by serving lane,
 	// so remapped and hedged launches never share an arena.
 	arena []*lut.Scratch
-	// issue0/dma0 are launch's per-lane cycle baselines and deltas its
-	// per-lane closed-form cycles, indexed by position in the launch's
-	// core list; cores and lctx carry the profiler's per-lane counter
-	// deltas and labels (unused when profiling is off). All persist so
-	// steady-state launches allocate nothing.
-	issue0, dma0, deltas []uint64
-	cores                []pimsim.CoreProfile
-	lctx                 profiler.LaunchContext
+	// lanes receives each launch's per-lane records from the simulator,
+	// indexed by position in the launch's core list: the recovery
+	// ladder reads their cycles and the profiler their counters. lctx
+	// carries the profiler's labels (unused when profiling is off).
+	// Both persist so steady-state launches allocate nothing.
+	lanes []pimsim.CoreProfile
+	lctx  profiler.LaunchContext
 
 	slots chan int    // free buffer slots (the double-buffer pool)
 	mid   chan *batch // transfer-in → compute
@@ -323,14 +323,8 @@ func New(cfg Config) (*Engine, error) {
 		e.tel.AccuracyJSON = func() any { return e.acc.Snapshot() }
 	}
 	if cfg.Ledger {
-		e.led = telemetry.NewLedger(reg, 0)
+		e.led = telemetry.NewLedger(reg)
 		e.tel.LedgerJSON = func() any { return e.led.Snapshot() }
-	}
-	if e.led != nil || e.prof != nil {
-		// Both charge launch's per-tenant cycle shares; the simulator's
-		// own per-launch count is the independent total they must
-		// reconcile against.
-		e.sys.SetCycleAttribution(true)
 	}
 	if cfg.Timeline.Enabled {
 		e.timeline = telemetry.NewTimeline(reg, cfg.Timeline)
@@ -348,10 +342,7 @@ func New(cfg Config) (*Engine, error) {
 			slots:     make(chan int, cfg.Buffers),
 			mid:       make(chan *batch, 1),
 			out:       make(chan *batch, 1),
-			issue0:    make([]uint64, perShard),
-			dma0:      make([]uint64, perShard),
-			deltas:    make([]uint64, perShard),
-			cores:     make([]pimsim.CoreProfile, perShard),
+			lanes:     make([]pimsim.CoreProfile, perShard),
 			plans:     make(map[Spec]plan),
 
 			lanesScratch: make([]int, 0, perShard),
@@ -736,39 +727,27 @@ func (e *Engine) stageCompute(s *shard) {
 // launch runs kernel on the cores ids of shard s for batch b. Every
 // engine kernel launch takes this path — batch compute, fused-program
 // phases, recovery retries and remaps, hedges — so each is accounted
-// once: its wall cycles (the slowest lane's closed-form delta, the
-// quantity pimsim's attribution counter accumulates) go to b.cycles
-// and are split across the batch's tenant segments by exact integer
-// prefix partitioning (segment i takes wall·cum_i/n − wall·cum_{i−1}/n,
-// so the shares sum to the wall). The ledger charges each segment the
-// sum of its shares and the profiler takes the same shares, so ledger
-// ≡ profiler ≡ simulator by construction. Per-lane deltas are left in
-// s.deltas for the recovery ladder. Callers charge b.tcomp themselves:
-// it is the critical path, not the sum, when a hedge overlaps a
-// straggler. Steady state allocates nothing beyond the caller's
-// kernel closure.
+// once: its wall cycles (the slowest lane's closed-form cycles, as the
+// simulator measures and attributes them) go to b.cycles and are split
+// across the batch's tenant segments by exact integer prefix
+// partitioning (segment i takes wall·cum_i/n − wall·cum_{i−1}/n, so
+// the shares sum to the wall). The ledger charges each segment the sum
+// of its shares and the profiler takes the same shares, so ledger ≡
+// profiler ≡ simulator by construction. The simulator leaves each
+// lane's record in s.lanes for the recovery ladder and the profiler.
+// Callers charge b.tcomp themselves: it is the critical path, not the
+// sum, when a hedge overlaps a straggler. Steady state allocates
+// nothing beyond the caller's kernel closure.
 func (e *Engine) launch(s *shard, b *batch, stage string, attempt uint64, ids []int, kernel func(*pimsim.Ctx, int) error) (uint64, error) {
-	profiled := e.prof != nil
-	for j, id := range ids {
-		d := e.sys.DPU(id)
-		s.issue0[j], s.dma0[j] = d.IssueCycles(), d.DMACycles()
-		if profiled {
-			s.cores[j].Counters = d.Counters()
-		}
-	}
-	err := e.sys.LaunchShardSeq(b.seq, attempt, ids, kernel)
-	var wall uint64
-	for j, id := range ids {
-		d := e.sys.DPU(id)
-		s.deltas[j] = pimsim.ClosedFormCycles(d.IssueCycles()-s.issue0[j], d.DMACycles()-s.dma0[j], d.Tasklets())
-		wall = max(wall, s.deltas[j])
-	}
+	lanes := s.lanes[:len(ids)]
+	wall, err := e.sys.LaunchShardSeq(b.seq, attempt, ids, lanes, kernel)
 	b.cycles += wall
 
+	profiled := e.prof != nil
 	lc := &s.lctx
 	if profiled {
 		if b.prog != nil {
-			lc.Function, lc.Method = "program", "fused:"+b.prog.Name()
+			lc.Function, lc.Method = "program", b.prog.Method()
 		} else {
 			lc.Function, lc.Method = b.spec.Fn.String(), methodLabel(b.spec.Par)
 		}
@@ -788,23 +767,7 @@ func (e *Engine) launch(s *shard, b *batch, stage string, attempt uint64, ids []
 		prev = c
 	}
 	if profiled {
-		cores := s.cores[:len(ids)]
-		for j, id := range ids {
-			d := e.sys.DPU(id)
-			cnt := d.Counters()
-			for cl := range cnt.Ops {
-				cnt.Ops[cl] -= cores[j].Counters.Ops[cl]
-				cnt.Cycles[cl] -= cores[j].Counters.Cycles[cl]
-			}
-			cores[j] = pimsim.CoreProfile{
-				DPU:         id,
-				Tasklets:    d.Tasklets(),
-				IssueCycles: d.IssueCycles() - s.issue0[j],
-				DMACycles:   d.DMACycles() - s.dma0[j],
-				Counters:    cnt,
-			}
-		}
-		e.prof.Observe(lc, pimsim.LaunchProfile{Cores: cores})
+		e.prof.Observe(lc, lanes)
 	}
 	return wall, err
 }
@@ -918,7 +881,7 @@ func (e *Engine) finishRequest(r *request) {
 			Method:   methodLabel(r.spec.Par),
 		}
 		if r.prog != nil {
-			key.Function, key.Method = "program", "fused:"+r.prog.Name()
+			key.Function, key.Method = "program", r.prog.Method()
 		}
 		e.led.Add(key, d)
 	}

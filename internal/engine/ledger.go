@@ -32,7 +32,7 @@ func (e *Engine) chargeLedger(b *batch, bytesIn, bytesOut int) {
 		// rows don't collapse into tpltop's overflow bucket: the
 		// function column reads "program" and the method column carries
 		// the program's name.
-		fn, method = "program", "fused:"+b.prog.Name()
+		fn, method = "program", b.prog.Method()
 	}
 	n := uint64(b.n)
 	modeled := b.setup + b.tin + b.tcomp + b.tout

@@ -6,10 +6,11 @@ import (
 	"transpimlib/internal/profiler"
 )
 
-// Profiler wiring: Engine.launch fills the shard's LaunchContext and
-// per-lane counter deltas after each launch and hands them to the
-// collector on the launching goroutine, so no lock is needed; contexts
-// live one per shard because shards launch concurrently.
+// Profiler wiring: Engine.launch fills the shard's LaunchContext after
+// each launch and hands it, with the per-lane records the simulator
+// measured, to the collector on the launching goroutine, so no lock is
+// needed; contexts live one per shard because shards launch
+// concurrently.
 
 // Profiler returns the modeled-cycle collector, nil unless
 // Config.Profiler.Enabled.

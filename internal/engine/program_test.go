@@ -7,6 +7,7 @@ import (
 
 	"transpimlib/internal/core"
 	"transpimlib/internal/fusion"
+	"transpimlib/internal/profiler"
 	"transpimlib/internal/stats"
 )
 
@@ -309,6 +310,40 @@ func TestProgramLedgerAttribution(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no fused:softmax ledger row; rows: %+v", snap.Rows)
+	}
+}
+
+// TestProgramObservedAllocs: the ledger and the profiler add no
+// allocations to a warm fused-program request. The program's method
+// label is built once at Compile, and each launch's per-lane records
+// come from the simulator into the shard's persistent slice.
+func TestProgramObservedAllocs(t *testing.T) {
+	xs := [][]float32{stats.RandomInputs(-5, 5, 256, 9)}
+	perRequest := func(observed bool) float64 {
+		e, err := New(Config{DPUs: 4, Shards: 1, MaxBatch: 1024,
+			Ledger: observed, Profiler: profiler.Config{Enabled: observed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		prog, err := e.CompileProgram(progSoftmax(), progParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := func() {
+			if _, _, err := e.EvaluateProgram(prog, xs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			eval() // warm: tables, plans and frames in place
+		}
+		return testing.AllocsPerRun(200, eval)
+	}
+	off, on := perRequest(false), perRequest(true)
+	t.Logf("allocs per softmax request: ledger and profiler off %.0f, on %.0f", off, on)
+	if on > off {
+		t.Fatalf("ledger and profiler add %.0f allocs per program request (off %.0f, on %.0f)", on-off, off, on)
 	}
 }
 

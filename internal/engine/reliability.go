@@ -273,7 +273,7 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 		// b.tcomp.
 		slowest := 0
 		for j := range lanes {
-			if s.deltas[j] > s.deltas[slowest] {
+			if s.lanes[j].Cycles > s.lanes[slowest].Cycles {
 				slowest = j
 			}
 		}
@@ -359,9 +359,9 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	if e.rel.HedgeRatio <= 1 || len(lanes) < 2 {
 		return mx
 	}
-	deltas := s.deltas[:len(lanes)]
-	med := medianCycles(deltas, s.medScratch)
-	if med == 0 || float64(deltas[slowest]) < e.rel.HedgeRatio*float64(med) {
+	recs := s.lanes[:len(lanes)]
+	med := medianCycles(recs, s.medScratch)
+	if med == 0 || float64(recs[slowest].Cycles) < e.rel.HedgeRatio*float64(med) {
 		return mx
 	}
 	k := lanes[slowest]
@@ -375,12 +375,12 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	}
 	// The batch's critical path is the slower of the other lanes and
 	// the better of the two runs of the straggler's chunk. Read the
-	// lanes now: the hedge's launch reuses s.deltas.
-	straggler := deltas[slowest]
+	// lanes now: the hedge's launch overwrites s.lanes.
+	straggler := recs[slowest].Cycles
 	var rest uint64
-	for jj, c := range deltas {
+	for jj := range recs {
 		if jj != slowest {
-			rest = max(rest, c)
+			rest = max(rest, recs[jj].Cycles)
 		}
 	}
 	// A large attempt bias gives the hedge a fresh, independent draw
@@ -398,13 +398,15 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	return max(rest, min(straggler, hedged))
 }
 
-// medianCycles computes the lower median of deltas using scratch for
-// the sort (insertion sort: lane counts are small). Lower median so a
-// single straggler among few lanes cannot drag the reference up to
-// itself and mask the comparison.
-func medianCycles(deltas, scratch []uint64) uint64 {
+// medianCycles computes the lower median of the lanes' cycles using
+// scratch for the sort (insertion sort: lane counts are small). Lower
+// median so a single straggler among few lanes cannot drag the
+// reference up to itself and mask the comparison.
+func medianCycles(lanes []pimsim.CoreProfile, scratch []uint64) uint64 {
 	sc := scratch[:0]
-	sc = append(sc, deltas...)
+	for i := range lanes {
+		sc = append(sc, lanes[i].Cycles)
+	}
 	for i := 1; i < len(sc); i++ {
 		for j := i; j > 0 && sc[j] < sc[j-1]; j-- {
 			sc[j], sc[j-1] = sc[j-1], sc[j]

@@ -21,7 +21,7 @@ type batchTrace struct {
 
 	inStart, inEnd       time.Time // stageTransferIn: scatter + charge
 	setupStart, setupEnd time.Time // stageCompute: cache ensure (≈0 on a hit)
-	kernStart, kernEnd   time.Time // stageCompute: LaunchShard
+	kernStart, kernEnd   time.Time // stageCompute: LaunchShardSeq
 	outStart, outEnd     time.Time // stageTransferOut: gather + charge
 }
 
@@ -117,7 +117,7 @@ func (r *reqRecord) Materialize() *telemetry.Trace {
 	}
 	if r.prog != nil {
 		root.SetAttr("program", r.prog.Name())
-		root.SetAttr("method", "fused:"+r.prog.Name())
+		root.SetAttr("method", r.prog.Method())
 		root.SetAttr("phases", fmt.Sprint(r.prog.NumPhases()))
 	} else {
 		root.SetAttr("fn", r.spec.Fn.String())

@@ -54,11 +54,12 @@ type phase struct {
 // many times; safe for concurrent read-only use (per-batch mutable
 // state lives in Exec).
 type Compiled struct {
-	id    uint64
-	name  string
-	par   core.Params
-	model pimsim.CostModel
-	fop   *core.FusedOperator
+	id     uint64
+	name   string
+	method string // "fused:" + name, the observability method label
+	par    core.Params
+	model  pimsim.CostModel
+	fop    *core.FusedOperator
 
 	nodes      []node
 	live       []bool
@@ -103,6 +104,7 @@ func Compile(p *Program, par core.Params, model pimsim.CostModel) (*Compiled, er
 	c := &Compiled{
 		id:         progIDs.Add(1),
 		name:       p.name,
+		method:     "fused:" + p.name,
 		par:        par,
 		model:      model,
 		fop:        core.NewFusedOperator(model),
@@ -360,6 +362,11 @@ func (c *Compiled) ID() uint64 { return c.id }
 
 // Name returns the program's label.
 func (c *Compiled) Name() string { return c.name }
+
+// Method returns the program's method label, "fused:" + Name: the
+// method column of its ledger rows, profile frames and trace spans.
+// Built once at Compile so the request path never concatenates it.
+func (c *Compiled) Method() string { return c.method }
 
 // Params returns the normalized method parameters every Func node
 // evaluates under.

@@ -96,6 +96,22 @@ func chargeTable(m CostModel) []chargeCase {
 	}
 }
 
+// testProfiles returns the shipped cost profiles plus "distinct", a
+// model with a different cost for every field, which tells apart
+// every kind the shipped profiles cannot.
+func testProfiles() map[string]CostModel {
+	profiles := Profiles()
+	profiles["distinct"] = CostModel{
+		IALU: 1, Move: 2, Branch: 3, IMul: 5, IDiv: 7,
+		I64Add: 11, I64Shl: 13, I64Shr: 17, I64Mul: 19,
+		FAdd: 23, FSub: 29, FMul: 31, FDiv: 37, FNeg: 41, FCmp: 43,
+		FToI: 47, IToF: 53, Ldexp: 59, Frexp: 61,
+		WRAMLoad: 67, WRAMStore: 71,
+		MRAMIssue: 73, MRAMLatency: 79, MRAMPerByte: 0.25,
+	}
+	return profiles
+}
+
 // TestCtxChargeTable pins what every charging Ctx method adds to a
 // fresh core's accounting under every cost profile: the per-class ops
 // and cycles of Counters, IssueCycles and DMACycles. A method charged
@@ -124,16 +140,7 @@ func TestCtxChargeTable(t *testing.T) {
 		}
 	}
 
-	profiles := Profiles()
-	profiles["distinct"] = CostModel{
-		IALU: 1, Move: 2, Branch: 3, IMul: 5, IDiv: 7,
-		I64Add: 11, I64Shl: 13, I64Shr: 17, I64Mul: 19,
-		FAdd: 23, FSub: 29, FMul: 31, FDiv: 37, FNeg: 41, FCmp: 43,
-		FToI: 47, IToF: 53, Ldexp: 59, Frexp: 61,
-		WRAMLoad: 67, WRAMStore: 71,
-		MRAMIssue: 73, MRAMLatency: 79, MRAMPerByte: 0.25,
-	}
-	for profile, m := range profiles {
+	for profile, m := range testProfiles() {
 		for _, tc := range chargeTable(m) {
 			d := NewDPU(0, m, DefaultTasklets)
 			tc.call(d.NewCtx())

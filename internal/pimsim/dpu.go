@@ -40,7 +40,10 @@ type DPU struct {
 
 	// Accounting. A Ctx method counts one op of its kind in tally;
 	// Charge(n) also adds n to ctrlCycles. The per-class counters and
-	// the issue cycles are derived from these when read (fold).
+	// the issue cycles are derived from these when read (fold). The
+	// fields stay flat rather than an embedded acct: an embedded field
+	// costs every Ctx charging method one inliner unit, which is enough
+	// to push Frexp past the inlining budget.
 	tally      [numKinds]uint64
 	ctrlCycles uint64
 	bulk       Counters // pre-aggregated charges (ChargeOps, ChargeSig)
@@ -86,11 +89,48 @@ const (
 	numKinds
 )
 
-// fold derives the per-class counters from the kind tally, the cost
-// model and the bulk-merged charges. Counters are read once per launch
-// or per recorded signature, so this stays off the per-op path.
-func (d *DPU) fold() Counters {
-	c, t, m := d.bulk, &d.tally, &d.model
+// acct is a copy of a core's raw accounting: the fields IssueCycles,
+// DMACycles and Counters derive from. A launch marks each lane's acct
+// before its kernel runs and folds the difference once afterwards.
+// Every field is a sum, so folding after − before equals fold(after) −
+// fold(before) exactly in uint64 arithmetic.
+type acct struct {
+	tally      [numKinds]uint64
+	ctrlCycles uint64
+	bulk       Counters
+	slow       uint64
+	dmaCycles  uint64
+}
+
+// mark copies the core's raw accounting.
+func (d *DPU) mark() acct {
+	return acct{tally: d.tally, ctrlCycles: d.ctrlCycles, bulk: d.bulk, slow: d.slow, dmaCycles: d.dmaCycles}
+}
+
+// fold derives the per-class counters from the core's accounting.
+// Counters are read once per launch or per recorded signature, so this
+// stays off the per-op path.
+func (d *DPU) fold() Counters { return foldTally(&d.tally, d.ctrlCycles, d.bulk, &d.model) }
+
+// since folds the accounting charged after mark m into one launch's
+// per-class counters and its issue and DMA cycles.
+func (d *DPU) since(m *acct) (c Counters, issue, dma uint64) {
+	var t [numKinds]uint64
+	for k := range t {
+		t[k] = d.tally[k] - m.tally[k]
+	}
+	bulk := d.bulk
+	for i := range bulk.Ops {
+		bulk.Ops[i] -= m.bulk.Ops[i]
+		bulk.Cycles[i] -= m.bulk.Cycles[i]
+	}
+	c = foldTally(&t, d.ctrlCycles-m.ctrlCycles, bulk, &d.model)
+	return c, c.TotalCycles() + d.slow - m.slow, d.dmaCycles - m.dmaCycles
+}
+
+// foldTally turns a kind tally, the control cycles Charge added and the
+// bulk-merged charges into per-class counters under cost model m.
+func foldTally(t *[numKinds]uint64, ctrlCycles uint64, c Counters, m *CostModel) Counters {
 	c.addN(OpIALU, t[kIALU], m.IALU)
 	c.addN(OpIALU, t[kQAbs], 2*m.IALU)
 	c.addN(OpIMul, t[kIMul], m.IMul)
@@ -99,7 +139,7 @@ func (d *DPU) fold() Counters {
 	c.addN(OpCtrl, t[kBranch], m.Branch)
 	c.addN(OpCtrl, t[kMove], m.Move)
 	c.Ops[OpCtrl] += t[kCtrl]
-	c.Cycles[OpCtrl] += d.ctrlCycles
+	c.Cycles[OpCtrl] += ctrlCycles
 	c.addN(OpI64, t[kI64Add], m.I64Add)
 	c.addN(OpI64, t[kI64Shl]+t[kF32ToFix64], m.I64Shl)
 	c.addN(OpI64, t[kI64Shr]+t[kFix64ToF32], m.I64Shr)

@@ -82,17 +82,6 @@ func (e *LaunchError) Error() string {
 
 func (e *LaunchError) Unwrap() error { return ErrDPUFailed }
 
-// LaunchShardSeq is LaunchShard with a launch identity: the installed
-// FaultAgent (if any) is consulted once per lane with (seq, attempt,
-// lane). Failed lanes skip their kernel and are reported in a
-// *LaunchError; slowed lanes run normally and then have their modeled
-// cycle delta scaled by the verdict's factor. A genuine kernel error
-// takes precedence over injected failures. With no agent installed it
-// is exactly LaunchShard.
-func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, kernel func(ctx *Ctx, dpuID int) error) error {
-	return s.launchShard(seq, attempt, ids, kernel)
-}
-
 // TryChargeHostToPIM charges Host→PIM transfer time like
 // ChargeHostToPIM and then consults the fault agent: an injected
 // transfer fault is returned as an error wrapping ErrTransferFault.

@@ -42,7 +42,7 @@ func burnKernel(ctx *Ctx, _ int) error {
 func TestLaunchShardSeqFail(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 4})
 	sys.SetFaultAgent(scriptedAgent{failLanes: map[int]bool{1: true, 3: true}})
-	err := sys.LaunchShardSeq(7, 0, []int{0, 1, 2, 3}, burnKernel)
+	_, err := sys.LaunchShardSeq(7, 0, []int{0, 1, 2, 3}, nil, burnKernel)
 	if err == nil {
 		t.Fatal("launch with failed lanes returned nil")
 	}
@@ -79,7 +79,7 @@ func TestLaunchShardSeqSlow(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
 	sys.SetFaultAgent(scriptedAgent{slowLanes: map[int]float64{1: 3}})
 	for launch := uint64(0); launch < 2; launch++ {
-		if err := sys.LaunchShardSeq(launch, 0, []int{0, 1}, burnKernel); err != nil {
+		if _, err := sys.LaunchShardSeq(launch, 0, []int{0, 1}, nil, burnKernel); err != nil {
 			t.Fatal(err)
 		}
 		clean, slow := sys.DPU(0).IssueCycles(), sys.DPU(1).IssueCycles()
@@ -96,16 +96,21 @@ func TestLaunchShardSeqSlow(t *testing.T) {
 	}
 }
 
-// TestLaunchNilAgentUnchanged: with no agent, LaunchShardSeq charges
-// exactly what LaunchShard does.
+// TestLaunchNilAgentUnchanged: with no agent, a launch's identity
+// changes nothing it charges.
 func TestLaunchNilAgentUnchanged(t *testing.T) {
 	a := NewSystem(Config{DPUs: 2})
 	b := NewSystem(Config{DPUs: 2})
-	if err := a.LaunchShard([]int{0, 1}, burnKernel); err != nil {
+	wa, err := a.LaunchShardSeq(0, 0, []int{0, 1}, nil, burnKernel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.LaunchShardSeq(99, 5, []int{0, 1}, burnKernel); err != nil {
+	wb, err := b.LaunchShardSeq(99, 5, []int{0, 1}, nil, burnKernel)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if wa != wb {
+		t.Errorf("walls diverge: %d vs %d", wa, wb)
 	}
 	for i := 0; i < 2; i++ {
 		if a.DPU(i).Cycles() != b.DPU(i).Cycles() {
@@ -120,7 +125,7 @@ func TestKernelErrorOutranksInjected(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
 	sys.SetFaultAgent(scriptedAgent{failLanes: map[int]bool{0: true}})
 	boom := errors.New("boom")
-	err := sys.LaunchShardSeq(0, 0, []int{0, 1}, func(ctx *Ctx, id int) error {
+	_, err := sys.LaunchShardSeq(0, 0, []int{0, 1}, nil, func(ctx *Ctx, id int) error {
 		return boom
 	})
 	if !errors.Is(err, boom) {

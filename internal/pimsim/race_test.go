@@ -9,9 +9,10 @@ import (
 // System ownership discipline: several goroutines each own a disjoint
 // shard of the same System and concurrently (1) write inputs into
 // pre-touched MRAM buffers, (2) charge host→PIM transfer time, (3)
-// launch a kernel on their shard, (4) charge PIM→host transfer time,
-// and (5) read back results and their own cores' cycle counters —
-// exactly the stage structure of internal/engine. Run with -race.
+// launch a kernel on their shard, recording per-lane profiles, (4)
+// charge PIM→host transfer time, and (5) read back results and their
+// own cores' cycle counters — exactly the stage structure of
+// internal/engine. Run with -race.
 func TestConcurrentShardLaunches(t *testing.T) {
 	const (
 		shards   = 4
@@ -43,6 +44,7 @@ func TestConcurrentShardLaunches(t *testing.T) {
 		wg.Add(1)
 		go func(shard int, ids []int) {
 			defer wg.Done()
+			lanes := make([]CoreProfile, len(ids))
 			for r := 0; r < rounds; r++ {
 				for _, id := range ids {
 					m := sys.DPU(id).MRAM
@@ -51,7 +53,7 @@ func TestConcurrentShardLaunches(t *testing.T) {
 					}
 				}
 				sys.ChargeHostToPIM(perShard*elems*4, true)
-				err := sys.LaunchShard(ids, func(ctx *Ctx, id int) error {
+				_, err := sys.LaunchShardSeq(uint64(r), 0, ids, lanes, func(ctx *Ctx, id int) error {
 					m := ctx.DPU().MRAM
 					ctx.ChargeDMA(elems * 4)
 					for j := 0; j < elems; j++ {
@@ -67,10 +69,10 @@ func TestConcurrentShardLaunches(t *testing.T) {
 					return
 				}
 				sys.ChargePIMToHost(perShard*elems*4, true)
-				for _, id := range ids {
+				for k, id := range ids {
 					d := sys.DPU(id)
-					if d.Cycles() == 0 {
-						t.Errorf("shard %d: dpu %d charged no cycles", shard, id)
+					if d.Cycles() == 0 || lanes[k].DPU != id || lanes[k].Cycles == 0 {
+						t.Errorf("shard %d: dpu %d charged no cycles (record %+v)", shard, id, lanes[k])
 					}
 					got := d.MRAM.Float32(outAddr[id])
 					want := float32(shard) + 0.5

@@ -63,7 +63,9 @@ func (c Config) withDefaults() Config {
 //
 //   - Each DPU — its Mem contents, allocator and cycle counters — must
 //     be owned by at most one goroutine at a time. Concurrent
-//     LaunchShard calls are safe when their shards are disjoint.
+//     LaunchShardSeq calls are safe when their shards are disjoint: a
+//     launch touches only its own cores' entries of the per-core
+//     launch scratch (marks, verdicts).
 //   - Mem backing storage grows on demand; a host-side Write racing a
 //     kernel on the same core can reallocate it. Owners that overlap
 //     host transfers with kernels on the *same* core must pre-touch
@@ -85,20 +87,29 @@ type System struct {
 	// races safely with in-flight launches.
 	faultAgent atomic.Pointer[faultAgentBox]
 
-	// attribOn/attribCycles are the cost ledger's cycle-attribution
-	// plumb-through: when enabled, every launch accumulates its
-	// closed-form cycle count (slowest lane, post-verdict) so a ledger
-	// can reconcile per-tenant charges against the simulator exactly.
-	// Disabled (the default) the launch path pays one atomic load and
-	// allocates nothing.
-	attribOn     atomic.Bool
+	// marks and verdicts are LaunchShardSeq's per-core scratch, indexed
+	// by core id: each lane's accounting before its kernel runs and its
+	// fault verdict for the launch. Owned like the cores themselves, so
+	// disjoint concurrent launches never share an entry and a launch
+	// allocates nothing for them.
+	marks    []acct
+	verdicts []LaunchVerdict
+
+	// attribCycles accumulates every launch's wall cycles (its slowest
+	// lane's closed-form cycles, after straggler verdicts) — the total a
+	// cost ledger or profiler reconciles its per-tenant charges against.
 	attribCycles atomic.Uint64
 }
 
 // NewSystem builds a system from cfg (zero fields take defaults).
 func NewSystem(cfg Config) *System {
 	cfg = cfg.withDefaults()
-	s := &System{cfg: cfg, dpus: make([]*DPU, cfg.DPUs)}
+	s := &System{
+		cfg:      cfg,
+		dpus:     make([]*DPU, cfg.DPUs),
+		marks:    make([]acct, cfg.DPUs),
+		verdicts: make([]LaunchVerdict, cfg.DPUs),
+	}
 	for i := range s.dpus {
 		s.dpus[i] = NewDPU(i, cfg.Cost, cfg.Tasklets)
 	}
@@ -129,64 +140,51 @@ func (s *System) Launch(kernel func(ctx *Ctx, dpuID int) error) error {
 	for i := range ids {
 		ids[i] = i
 	}
-	return s.LaunchShard(ids, kernel)
+	_, err := s.LaunchShardSeq(0, 0, ids, nil, kernel)
+	return err
 }
 
-// LaunchShard runs kernel on the listed PIM cores only — a rank-level
-// launch. Kernels for distinct cores run concurrently on the host
-// (bounded by GOMAXPROCS); each kernel sees its own Ctx. LaunchShard
-// blocks until all kernels complete and returns the first kernel
-// error, if any.
+// LaunchShardSeq runs kernel on the listed PIM cores only — a
+// rank-level launch — and measures it. Kernels for distinct cores run
+// concurrently on the host (bounded by GOMAXPROCS); each kernel sees
+// its own Ctx. It blocks until all kernels complete.
 //
-// LaunchShard may itself be called concurrently from several
-// goroutines as long as their shards are disjoint (see the System
-// ownership discipline): a core's memories and counters are touched
-// only by its own kernel.
-func (s *System) LaunchShard(ids []int, kernel func(ctx *Ctx, dpuID int) error) error {
-	return s.launchShard(0, 0, ids, kernel)
-}
-
-// launchShard is the shared implementation behind LaunchShard and
-// LaunchShardSeq: the worker pool plus the optional fault-agent
-// consultation and cycle attribution.
-func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ctx, dpuID int) error) error {
+// seq and attempt identify the launch to the installed FaultAgent (if
+// any), consulted once per lane before the kernels start. Failed lanes
+// skip their kernel and are reported in a *LaunchError; slowed lanes
+// run normally and then have their modeled issue and DMA deltas scaled
+// by the verdict's factor. A genuine kernel error takes precedence
+// over injected failures.
+//
+// Each lane's accounting is folded once, after the verdicts: when
+// lanes is non-nil (len(lanes) ≥ len(ids)), lanes[k] receives lane k's
+// CoreProfile — all counts zero for a failed lane. The returned wall
+// is the slowest lane's Cycles, and it is added to
+// AttributedKernelCycles.
+//
+// Concurrent calls are safe as long as their shards are disjoint (see
+// the System ownership discipline): a core's memories and counters are
+// touched only by its own kernel.
+func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, lanes []CoreProfile, kernel func(ctx *Ctx, dpuID int) error) (wall uint64, err error) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {
 		workers = len(ids)
 	}
-	// Consult the fault agent once per lane before the kernels start.
+	// Mark every lane and take its verdict before the kernels start.
 	// Verdicts are applied on the launching goroutine (which owns the
 	// cores): failed lanes skip their kernel entirely; slowed lanes
-	// have their cycle delta scaled after the kernels finish.
+	// have their deltas scaled after the kernels finish.
 	agent := s.loadFaultAgent()
-	attrib := s.attribOn.Load()
-	var verdicts []LaunchVerdict
-	var preIssue, preDMA []uint64
-	if agent != nil {
-		verdicts = make([]LaunchVerdict, len(ids))
-		preIssue = make([]uint64, len(ids))
-		preDMA = make([]uint64, len(ids))
-		for k := range ids {
-			verdicts[k] = agent.Launch(seq, attempt, k)
-			d := s.dpus[ids[k]]
-			preIssue[k] = d.IssueCycles()
-			preDMA[k] = d.dmaCycles
-		}
-	} else if attrib {
-		// Attribution needs the same pre-launch snapshots the fault agent
-		// takes; allocate them only on this (enabled) path.
-		preIssue = make([]uint64, len(ids))
-		preDMA = make([]uint64, len(ids))
-		for k := range ids {
-			d := s.dpus[ids[k]]
-			preIssue[k] = d.IssueCycles()
-			preDMA[k] = d.dmaCycles
+	for k, i := range ids {
+		s.marks[i] = s.dpus[i].mark()
+		s.verdicts[i] = LaunchVerdict{}
+		if agent != nil {
+			s.verdicts[i] = agent.Launch(seq, attempt, k)
 		}
 	}
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
-		err  error
 		next int
 	)
 	for w := 0; w < workers; w++ {
@@ -201,10 +199,10 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 				if k >= len(ids) {
 					return
 				}
-				if verdicts != nil && verdicts[k].Fail {
+				i := ids[k]
+				if s.verdicts[i].Fail {
 					continue // injected hard failure: the kernel never runs
 				}
-				i := ids[k]
 				if e := kernel(s.dpus[i].NewCtx(), i); e != nil {
 					mu.Lock()
 					if err == nil {
@@ -216,58 +214,44 @@ func (s *System) launchShard(seq, attempt uint64, ids []int, kernel func(ctx *Ct
 		}()
 	}
 	wg.Wait()
-	// Apply the straggler verdicts before returning so callers reading
-	// the counters see the slowed (modeled) cycles, and collect the
-	// lanes that suffered injected hard failures.
+	// Fold each lane's delta once, scaling a slowed lane's issue and DMA
+	// cycles on the core too so later readers of its counters see the
+	// modeled (slowed) cycles, and collect the failed lanes.
 	var failed []int
-	if agent != nil {
-		for k, v := range verdicts {
-			if v.Fail {
-				failed = append(failed, k)
-				continue
-			}
+	for k, i := range ids {
+		d, v := s.dpus[i], s.verdicts[i]
+		cp := CoreProfile{DPU: i, Tasklets: d.tasklets}
+		if v.Fail {
+			failed = append(failed, k)
+		} else {
+			m := &s.marks[i]
+			cp.Counters, cp.IssueCycles, cp.DMACycles = d.since(m)
 			if v.SlowFactor > 1 {
-				d := s.dpus[ids[k]]
-				issue := d.IssueCycles() - preIssue[k]
-				d.slow += uint64(float64(issue)*v.SlowFactor) - issue
-				d.dmaCycles = preDMA[k] + uint64(float64(d.dmaCycles-preDMA[k])*v.SlowFactor)
+				issue := uint64(float64(cp.IssueCycles) * v.SlowFactor)
+				d.slow += issue - cp.IssueCycles
+				cp.IssueCycles = issue
+				cp.DMACycles = uint64(float64(cp.DMACycles) * v.SlowFactor)
+				d.dmaCycles = m.dmaCycles + cp.DMACycles
 			}
+			cp.Cycles = ClosedFormCycles(cp.IssueCycles, cp.DMACycles, d.tasklets)
+		}
+		wall = max(wall, cp.Cycles)
+		if lanes != nil {
+			lanes[k] = cp
 		}
 	}
-	// Charge the attribution counter after the straggler verdicts so the
-	// accumulated count equals what a caller derives from the post-launch
-	// counters: the slowest lane's closed-form cycles for this launch.
-	if attrib {
-		var worst uint64
-		for k, i := range ids {
-			d := s.dpus[i]
-			c := ClosedFormCycles(d.IssueCycles()-preIssue[k], d.dmaCycles-preDMA[k], d.tasklets)
-			if c > worst {
-				worst = c
-			}
-		}
-		s.attribCycles.Add(worst)
-	}
+	s.attribCycles.Add(wall)
 	if err != nil {
-		return err // a genuine kernel error outranks injected failures
+		return wall, err // a genuine kernel error outranks injected failures
 	}
 	if len(failed) > 0 {
-		return &LaunchError{Seq: seq, Attempt: attempt, Lanes: failed}
+		return wall, &LaunchError{Seq: seq, Attempt: attempt, Lanes: failed}
 	}
-	return nil
+	return wall, nil
 }
 
-// SetCycleAttribution enables or disables per-launch cycle attribution.
-// While enabled, every LaunchShard adds its closed-form cycle count —
-// the slowest lane's ClosedFormCycles over the launch's counter deltas,
-// after any injected straggler verdicts — to an internal accumulator
-// read by AttributedKernelCycles. Cost ledgers use this to reconcile
-// per-tenant cycle charges against the simulator exactly. Toggling
-// races safely with in-flight launches (per-launch atomic load).
-func (s *System) SetCycleAttribution(on bool) { s.attribOn.Store(on) }
-
-// AttributedKernelCycles returns the total closed-form kernel cycles
-// accumulated across launches while cycle attribution was enabled.
+// AttributedKernelCycles returns the total wall cycles of every launch
+// so far: the sum of LaunchShardSeq's returned walls.
 func (s *System) AttributedKernelCycles() uint64 { return s.attribCycles.Load() }
 
 // KernelCycles returns the cycle count of the slowest PIM core — the

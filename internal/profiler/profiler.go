@@ -1,5 +1,5 @@
 // Package profiler is the continuous modeled-cycle profiler: it
-// consumes pimsim per-launch counter deltas and attributes every
+// consumes pimsim's per-launch lane records and attributes every
 // modeled kernel cycle to a stack of (tenant, function, method,
 // pipeline stage / fused-program phase, instruction class) — the
 // paper's Fig.-7 per-method cycle breakdowns (mul vs. shift vs. load
@@ -7,7 +7,7 @@
 //
 // Attribution is exact by construction. The engine hands each launch
 // over with its wall cycles (the slowest lane's closed-form cycles,
-// the quantity the simulator accumulates under SetCycleAttribution)
+// the quantity the simulator accumulates in AttributedKernelCycles)
 // already split across tenant segments — the same shares its cost
 // ledger charges. The collector splits each segment's share across
 // instruction classes by integer prefix partitioning, so the shares
@@ -39,10 +39,11 @@ type Config struct {
 	// Windows is the ring capacity: how many closed windows the
 	// heatmap retains (default 60).
 	Windows int
-	// MaxFrames caps frame cardinality; past it, new stacks collapse
-	// into a single "~other" overflow frame (default 4096).
-	MaxFrames int
 }
+
+// maxFrames caps frame cardinality; past it, new stacks collapse into
+// a single "~other" overflow frame.
+const maxFrames = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -50,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Windows <= 0 {
 		c.Windows = 60
-	}
-	if c.MaxFrames <= 0 {
-		c.MaxFrames = 4096
 	}
 	return c
 }
@@ -125,7 +123,7 @@ type Collector struct {
 
 	mu       sync.RWMutex
 	frames   map[frameKey]*frameCell
-	overflow *frameCell // the "~other" sink once MaxFrames is hit
+	overflow *frameCell // the "~other" sink once maxFrames is hit
 
 	launches atomic.Uint64
 	dpus     []dpuCell
@@ -200,24 +198,24 @@ func (c *Collector) Close() {
 	})
 }
 
-// Observe attributes one launch's counter deltas to the context's
-// frames. It runs synchronously on the launching goroutine (one
-// shard's compute stage), so distinct shards contend only on the frame
-// map's read lock and the cells' atomics.
-func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
-	if c == nil || len(prof.Cores) == 0 {
+// Observe attributes one launch's per-lane records, as the simulator
+// measured them, to the context's frames. It runs synchronously on the
+// launching goroutine (one shard's compute stage), so distinct shards
+// contend only on the frame map's read lock and the cells' atomics.
+func (c *Collector) Observe(lc *LaunchContext, cores []pimsim.CoreProfile) {
+	if c == nil || len(cores) == 0 {
 		return
 	}
 	wall := lc.Wall
 	c.launches.Add(1)
-	for i := range prof.Cores {
-		cp := &prof.Cores[i]
+	for i := range cores {
+		cp := &cores[i]
 		if cp.DPU < 0 || cp.DPU >= len(c.dpus) {
 			continue
 		}
 		cell := &c.dpus[cp.DPU]
 		issueAdj := pimsim.ClosedFormCycles(cp.IssueCycles, 0, cp.Tasklets)
-		busy := pimsim.ClosedFormCycles(cp.IssueCycles, cp.DMACycles, cp.Tasklets)
+		busy := cp.Cycles
 		cell.launches.Add(1)
 		cell.wall.Add(wall)
 		cell.issueAdj.Add(issueAdj)
@@ -227,8 +225,8 @@ func (c *Collector) Observe(lc *LaunchContext, prof pimsim.LaunchProfile) {
 
 	// Per-class totals across the launch's cores.
 	var tot pimsim.Counters
-	for i := range prof.Cores {
-		tot.Add(&prof.Cores[i].Counters)
+	for i := range cores {
+		tot.Add(&cores[i].Counters)
 	}
 
 	segs := lc.Segs
@@ -314,7 +312,7 @@ func (c *Collector) addFrame(lc *LaunchContext, tenant string, cl pimsim.OpClass
 		c.mu.Lock()
 		cell = c.frames[key]
 		if cell == nil {
-			if len(c.frames) >= c.cfg.MaxFrames {
+			if len(c.frames) >= maxFrames {
 				// Cardinality cap: collapse into the overflow frame.
 				if c.overflow == nil {
 					c.overflow = new(frameCell)

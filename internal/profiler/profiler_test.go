@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -9,8 +10,19 @@ import (
 	"transpimlib/internal/pimsim"
 )
 
+// records builds a launch's per-lane records the way the simulator
+// hands them over: Cycles is the closed form of each lane's issue and
+// DMA cycles.
+func records(cores ...pimsim.CoreProfile) []pimsim.CoreProfile {
+	for i := range cores {
+		cp := &cores[i]
+		cp.Cycles = pimsim.ClosedFormCycles(cp.IssueCycles, cp.DMACycles, cp.Tasklets)
+	}
+	return cores
+}
+
 // synthProfile builds a two-core launch with known counters.
-func synthProfile() pimsim.LaunchProfile {
+func synthProfile() []pimsim.CoreProfile {
 	var c0, c1 pimsim.Counters
 	c0.Ops[pimsim.OpFAdd] = 100
 	c0.Cycles[pimsim.OpFAdd] = 500
@@ -18,15 +30,15 @@ func synthProfile() pimsim.LaunchProfile {
 	c0.Cycles[pimsim.OpWRAM] = 160
 	c1.Ops[pimsim.OpFMul] = 30
 	c1.Cycles[pimsim.OpFMul] = 210
-	return pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
-		{DPU: 0, Tasklets: 16, IssueCycles: 660, DMACycles: 900, Counters: c0},
-		{DPU: 1, Tasklets: 16, IssueCycles: 210, DMACycles: 100, Counters: c1},
-	}}
+	return records(
+		pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 660, DMACycles: 900, Counters: c0},
+		pimsim.CoreProfile{DPU: 1, Tasklets: 16, IssueCycles: 210, DMACycles: 100, Counters: c1},
+	)
 }
 
-func launchWall(prof pimsim.LaunchProfile) uint64 {
+func launchWall(prof []pimsim.CoreProfile) uint64 {
 	var mx uint64
-	for _, c := range prof.Cores {
+	for _, c := range prof {
 		if w := pimsim.ClosedFormCycles(c.IssueCycles, c.DMACycles, c.Tasklets); w > mx {
 			mx = w
 		}
@@ -37,7 +49,7 @@ func launchWall(prof pimsim.LaunchProfile) uint64 {
 // split fills lc's launch wall and per-segment wall shares the way the
 // engine's launch does: the slowest lane's closed-form cycles, divided
 // by exact integer prefix partitioning over the segments' elements.
-func split(lc *LaunchContext, prof pimsim.LaunchProfile) *LaunchContext {
+func split(lc *LaunchContext, prof []pimsim.CoreProfile) *LaunchContext {
 	lc.Wall = launchWall(prof)
 	var cum, prev uint64
 	for i := range lc.Segs {
@@ -49,10 +61,10 @@ func split(lc *LaunchContext, prof pimsim.LaunchProfile) *LaunchContext {
 	return lc
 }
 
-func launchTotal(prof pimsim.LaunchProfile) pimsim.Counters {
+func launchTotal(prof []pimsim.CoreProfile) pimsim.Counters {
 	var t pimsim.Counters
-	for i := range prof.Cores {
-		t.Add(&prof.Cores[i].Counters)
+	for i := range prof {
+		t.Add(&prof[i].Counters)
 	}
 	return t
 }
@@ -124,9 +136,7 @@ func TestObserveAttributionExact(t *testing.T) {
 // attributed (to ctrl), so totals keep reconciling.
 func TestObserveNoClassCyclesFallsToCtrl(t *testing.T) {
 	c := New(Config{Enabled: true}, 1)
-	prof := pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
-		{DPU: 0, Tasklets: 16, IssueCycles: 100, DMACycles: 0},
-	}}
+	prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 100, DMACycles: 0})
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "t", N: 4}}, N: 4}
 	c.Observe(split(lc, prof), prof)
@@ -173,9 +183,7 @@ func TestHeatmapWindowRingWraparound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		// i+1 launches in window i → per-window launch delta = i+1.
 		for j := 0; j <= i; j++ {
-			prof := pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
-				{DPU: 0, Tasklets: 16, IssueCycles: 10},
-			}}
+			prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 10})
 			c.Observe(split(lc, prof), prof)
 		}
 		c.Tick(base.Add(time.Duration(i+1) * time.Second))
@@ -264,22 +272,23 @@ func TestRollupCollapsesTenantAndStage(t *testing.T) {
 }
 
 func TestMaxFramesOverflow(t *testing.T) {
-	c := New(Config{Enabled: true, MaxFrames: 2}, 1)
-	prof := pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
-		{DPU: 0, Tasklets: 16, IssueCycles: 100},
-	}}
-	for _, fn := range []string{"a", "b", "c", "d"} {
-		lc := &LaunchContext{Function: fn, Method: "m", Stage: "kernel",
+	c := New(Config{Enabled: true}, 1)
+	prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 100})
+	// Each function yields one (ctrl) frame: maxFrames real frames, then
+	// two more stacks that must collapse into the overflow frame.
+	const stacks = maxFrames + 2
+	for i := 0; i < stacks; i++ {
+		lc := &LaunchContext{Function: "f" + strconv.Itoa(i), Method: "m", Stage: "kernel",
 			Segs: []Seg{{Tenant: "", N: 1}}, N: 1}
 		c.Observe(split(lc, prof), prof)
 	}
 	p := c.Snapshot()
-	if len(p.Frames) != 3 { // 2 real + 1 overflow
-		t.Fatalf("want 2 frames + overflow, got %d", len(p.Frames))
+	if len(p.Frames) != maxFrames+1 {
+		t.Fatalf("want %d frames + overflow, got %d", maxFrames, len(p.Frames))
 	}
 	wall := launchWall(prof)
-	if p.TotalWall != 4*wall {
-		t.Fatalf("overflow lost cycles: total %d, want %d", p.TotalWall, 4*wall)
+	if p.TotalWall != stacks*wall {
+		t.Fatalf("overflow lost cycles: total %d, want %d", p.TotalWall, stacks*wall)
 	}
 	var hasOverflow bool
 	for _, f := range p.Frames {
@@ -352,7 +361,7 @@ func TestObserveConcurrent(t *testing.T) {
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.Observe(&LaunchContext{}, pimsim.LaunchProfile{})
+	c.Observe(&LaunchContext{}, nil)
 	c.Tick(time.Now())
 	c.Close()
 	if p := c.Snapshot(); len(p.Frames) != 0 {
@@ -368,9 +377,7 @@ func TestStartCloseSealsPartialWindow(t *testing.T) {
 	c.Start()
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 1}}, N: 1}
-	prof := pimsim.LaunchProfile{Cores: []pimsim.CoreProfile{
-		{DPU: 0, Tasklets: 16, IssueCycles: 10},
-	}}
+	prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 10})
 	c.Observe(split(lc, prof), prof)
 	c.Close()
 	h := c.HeatmapSnapshot()

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -84,56 +83,5 @@ func TestHistogramExemplarConcurrent(t *testing.T) {
 	last := s.Exemplars[len(s.Exemplars)-1]
 	if last == nil || last.Value != 7999 {
 		t.Fatalf("overflow exemplar %+v, want value 7999", last)
-	}
-}
-
-func TestRegistryCardinalityGuard(t *testing.T) {
-	r := NewRegistry()
-	r.SetMaxSeriesPerFamily(3)
-
-	c0 := r.Counter(`acc_samples_total{tenant="a"}`, "samples")
-	c1 := r.Counter(`acc_samples_total{tenant="b"}`, "samples")
-	over1 := r.Counter(`acc_samples_total{tenant="c"}`, "samples") // 3rd series: becomes the overflow slot? No — it's within cap.
-	over2 := r.Counter(`acc_samples_total{tenant="d"}`, "samples") // beyond cap: overflow
-	over3 := r.Counter(`acc_samples_total{tenant="e"}`, "samples") // beyond cap: same overflow series
-
-	if c0 == c1 || c0 == over1 {
-		t.Fatal("within-cap series must stay distinct")
-	}
-	if over2 != over3 {
-		t.Fatal("beyond-cap registrations must collapse into one overflow series")
-	}
-	// Re-registering an existing series is not an overflow.
-	if again := r.Counter(`acc_samples_total{tenant="a"}`, "samples"); again != c0 {
-		t.Fatal("existing series must not be redirected")
-	}
-	if n := r.OverflowedSeries(); n != 2 {
-		t.Fatalf("overflowed series = %d, want 2", n)
-	}
-
-	over2.Add(5)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `acc_samples_total{overflow="true"} 5`) {
-		t.Fatalf("exposition missing overflow series:\n%s", b.String())
-	}
-	if strings.Contains(b.String(), `tenant="d"`) {
-		t.Fatalf("capped label set leaked into exposition:\n%s", b.String())
-	}
-
-	// Unlabeled singletons and other families are unaffected.
-	if g := r.Gauge("acc_queue_depth", "depth"); g == nil {
-		t.Fatal("unlabeled registration failed under guard")
-	}
-	// Histograms share the guard.
-	h1 := r.Histogram(`acc_err{tenant="a"}`, "err", []float64{1})
-	r.Histogram(`acc_err{tenant="b"}`, "err", []float64{1})
-	r.Histogram(`acc_err{tenant="c"}`, "err", []float64{1})
-	h4 := r.Histogram(`acc_err{tenant="d"}`, "err", []float64{1})
-	h5 := r.Histogram(`acc_err{tenant="e"}`, "err", []float64{1})
-	if h4 != h5 || h4 == h1 {
-		t.Fatal("histogram registrations must share the cardinality guard")
 	}
 }

@@ -73,8 +73,13 @@ type ledgerMirror struct {
 	failovers *Counter
 }
 
-// overflowLedgerKey is where rows beyond MaxKeys collapse — the same
-// cardinality-guard discipline as the registry's per-family cap.
+// maxLedgerRows caps distinct ledger rows; rows beyond it collapse
+// into overflowLedgerKey — bounded state no matter how many tenants
+// show up, the same rule as the accuracy watcher's series and the
+// profiler's frames.
+const maxLedgerRows = 1024
+
+// overflowLedgerKey is where rows beyond maxLedgerRows collapse.
 var overflowLedgerKey = LedgerKey{Tenant: "overflow", Function: "overflow", Method: "overflow"}
 
 // Ledger is the per-(tenant, function, method) cost accountant. Adds
@@ -87,22 +92,16 @@ type Ledger struct {
 	entries    map[LedgerKey]*LedgerEntry
 	mirrors    map[LedgerKey]*ledgerMirror
 	reg        *Registry // nil: no prometheus mirror
-	maxKeys    int
 	overflowed uint64
 }
 
 // NewLedger builds a ledger. reg, when non-nil, receives tenant_*
-// prometheus series per row. maxKeys caps distinct rows (≤ 0 picks
-// 1024); rows beyond it collapse into the overflow row.
-func NewLedger(reg *Registry, maxKeys int) *Ledger {
-	if maxKeys <= 0 {
-		maxKeys = 1024
-	}
+// prometheus series per row.
+func NewLedger(reg *Registry) *Ledger {
 	return &Ledger{
 		entries: make(map[LedgerKey]*LedgerEntry),
 		mirrors: make(map[LedgerKey]*ledgerMirror),
 		reg:     reg,
-		maxKeys: maxKeys,
 	}
 }
 
@@ -111,7 +110,7 @@ func NewLedger(reg *Registry, maxKeys int) *Ledger {
 func (l *Ledger) row(k LedgerKey) (*LedgerEntry, *ledgerMirror) {
 	e, ok := l.entries[k]
 	if !ok {
-		if len(l.entries) >= l.maxKeys {
+		if len(l.entries) >= maxLedgerRows {
 			l.overflowed++
 			k = overflowLedgerKey
 			if e, ok = l.entries[k]; ok {

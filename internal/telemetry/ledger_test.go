@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestLedgerNil(t *testing.T) {
 
 func TestLedgerAccumulatesAndMirrors(t *testing.T) {
 	reg := NewRegistry()
-	l := NewLedger(reg, 0)
+	l := NewLedger(reg)
 	ka := LedgerKey{Tenant: "acme", Function: "sin", Method: "l-lut(i)"}
 	kb := LedgerKey{Tenant: "bob", Function: "exp", Method: "cordic"}
 	l.Add(ka, LedgerEntry{Requests: 1, Elements: 100, KernelCycles: 5000, BytesIn: 400, BytesOut: 400, ModeledSeconds: 0.25})
@@ -58,14 +59,15 @@ func TestLedgerAccumulatesAndMirrors(t *testing.T) {
 }
 
 func TestLedgerOverflow(t *testing.T) {
-	l := NewLedger(nil, 2)
-	l.Add(LedgerKey{Tenant: "a"}, LedgerEntry{Requests: 1})
-	l.Add(LedgerKey{Tenant: "b"}, LedgerEntry{Requests: 1})
+	l := NewLedger(nil)
+	for i := 0; i < maxLedgerRows; i++ {
+		l.Add(LedgerKey{Tenant: "t" + strconv.Itoa(i)}, LedgerEntry{Requests: 1})
+	}
 	l.Add(LedgerKey{Tenant: "c"}, LedgerEntry{Requests: 1})
 	l.Add(LedgerKey{Tenant: "d"}, LedgerEntry{Requests: 1, KernelCycles: 7})
 	s := l.Snapshot()
-	if len(s.Rows) != 3 { // a, b, overflow
-		t.Fatalf("rows = %d, want 3: %+v", len(s.Rows), s.Rows)
+	if len(s.Rows) != maxLedgerRows+1 { // the cap's rows, then overflow
+		t.Fatalf("rows = %d, want %d", len(s.Rows), maxLedgerRows+1)
 	}
 	if s.Overflowed != 2 {
 		t.Fatalf("overflowed = %d, want 2", s.Overflowed)
@@ -102,7 +104,7 @@ func TestMergeLedgers(t *testing.T) {
 }
 
 func TestLedgerConcurrent(t *testing.T) {
-	l := NewLedger(NewRegistry(), 64)
+	l := NewLedger(NewRegistry())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

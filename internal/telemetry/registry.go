@@ -21,14 +21,6 @@ type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	order   []string // registration order of full names
-
-	// maxSeries, when > 0, caps the number of distinct label sets per
-	// metric family. Registrations beyond the cap collapse into one
-	// {overflow="true"} series per family — the cardinality guard that
-	// keeps a hostile or buggy label source (unbounded tenant names,
-	// say) from growing the registry without bound.
-	maxSeries int
-	overflow  uint64 // label sets collapsed by the guard
 }
 
 type metricKind int
@@ -65,65 +57,12 @@ func splitName(name string) (family, labels string) {
 	return name, ""
 }
 
-// SetMaxSeriesPerFamily installs the cardinality guard: at most n
-// distinct label sets per metric family (n ≤ 0 removes the cap).
-// Registrations beyond the cap are redirected to the family's
-// {overflow="true"} series, which counts against the cap's n. Series
-// registered before the call are unaffected.
-func (r *Registry) SetMaxSeriesPerFamily(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.maxSeries = n
-	r.mu.Unlock()
-}
-
-// OverflowedSeries reports how many label sets the cardinality guard
-// has collapsed into overflow series.
-func (r *Registry) OverflowedSeries() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.overflow
-}
-
-// guardName applies the cardinality cap: when the family already holds
-// maxSeries distinct label sets and name is a new one, it is rewritten
-// to the family's overflow series. Callers hold r.mu.
-func (r *Registry) guardName(name string) string {
-	if r.maxSeries <= 0 {
-		return name
-	}
-	if _, ok := r.entries[name]; ok {
-		return name
-	}
-	family, labels := splitName(name)
-	if labels == "" {
-		return name // unlabeled singleton: nothing to collapse
-	}
-	n := 0
-	for _, existing := range r.order {
-		if e := r.entries[existing]; e.family == family {
-			n++
-		}
-	}
-	if n < r.maxSeries {
-		return name
-	}
-	r.overflow++
-	return family + `{overflow="true"}`
-}
-
 func (r *Registry) register(name, help string, kind metricKind) *entry {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.guardName(name)
 	if e, ok := r.entries[name]; ok {
 		if e.kind != kind {
 			panic(fmt.Sprintf("telemetry: %s re-registered with a different type", name))
@@ -182,7 +121,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name = r.guardName(name)
 	if e, ok := r.entries[name]; ok {
 		if e.kind != kindHistogram {
 			panic(fmt.Sprintf("telemetry: %s re-registered with a different type", name))

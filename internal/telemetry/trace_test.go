@@ -243,7 +243,7 @@ func TestHTTPTimelineLedger(t *testing.T) {
 	reg.Counter("requests_total", "requests").Add(6)
 	tl := NewTimeline(reg, TimelineConfig{Enabled: true, BucketWidth: time.Second, Buckets: 4})
 	tl.Tick(time.Date(2026, 8, 7, 12, 0, 1, 0, time.UTC))
-	led := NewLedger(reg, 0)
+	led := NewLedger(reg)
 	led.Add(LedgerKey{Tenant: "acme", Function: "sin", Method: "m-lut"}, LedgerEntry{Requests: 1, KernelCycles: 99})
 
 	tel := &Telemetry{Registry: reg, Timeline: tl, LedgerJSON: func() any { return led.Snapshot() }}
