@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"transpimlib/internal/cordic"
+	"transpimlib/internal/fpbits"
 	"transpimlib/internal/lut"
 	"transpimlib/internal/pimsim"
 	"transpimlib/internal/rangered"
@@ -104,8 +105,8 @@ func foldQuadrant64Host(theta int64) (int64, rangered.Quadrant) {
 // sqrtParityMirror composes SplitSqrtHost → core → JoinSqrtHost with
 // the exponent-parity branch as the class split: even exponents skip
 // the fold, odd ones pay one extra ldexp. A non-nil coreMany adds the
-// fused form: split into the XB/IA lanes, one fused core pass, a
-// per-element ldexp join.
+// fused form: split into the XB/IA lanes, one fused core pass, one
+// fpbits.LdexpMany join.
 func sqrtParityMirror(core func(float32) float32, coreMany func(xs, ys []float32)) *opMirror {
 	m := &opMirror{
 		n:    2,
@@ -135,9 +136,7 @@ func sqrtParityMirror(core func(float32) float32, coreMany func(xs, ys []float32
 				}
 			}
 			coreMany(ms, ys)
-			for i := range ys {
-				ys[i] = rangered.JoinSqrtHost(ys[i], hs[i])
-			}
+			fpbits.LdexpMany(ys, hs) // JoinSqrtHost over the slice
 			counts[0] += uint64(n) - odds
 			counts[1] += odds
 		}
@@ -146,8 +145,8 @@ func sqrtParityMirror(core func(float32) float32, coreMany func(xs, ys []float32
 }
 
 // expSplitKernel fuses the exp range reduction around a fused core
-// kernel: SplitExpHost into the XB/IA lanes, one core pass, a
-// per-element ldexp join. Single-class, like the scalar composition.
+// kernel: SplitExpHost into the XB/IA lanes, one core pass, one
+// fpbits.LdexpMany join. Single-class, like the scalar composition.
 func expSplitKernel(coreMany func(xs, ys []float32)) batchKernel {
 	return func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
 		n := len(xs)
@@ -156,9 +155,7 @@ func expSplitKernel(coreMany func(xs, ys []float32)) batchKernel {
 		ks := sc.IA[:n]
 		rangered.SplitExpHostMany(xs, rs, ks)
 		coreMany(rs, ys)
-		for i := range ys {
-			ys[i] = rangered.JoinExpHost(ys[i], ks[i])
-		}
+		fpbits.LdexpMany(ys, ks) // JoinExpHost over the slice
 		counts[0] += uint64(n)
 	}
 }

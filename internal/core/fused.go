@@ -101,15 +101,16 @@ func NewFusedOperator(model pimsim.CostModel) *FusedOperator {
 // ElemEval computes op(a, b) on the PIM core through ctx — the
 // interpreted reference path. ElemMax is the branchless select:
 // compare then conditional move, both charged regardless of which
-// operand wins, so the cost never depends on the data.
+// operand wins, so the cost never depends on the data. Add and mul
+// pick their NaN with FirstNaN after the charged op.
 func (f *FusedOperator) ElemEval(ctx *pimsim.Ctx, op ElemOp, a, b float32) float32 {
 	switch op {
 	case ElemAdd:
-		return ctx.FAdd(a, b)
+		return FirstNaN(a, b, ctx.FAdd(a, b))
 	case ElemSub:
 		return ctx.FSub(a, b)
 	case ElemMul:
-		return ctx.FMul(a, b)
+		return FirstNaN(a, b, ctx.FMul(a, b))
 	case ElemDiv:
 		return ctx.FDiv(a, b)
 	case ElemMax:
@@ -123,17 +124,41 @@ func (f *FusedOperator) ElemEval(ctx *pimsim.Ctx, op ElemOp, a, b float32) float
 	panic("core: bad elem op")
 }
 
+// FirstNaN fixes which NaN a commutative op returns: a quieted when a
+// is a NaN, else b quieted when b is, else r — the op's own result,
+// which is then either a number or a NaN the op generated (Inf−Inf,
+// 0·Inf), the same in either operand order. Without it, when both
+// operands are NaNs the result's bits follow the register the
+// compiler happened to put each operand in: amd64's ADDSS/MULSS
+// return the destination's NaN, and Go may commute a+b and a*b. Sub
+// and div need no rule: Go never swaps their operands, so every path
+// picks the same NaN.
+func FirstNaN(a, b, r float32) float32 {
+	if a != a {
+		return math.Float32frombits(math.Float32bits(a) | quietBit)
+	}
+	if b != b {
+		return math.Float32frombits(math.Float32bits(b) | quietBit)
+	}
+	return r
+}
+
+// quietBit is the float32 quiet-NaN bit: the top significand bit,
+// which the arithmetic sets on a signalling NaN operand it returns.
+const quietBit = 1 << 22
+
 // ElemApply is the unmetered host mirror of ElemEval, bit-exact with
 // the device arithmetic (plain float32 IEEE ops; the max select keeps
-// a on ties and unordered compares, exactly like the FCmp sequence).
+// a on ties and unordered compares, exactly like the FCmp sequence;
+// add and mul pick their NaN with FirstNaN).
 func ElemApply(op ElemOp, a, b float32) float32 {
 	switch op {
 	case ElemAdd:
-		return a + b
+		return FirstNaN(a, b, a+b)
 	case ElemSub:
 		return a - b
 	case ElemMul:
-		return a * b
+		return FirstNaN(a, b, a*b)
 	case ElemDiv:
 		return a / b
 	case ElemMax:
@@ -164,7 +189,7 @@ func (f *FusedOperator) ReduceEval(ctx *pimsim.Ctx, op ReduceOp, acc, x float32)
 		}
 		return acc
 	}
-	return ctx.FAdd(acc, x)
+	return FirstNaN(acc, x, ctx.FAdd(acc, x))
 }
 
 // ReduceApply is the unmetered host mirror of ReduceEval. The host
@@ -178,7 +203,172 @@ func ReduceApply(op ReduceOp, acc, x float32) float32 {
 		}
 		return acc
 	}
-	return acc + x
+	return FirstNaN(acc, x, acc+x)
+}
+
+// The Many forms below are the fused path's slice kernels: the op and
+// the operand shape are resolved once per call, and each (op, shape)
+// pair is one plain loop computing a single float32 op per element (a
+// product never meets an add in one expression, so no FMA can form).
+// They are bit-identical to the per-element Apply mirrors. A NaN scalar
+// operand sends the call to the per-element mirror; with any other
+// scalar, at most one operand of an element can be a NaN, which needs
+// no rule. So only the vector–vector add and mul loops check their
+// result for FirstNaN, a check ordinary data never takes.
+
+// ElemApplyMany sets ys[i] = ElemApply(op, a_i, b_i) for every i, where
+// a_i is as[i], or the scalar sa when as is nil, and b_i is bs[i] or
+// sb likewise. Vector operands hold at least len(ys) elements.
+func ElemApplyMany(op ElemOp, ys, as, bs []float32, sa, sb float32) {
+	switch {
+	case as != nil && bs != nil:
+		elemVV(op, ys, as, bs)
+	case as != nil && sb == sb:
+		elemVS(op, ys, as, sb)
+	case bs != nil && sa == sa:
+		elemSV(op, ys, sa, bs)
+	default:
+		// A NaN scalar (or two scalars): FirstNaN decides per element.
+		for i := range ys {
+			a, b := sa, sb
+			if as != nil {
+				a = as[i]
+			}
+			if bs != nil {
+				b = bs[i]
+			}
+			ys[i] = ElemApply(op, a, b)
+		}
+	}
+}
+
+// elemVV is ElemApplyMany with two vector operands.
+func elemVV(op ElemOp, ys, as, bs []float32) {
+	as, bs = as[:len(ys)], bs[:len(ys)]
+	switch op {
+	case ElemAdd:
+		for i := range ys {
+			r := as[i] + bs[i]
+			if r != r {
+				r = FirstNaN(as[i], bs[i], r)
+			}
+			ys[i] = r
+		}
+	case ElemSub:
+		for i := range ys {
+			ys[i] = as[i] - bs[i]
+		}
+	case ElemMul:
+		for i := range ys {
+			r := as[i] * bs[i]
+			if r != r {
+				r = FirstNaN(as[i], bs[i], r)
+			}
+			ys[i] = r
+		}
+	case ElemDiv:
+		for i := range ys {
+			ys[i] = as[i] / bs[i]
+		}
+	case ElemMax:
+		for i := range ys {
+			ys[i] = maxSelect(as[i], bs[i])
+		}
+	default:
+		panic("core: bad elem op")
+	}
+}
+
+// elemVS is ElemApplyMany with a vector a and a non-NaN scalar b.
+func elemVS(op ElemOp, ys, as []float32, b float32) {
+	as = as[:len(ys)]
+	switch op {
+	case ElemAdd:
+		for i := range ys {
+			ys[i] = as[i] + b
+		}
+	case ElemSub:
+		for i := range ys {
+			ys[i] = as[i] - b
+		}
+	case ElemMul:
+		for i := range ys {
+			ys[i] = as[i] * b
+		}
+	case ElemDiv:
+		for i := range ys {
+			ys[i] = as[i] / b
+		}
+	case ElemMax:
+		for i := range ys {
+			ys[i] = maxSelect(as[i], b)
+		}
+	default:
+		panic("core: bad elem op")
+	}
+}
+
+// elemSV is ElemApplyMany with a non-NaN scalar a and a vector b. Add
+// and mul run elemVS with the operands swapped: since a is not a NaN,
+// at most one operand of an element is, and IEEE add and mul are then
+// bit-for-bit commutative, signed zeros included.
+func elemSV(op ElemOp, ys []float32, a float32, bs []float32) {
+	bs = bs[:len(ys)]
+	switch op {
+	case ElemAdd, ElemMul:
+		elemVS(op, ys, bs, a)
+	case ElemSub:
+		for i := range ys {
+			ys[i] = a - bs[i]
+		}
+	case ElemDiv:
+		for i := range ys {
+			ys[i] = a / bs[i]
+		}
+	case ElemMax:
+		for i := range ys {
+			ys[i] = maxSelect(a, bs[i])
+		}
+	default:
+		panic("core: bad elem op")
+	}
+}
+
+// maxSelect is ElemApply's max as a bit select on the compare, so the
+// element loops do not branch on random data: b when a < b, else a
+// (ties and unordered compares keep a).
+func maxSelect(a, b float32) float32 {
+	var m uint32
+	if a < b {
+		m = ^uint32(0)
+	}
+	return math.Float32frombits(math.Float32bits(a)&^m | math.Float32bits(b)&m)
+}
+
+// ReduceApplyMany folds xs into acc in element order — bit-identical
+// to ReduceApply over each x in turn. A sum that comes out NaN is
+// folded again through ReduceApply, whose FirstNaN decides which of
+// two NaNs survives.
+func ReduceApplyMany(op ReduceOp, acc float32, xs []float32) float32 {
+	if op == ReduceMax {
+		for _, x := range xs {
+			if acc < x {
+				acc = x
+			}
+		}
+		return acc
+	}
+	s := acc
+	for _, x := range xs {
+		s += x
+	}
+	if s != s {
+		for _, x := range xs {
+			acc = ReduceApply(ReduceSum, acc, x)
+		}
+		return acc
+	}
+	return s
 }
 
 // ChargeElem bulk-charges n applications of the elementwise op —

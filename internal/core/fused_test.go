@@ -50,9 +50,9 @@ func TestElemApplyMirrorsElemEval(t *testing.T) {
 	model := pimsim.Default()
 	f := NewFusedOperator(model)
 	rec := pimsim.NewSigRecorder(model)
-	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
-	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 2.5, -3.25, 1e-30, 1e30, inf, -inf, nan}
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 2.5, -3.25, 1e-30, 1e30, inf, -inf,
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), math.Float32frombits(0x7fc00001)}
 	for op := ElemOp(0); op < NumElemOps; op++ {
 		for _, a := range vals {
 			for _, b := range vals {
@@ -88,6 +88,126 @@ func TestReduceApplyMirrorsReduceEval(t *testing.T) {
 					op, x, math.Float32bits(dev), math.Float32bits(host))
 			}
 		}
+	}
+}
+
+// edgeGrid holds the operands the slice-kernel tests pair up: signed
+// zeros, ones, infinities and extremes, the smallest subnormal, three
+// distinct quiet NaNs and two signalling NaNs.
+func edgeGrid() []float32 {
+	bits := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x3f800000, 0xbf800000, // ±1
+		0x7f800000, 0xff800000, // ±Inf
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+		0x00000001,                         // smallest subnormal
+		0x7fc00000, 0xffc00000, 0x7fc00001, // quiet NaNs
+		0x7f800001, 0xffa00000, // signalling NaNs
+	}
+	g := make([]float32, len(bits))
+	for i, b := range bits {
+		g[i] = math.Float32frombits(b)
+	}
+	return g
+}
+
+// kernelLengths are the slice lengths the kernel tests run: empty, one
+// element, a short odd tail and a full default-config lane chunk.
+var kernelLengths = []int{0, 1, 7, 1024}
+
+// TestElemApplyManyMirrorsElemApply: every op × operand shape of the
+// slice kernel agrees bit for bit with ElemApply and with the device's
+// ElemEval, on every pair of grid values, in every element position.
+func TestElemApplyManyMirrorsElemApply(t *testing.T) {
+	f := NewFusedOperator(pimsim.Default())
+	rec := pimsim.NewSigRecorder(pimsim.Default())
+	grid := edgeGrid()
+	g := len(grid)
+	check := func(op ElemOp, shape string, ys, as, bs []float32, sa, sb float32) {
+		t.Helper()
+		ElemApplyMany(op, ys, as, bs, sa, sb)
+		for i, y := range ys {
+			a, b := sa, sb
+			if as != nil {
+				a = as[i]
+			}
+			if bs != nil {
+				b = bs[i]
+			}
+			host, dev := ElemApply(op, a, b), f.ElemEval(rec, op, a, b)
+			if math.Float32bits(y) != math.Float32bits(host) || math.Float32bits(host) != math.Float32bits(dev) {
+				t.Fatalf("%v %s [%d] (%#x, %#x): kernel %#x, ElemApply %#x, ElemEval %#x", op, shape, i,
+					math.Float32bits(a), math.Float32bits(b), math.Float32bits(y), math.Float32bits(host), math.Float32bits(dev))
+			}
+		}
+	}
+	for op := ElemOp(0); op < NumElemOps; op++ {
+		for _, n := range kernelLengths {
+			ys := make([]float32, n)
+			as := make([]float32, n)
+			bs := make([]float32, n)
+			// Element i holds pair (p+i) mod g², so over the starts p
+			// every pair of grid values lands in every position.
+			for p := 0; p < g*g; p++ {
+				for i := range as {
+					k := (p + i) % (g * g)
+					as[i], bs[i] = grid[k%g], grid[k/g]
+				}
+				check(op, "vector-vector", ys, as, bs, 0, 0)
+			}
+			for _, s := range grid {
+				for p := 0; p < g; p++ {
+					for i := range as {
+						as[i] = grid[(p+i)%g]
+					}
+					check(op, "vector-scalar", ys, as, nil, 0, s)
+					check(op, "scalar-vector", ys, nil, as, s, 0)
+				}
+			}
+		}
+	}
+}
+
+// TestReduceApplyManyMirrorsReduceApply: the slice reduction folds in
+// element order, bit for bit the ReduceApply and ReduceEval folds, from
+// every grid accumulator over every run of grid values — so a sum
+// that meets two NaNs keeps the first.
+func TestReduceApplyManyMirrorsReduceApply(t *testing.T) {
+	f := NewFusedOperator(pimsim.Default())
+	rec := pimsim.NewSigRecorder(pimsim.Default())
+	grid := edgeGrid()
+	check := func(op ReduceOp, acc float32, xs []float32) {
+		t.Helper()
+		host, dev := acc, acc
+		for _, x := range xs {
+			host = ReduceApply(op, host, x)
+			dev = f.ReduceEval(rec, op, dev, x)
+		}
+		got := ReduceApplyMany(op, acc, xs)
+		if math.Float32bits(got) != math.Float32bits(host) || math.Float32bits(host) != math.Float32bits(dev) {
+			t.Fatalf("reduce-%v from %#x over %d elements starting %v: kernel %#x, ReduceApply %#x, ReduceEval %#x",
+				op, math.Float32bits(acc), len(xs), xs[:min(len(xs), 3)], math.Float32bits(got), math.Float32bits(host), math.Float32bits(dev))
+		}
+	}
+	for op := ReduceOp(0); op < NumReduceOps; op++ {
+		for _, n := range kernelLengths {
+			xs := make([]float32, n)
+			for _, acc := range append([]float32{ReduceInit(op)}, grid...) {
+				for p := range grid {
+					for i := range xs {
+						xs[i] = grid[(p+i)%len(grid)]
+					}
+					check(op, acc, xs)
+				}
+			}
+		}
+	}
+	// Float32 addition is not associative: in element order this sum is
+	// 0, and a pairwise or two-accumulator sum would return 1.
+	order := []float32{1e8, 1, -1e8}
+	check(ReduceSum, 0, order)
+	if got := ReduceApplyMany(ReduceSum, 0, order); got != 0 {
+		t.Fatalf("in-order sum of %v = %g, want 0", order, got)
 	}
 }
 

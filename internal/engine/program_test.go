@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -504,5 +505,109 @@ func TestProgramValidation(t *testing.T) {
 	// Arity mismatch.
 	if _, _, err := e.EvaluateProgramTenant("", prog, nil, nil); err == nil {
 		t.Fatal("accepted a program evaluation with no inputs")
+	}
+}
+
+// TestProgramEveryShape: every single-step program returns the same
+// bits on a fast engine, on a Reference engine and through the per-op
+// baseline, and charges each request the same kernel cycles fast and
+// reference. The programs are each element-wise op with two vector
+// operands, a vector and a runtime scalar, and a scalar and a vector,
+// plus both reductions; the scalar is 0.5 or one of two distinct NaNs.
+// The inputs pair every edge value with every other, so the same
+// element of x and y holds two distinct NaNs, where only FirstNaN
+// makes the fast kernels and the interpreted path agree.
+func TestProgramEveryShape(t *testing.T) {
+	grid := []float32{0, float32(math.Copysign(0, -1)), 1, -1,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32,
+		math.Float32frombits(0x00000001),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), math.Float32frombits(0x7fc00001),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xffa00000)}
+	g := len(grid)
+	n := g*g + 3 // every pair, and a lane split that pads
+	x := make([]float32, n)
+	y := make([]float32, n)
+	for i := range x {
+		k := i % (g * g)
+		x[i], y[i] = grid[k%g], grid[k/g]
+	}
+	scalars := []float32{0.5, math.Float32frombits(0xffc00000), math.Float32frombits(0x7fc00001)}
+
+	type step func(p *fusion.Program, x, y, s fusion.Value) fusion.Value
+	var names []string
+	var steps []step
+	elems := []func(p *fusion.Program, a, b fusion.Value) fusion.Value{
+		(*fusion.Program).Add, (*fusion.Program).Sub, (*fusion.Program).Mul,
+		(*fusion.Program).Div, (*fusion.Program).Max,
+	}
+	for op, elem := range elems {
+		elem := elem
+		name := core.ElemOp(op).String()
+		names = append(names, name+"/vector-vector", name+"/vector-scalar", name+"/scalar-vector")
+		steps = append(steps,
+			func(p *fusion.Program, x, y, s fusion.Value) fusion.Value { return elem(p, x, y) },
+			func(p *fusion.Program, x, y, s fusion.Value) fusion.Value { return elem(p, x, s) },
+			func(p *fusion.Program, x, y, s fusion.Value) fusion.Value { return elem(p, s, x) })
+	}
+	names = append(names, "reduce-sum", "reduce-max")
+	steps = append(steps,
+		func(p *fusion.Program, x, y, s fusion.Value) fusion.Value { return p.ReduceSum(x) },
+		func(p *fusion.Program, x, y, s fusion.Value) fusion.Value { return p.ReduceMax(x) })
+
+	cfg := Config{DPUs: 4, Shards: 1, MaxBatch: 4096}
+	fast, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+	cfg.Reference = true
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	firstDiff := func(a, b []float32) int {
+		if len(a) != len(b) {
+			return 0
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	for k, build := range steps {
+		p := fusion.NewProgram(names[k])
+		xv, yv, sv := p.Input(), p.Input(), p.ScalarInput()
+		p.Return(build(p, xv, yv, sv))
+		prog, err := fast.CompileProgram(p, progParams())
+		if err != nil {
+			t.Fatalf("%s: compile: %v", names[k], err)
+		}
+		for _, s := range scalars {
+			label := fmt.Sprintf("%s, scalar %#x", names[k], math.Float32bits(s))
+			in, sc := [][]float32{x, y}, []float32{s}
+			fused, fst, err := fast.EvaluateProgram(prog, in, sc)
+			if err != nil {
+				t.Fatalf("%s: fast: %v", label, err)
+			}
+			interp, rst, err := ref.EvaluateProgram(prog, in, sc)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			perOp, _, err := fast.EvaluateProgramPerOp("", prog, in, sc)
+			if err != nil {
+				t.Fatalf("%s: per-op: %v", label, err)
+			}
+			if i := firstDiff(fused, interp); i >= 0 {
+				t.Errorf("%s: fast [%d] = %#x, reference %#x", label, i, math.Float32bits(fused[i]), math.Float32bits(interp[i]))
+			}
+			if i := firstDiff(fused, perOp); i >= 0 {
+				t.Errorf("%s: fast [%d] = %#x, per-op %#x", label, i, math.Float32bits(fused[i]), math.Float32bits(perOp[i]))
+			}
+			sameKernelCycles(t, []RequestStats{fst.RequestStats}, []RequestStats{rst.RequestStats})
+		}
 	}
 }

@@ -106,6 +106,25 @@ func Ldexp(f float32, n int) float32 {
 	}
 }
 
+// LdexpMany sets ys[i] = Ldexp(ys[i], int(ns[i])) for every i, in
+// place; ns holds at least len(ys) exponents. A normal ys[i] whose
+// scaled exponent stays normal takes one integer add on the exponent
+// field; every other element calls Ldexp. The scaled exponent is
+// computed in int, so saturated scales (±2³¹) cannot wrap.
+func LdexpMany(ys []float32, ns []int32) {
+	ns = ns[:len(ys)]
+	for i, y := range ys {
+		b := Bits(y)
+		n := int(ns[i])
+		e := int(b>>MantBits) & 0xFF
+		if uint(e-1) < ExpMax-1 && uint(e+n-1) < ExpMax-1 {
+			ys[i] = FromBits(b + uint32(n)<<MantBits)
+		} else {
+			ys[i] = Ldexp(y, n)
+		}
+	}
+}
+
 // LdexpWindow returns the inclusive biased-exponent window [lo, hi]
 // for which Ldexp(x, n) reduces to a single integer add on the
 // exponent field: a normal input whose scaled result is also normal.

@@ -237,3 +237,48 @@ func TestScalbnAlias(t *testing.T) {
 		t.Error("Scalbn should equal Ldexp")
 	}
 }
+
+// TestLdexpManyMatchesLdexp sweeps the slice ldexp over every sign and
+// exponent field, with significands 0, 1, 0x400000 and 0x7FFFFF, and
+// every exponent n in [−300, 300] plus the int32 extremes and ±2²⁰:
+// each element must equal Ldexp bit for bit. Each call also carries a
+// mixed-exponent slice, so neighbouring elements take different paths.
+func TestLdexpManyMatchesLdexp(t *testing.T) {
+	var xs []float32
+	for sign := uint32(0); sign < 2; sign++ {
+		for exp := uint32(0); exp <= ExpMax; exp++ {
+			for _, mant := range []uint32{0, 1, 0x400000, 0x7FFFFF} {
+				xs = append(xs, FromBits(sign<<31|exp<<MantBits|mant))
+			}
+		}
+	}
+	var steps []int32
+	for n := int32(-300); n <= 300; n++ {
+		steps = append(steps, n)
+	}
+	steps = append(steps, math.MinInt32, math.MaxInt32, 1<<20, -1<<20)
+	ys := make([]float32, len(xs))
+	ns := make([]int32, len(xs))
+	check := func() {
+		t.Helper()
+		copy(ys, xs)
+		LdexpMany(ys, ns)
+		for i, x := range xs {
+			if want := Ldexp(x, int(ns[i])); Bits(ys[i]) != Bits(want) {
+				t.Fatalf("LdexpMany(%#x, %d) = %#x, Ldexp %#x", Bits(x), ns[i], Bits(ys[i]), Bits(want))
+			}
+		}
+	}
+	for _, n := range steps {
+		for i := range ns {
+			ns[i] = n
+		}
+		check()
+	}
+	for k := range steps {
+		for i := range ns {
+			ns[i] = steps[(k+i)%len(steps)]
+		}
+		check()
+	}
+}

@@ -58,3 +58,26 @@ func FuzzFrexp(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLdexpMany cross-checks the slice ldexp against Ldexp over
+// arbitrary bit patterns and exponents, the int32 extremes included.
+func FuzzLdexpMany(f *testing.F) {
+	f.Add(uint32(0x3F800000), int32(10))            // 1.0
+	f.Add(uint32(0x00000001), int32(-5))            // smallest subnormal
+	f.Add(uint32(0x7F7FFFFF), int32(1))             // max finite overflows
+	f.Add(uint32(0x00800000), int32(-1))            // min normal to subnormal
+	f.Add(uint32(0x3FB504F3), int32(math.MaxInt32)) // saturated exp scale
+	f.Add(uint32(0x3FB504F3), int32(math.MinInt32))
+	f.Add(uint32(0xFFA00000), int32(3)) // signalling NaN
+	f.Fuzz(func(t *testing.T, bitsIn uint32, n int32) {
+		x := FromBits(bitsIn)
+		ys := []float32{x, x, x}
+		ns := []int32{n, 0, -n}
+		LdexpMany(ys, ns)
+		for i, y := range ys {
+			if want := Ldexp(x, int(ns[i])); Bits(y) != Bits(want) {
+				t.Fatalf("LdexpMany(%#x, %d) = %#x, Ldexp %#x", bitsIn, ns[i], Bits(y), Bits(want))
+			}
+		}
+	})
+}

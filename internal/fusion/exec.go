@@ -148,9 +148,11 @@ func (ex *Exec) evalScalars() {
 // vector operand, the per-element op work, the per-element streaming
 // overhead, and one MRAM stream-out per materialized vector. Lanes own
 // disjoint element windows and disjoint partial slots, so concurrent
-// RunLane calls for different lanes are safe. fast selects the PR 3/8
-// bulk-signature path; false walks the interpreted per-element
-// reference — outputs and cycle totals are bit-identical either way.
+// RunLane calls for different lanes are safe. fast selects the
+// bulk-signature path, whose element-wise and reduction steps run the
+// core.ElemApplyMany/ReduceApplyMany slice kernels; false walks the
+// interpreted per-element reference — outputs and cycle totals are
+// bit-identical either way.
 func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast bool) {
 	lo := lane * ex.per
 	if lo >= ex.n {
@@ -196,24 +198,22 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 			} else {
 				bs = ex.vec[st.b][lo : lo+count]
 			}
-			av := func(i int) float32 {
-				if as == nil {
-					return sa
-				}
-				return as[i]
-			}
-			bv := func(i int) float32 {
-				if bs == nil {
-					return sb
-				}
-				return bs[i]
-			}
 			if fast {
-				for i := 0; i < count; i++ {
-					ys[i] = core.ElemApply(st.eop, av(i), bv(i))
-				}
+				core.ElemApplyMany(st.eop, ys, as, bs, sa, sb)
 				fop.ChargeElem(ctx, st.eop, uint64(count))
 			} else {
+				av := func(i int) float32 {
+					if as == nil {
+						return sa
+					}
+					return as[i]
+				}
+				bv := func(i int) float32 {
+					if bs == nil {
+						return sb
+					}
+					return bs[i]
+				}
 				for i := 0; i < count; i++ {
 					ys[i] = fop.ElemEval(ctx, st.eop, av(i), bv(i))
 				}
@@ -222,9 +222,7 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 			xs := ex.vec[st.a][lo : lo+count]
 			acc := core.ReduceInit(st.rop)
 			if fast {
-				for _, x := range xs {
-					acc = core.ReduceApply(st.rop, acc, x)
-				}
+				acc = core.ReduceApplyMany(st.rop, acc, xs)
 				fop.ChargeReduce(ctx, st.rop, uint64(count))
 			} else {
 				for _, x := range xs {

@@ -175,9 +175,12 @@ func TestLaunchRecords(t *testing.T) {
 }
 
 // TestLaunchAllocs: a warm launch that fills records allocates no more
-// with a fault agent installed than without one — the per-lane marks
-// and verdicts live on the System, not in per-launch slices.
+// with a fault agent installed than without one — the per-lane
+// contexts, marks and verdicts live on the System, not in per-launch
+// values — and either way only its shared worker state and its
+// worker's start (AllocsPerRun runs at GOMAXPROCS 1, so one worker).
 func TestLaunchAllocs(t *testing.T) {
+	const maxAllocs = 2
 	ids := []int{0, 1, 2, 3}
 	lanes := make([]CoreProfile, len(ids))
 	sys := NewSystem(Config{DPUs: len(ids)})
@@ -194,5 +197,8 @@ func TestLaunchAllocs(t *testing.T) {
 	t.Logf("allocs per 4-lane launch: %.0f bare, %.0f with a fault agent", bare, agent)
 	if agent > bare {
 		t.Fatalf("fault agent adds %.0f allocs per launch (bare %.0f)", agent-bare, bare)
+	}
+	if bare > maxAllocs || agent > maxAllocs {
+		t.Fatalf("a 4-lane launch allocates %.0f bare and %.0f with a fault agent, want ≤ %d", bare, agent, maxAllocs)
 	}
 }

@@ -65,7 +65,7 @@ func (c Config) withDefaults() Config {
 //     be owned by at most one goroutine at a time. Concurrent
 //     LaunchShardSeq calls are safe when their shards are disjoint: a
 //     launch touches only its own cores' entries of the per-core
-//     launch scratch (marks, verdicts).
+//     launch state (ctxs, marks, verdicts).
 //   - Mem backing storage grows on demand; a host-side Write racing a
 //     kernel on the same core can reallocate it. Owners that overlap
 //     host transfers with kernels on the *same* core must pre-touch
@@ -87,11 +87,14 @@ type System struct {
 	// races safely with in-flight launches.
 	faultAgent atomic.Pointer[faultAgentBox]
 
-	// marks and verdicts are LaunchShardSeq's per-core scratch, indexed
-	// by core id: each lane's accounting before its kernel runs and its
-	// fault verdict for the launch. Owned like the cores themselves, so
-	// disjoint concurrent launches never share an entry and a launch
-	// allocates nothing for them.
+	// ctxs, marks and verdicts are LaunchShardSeq's per-core state,
+	// indexed by core id: the execution context each lane's kernel runs
+	// with (its MRAM staging buffer persists across launches), each
+	// lane's accounting before its kernel runs, and its fault verdict
+	// for the launch. Owned like the cores themselves, so disjoint
+	// concurrent launches never share an entry and a launch allocates
+	// nothing for them.
+	ctxs     []Ctx
 	marks    []acct
 	verdicts []LaunchVerdict
 
@@ -107,11 +110,13 @@ func NewSystem(cfg Config) *System {
 	s := &System{
 		cfg:      cfg,
 		dpus:     make([]*DPU, cfg.DPUs),
+		ctxs:     make([]Ctx, cfg.DPUs),
 		marks:    make([]acct, cfg.DPUs),
 		verdicts: make([]LaunchVerdict, cfg.DPUs),
 	}
 	for i := range s.dpus {
 		s.dpus[i] = NewDPU(i, cfg.Cost, cfg.Tasklets)
+		s.ctxs[i].d = s.dpus[i]
 	}
 	return s
 }
@@ -147,7 +152,7 @@ func (s *System) Launch(kernel func(ctx *Ctx, dpuID int) error) error {
 // LaunchShardSeq runs kernel on the listed PIM cores only — a
 // rank-level launch — and measures it. Kernels for distinct cores run
 // concurrently on the host (bounded by GOMAXPROCS); each kernel sees
-// its own Ctx. It blocks until all kernels complete.
+// its core's Ctx. It blocks until all kernels complete.
 //
 // seq and attempt identify the launch to the installed FaultAgent (if
 // any), consulted once per lane before the kernels start. Failed lanes
@@ -182,38 +187,14 @@ func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, lanes []CoreProf
 			s.verdicts[i] = agent.Launch(seq, attempt, k)
 		}
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-	)
+	// The launching goroutine only waits; every lane runs on a worker.
+	r := &launchRun{s: s, ids: ids, kernel: kernel}
+	r.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				k := next
-				next++
-				mu.Unlock()
-				if k >= len(ids) {
-					return
-				}
-				i := ids[k]
-				if s.verdicts[i].Fail {
-					continue // injected hard failure: the kernel never runs
-				}
-				if e := kernel(s.dpus[i].NewCtx(), i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = fmt.Errorf("pimsim: dpu %d: %w", i, e)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
+		go r.work()
 	}
-	wg.Wait()
+	r.wg.Wait()
+	err = r.err
 	// Fold each lane's delta once, scaling a slowed lane's issue and DMA
 	// cycles on the core too so later readers of its counters see the
 	// modeled (slowed) cycles, and collect the failed lanes.
@@ -248,6 +229,42 @@ func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, lanes []CoreProf
 		return wall, &LaunchError{Seq: seq, Attempt: attempt, Lanes: failed}
 	}
 	return wall, nil
+}
+
+// launchRun is one launch's shared worker state, allocated once per
+// launch: the workers claim lanes from an atomic counter and keep the
+// first kernel error.
+type launchRun struct {
+	s      *System
+	ids    []int
+	kernel func(ctx *Ctx, dpuID int) error
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	mu     sync.Mutex // guards err
+	err    error
+}
+
+// work runs lanes until none is left, then signals the launch.
+func (r *launchRun) work() {
+	defer r.wg.Done()
+	s := r.s
+	for {
+		k := int(r.next.Add(1) - 1)
+		if k >= len(r.ids) {
+			return
+		}
+		i := r.ids[k]
+		if s.verdicts[i].Fail {
+			continue // injected hard failure: the kernel never runs
+		}
+		if e := r.kernel(&s.ctxs[i], i); e != nil {
+			r.mu.Lock()
+			if r.err == nil {
+				r.err = fmt.Errorf("pimsim: dpu %d: %w", i, e)
+			}
+			r.mu.Unlock()
+		}
+	}
 }
 
 // AttributedKernelCycles returns the total wall cycles of every launch
