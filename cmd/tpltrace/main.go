@@ -2,10 +2,9 @@
 // engine and writes the retained request span trees as a Chrome
 // trace_event JSON file, loadable in about:tracing or Perfetto
 // (ui.perfetto.dev). Each request becomes one process row (pid =
-// trace id); within it, spans land on the shard's track (tid), so the
-// enqueue → transfer-in → setup → kernel → transfer-out pipeline and
-// the double-buffer overlap between consecutive batches are visible
-// on a real timeline.
+// trace id); within it, spans land on the shard's track (tid), so each
+// batch's enqueue → transfer-in → setup → kernel → transfer-out
+// sequence is visible on a real timeline.
 //
 // With -replicas N > 1 the workload runs through a routed cluster
 // instead: each trace is then one connected tree — the cluster root

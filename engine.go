@@ -16,12 +16,13 @@ import (
 var ErrEngineClosed = engine.ErrEngineClosed
 
 // EngineConfig configures a serving Engine. The zero value is an
-// 8-core system split into 2 shards with double-buffered pipelines.
+// 8-core system split into 2 shards, each running one batch at a time
+// to completion.
 type EngineConfig struct {
 	// DPUs is the number of simulated PIM cores (default 8).
 	DPUs int
-	// Shards is the number of independent pipeline groups; DPUs must
-	// be divisible by Shards (default: 2 when DPUs is even, else 1).
+	// Shards is the number of independent core groups; DPUs must be
+	// divisible by Shards (default: 2 when DPUs is even, else 1).
 	Shards int
 	// MaxBatch bounds the elements dispatched as one batch (default
 	// 4096); larger requests split, smaller concurrent ones coalesce.
@@ -32,9 +33,6 @@ type EngineConfig struct {
 	// QueueDepth bounds pending requests; callers block when full
 	// (default 64).
 	QueueDepth int
-	// Buffers is the number of MRAM I/O buffer slots per shard
-	// (default 2: transfer-in double-buffers against compute).
-	Buffers int
 	// TraceDepth retains the span trees of the last N completed
 	// requests, readable via TraceLast/Traces and servable at
 	// /debug/trace (default 0: tracing disabled, no per-stage
@@ -242,7 +240,6 @@ func (cfg EngineConfig) internal() (engine.Config, error) {
 		MaxBatch:    cfg.MaxBatch,
 		BatchWindow: cfg.BatchWindow,
 		QueueDepth:  cfg.QueueDepth,
-		Buffers:     cfg.Buffers,
 		TraceDepth:  cfg.TraceDepth,
 		ProcName:    cfg.ProcName,
 		Ledger:      cfg.Ledger,

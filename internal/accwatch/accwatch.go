@@ -231,7 +231,7 @@ type Exemplar struct {
 }
 
 // Watcher is the online accuracy monitor. Create with New; Sample is
-// safe for concurrent use from the engine's drain stages.
+// safe for concurrent use from the engine's shard goroutines.
 type Watcher struct {
 	cfg Config
 	log *slog.Logger

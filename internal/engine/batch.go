@@ -49,8 +49,8 @@ type request struct {
 
 // complete records one drained batch against the request. It reports
 // whether this was the request's last outstanding segment; the caller
-// (the drain stage) finishes the request — latency observation, trace
-// assembly, closing done — outside the lock.
+// (the shard that drained it) finishes the request — latency
+// observation, trace assembly, closing done — outside the lock.
 func (r *request) complete(b *batch, shardID int) (last bool) {
 	r.mu.Lock()
 	if b.err != nil && r.err == nil {
@@ -97,9 +97,9 @@ type seg struct {
 	cycles uint64 // its shares of the batch's launches (Engine.launch)
 }
 
-// batch is the pipeline's unit of work: same-spec segments coalesced
-// up to MaxBatch elements, dispatched to one shard, and carried
-// through transfer-in → compute → transfer-out.
+// batch is the engine's unit of work: same-spec segments coalesced up
+// to MaxBatch elements, dispatched to one shard, and run there through
+// transfer-in → compute → transfer-out.
 type batch struct {
 	spec Spec
 	segs []seg
@@ -109,8 +109,7 @@ type batch struct {
 	// clock fault-injection decisions key on. Assigned by the batcher.
 	seq uint64
 
-	// Set by the pipeline stages.
-	slot   int     // shard buffer slot held while in flight
+	// Set by the serving shard.
 	perDPU int     // elements per core after shard planning (or remapping)
 	hit    bool    // tables were resident on the serving shard
 	setup  float64 // modeled setup charged (cache miss only)
@@ -145,7 +144,7 @@ type batch struct {
 }
 
 // batchPool recycles drained batches (and their segment slices) so the
-// steady-state pipeline allocates nothing per batch. A drained batch's
+// steady state allocates nothing per batch. A drained batch's
 // trace stamps are copied into its requests' records, so traced
 // batches are recycled too.
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
@@ -164,10 +163,10 @@ func releaseBatch(b *batch) { batchPool.Put(b) }
 
 // planBatches packs same-spec requests into batches of at most
 // maxBatch elements, splitting oversized requests across several
-// batches, and records each request's outstanding segment count. Pure
-// packing logic, separated from the batcher goroutine for testing.
-func planBatches(spec Spec, reqs []*request, maxBatch int) []*batch {
-	var out []*batch
+// batches, appends them to out, and records each request's outstanding
+// segment count. Pure packing logic, separated from the batcher
+// goroutine for testing; the batcher passes a slice it reuses.
+func planBatches(out []*batch, spec Spec, reqs []*request, maxBatch int) []*batch {
 	b := newBatch(spec)
 	for _, r := range reqs {
 		segments := 0

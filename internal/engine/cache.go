@@ -55,9 +55,9 @@ func newTableCache() *tableCache {
 // plus broadcast on the first build, broadcast only for an extra
 // shard, zero on a hit).
 //
-// ensure is called from a shard's compute stage, which owns the
-// shard's cores and all their MRAM access, so loading tables into
-// their memories is safe. The entry lock is held across the build:
+// ensure is called from a shard's goroutine, which owns the shard's
+// cores and all their MRAM access, so loading tables into their
+// memories is safe. The entry lock is held across the build:
 // concurrent requests for the same spec on other shards wait for the
 // generation artifact instead of regenerating it.
 func (c *tableCache) ensure(spec Spec, s *shard) (ops []*core.Operator, hit bool, setupSeconds float64, err error) {

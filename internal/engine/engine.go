@@ -8,18 +8,18 @@
 // cost entirely; it coalesces concurrent small requests into batches
 // and shards each batch across a group of PIM cores with equal-size
 // (padded) per-bank buffers, preserving the parallel-transfer
-// semantics of §2.1; and it pipelines host→PIM transfer against
-// kernel execution with a bounded buffer-slot pool per shard
-// (transfer-in / compute / transfer-out stages, backpressure all the
-// way to the caller). Every request reports its wall-clock latency
-// plus the modeled per-stage costs; the engine accumulates fleet-wide
+// semantics of §2.1. Like the paper's host program, each shard runs a
+// batch to completion — transfer-in, compute, transfer-out — before it
+// takes the next; the shards run in parallel, and a full submit queue
+// blocks the caller. Every request reports its wall-clock latency plus
+// the modeled per-stage costs; the engine accumulates fleet-wide
 // counters.
 //
-// Concurrency discipline (see pimsim.System): each shard's cores are
-// owned by that shard's pipeline; the transfer clock is shared and
-// internally locked; the compute stage owns all MRAM access — table
-// builds, scrubbing and the interpreted lanes' I/O buffers — so the
-// transfer stages, which overlap it, touch only host memory.
+// Concurrency discipline (see pimsim.System): each shard's goroutine
+// owns the shard's cores, all their MRAM access (table builds,
+// scrubbing, the interpreted lanes' I/O buffers) and the crew of lane
+// workers its launches run on; the transfer clock is shared and
+// internally locked.
 package engine
 
 import (
@@ -32,6 +32,7 @@ import (
 	"transpimlib/internal/accwatch"
 	"transpimlib/internal/core"
 	"transpimlib/internal/faultsim"
+	"transpimlib/internal/fusion"
 	"transpimlib/internal/lut"
 	"transpimlib/internal/pimsim"
 	"transpimlib/internal/profiler"
@@ -45,8 +46,8 @@ var ErrEngineClosed = errors.New("engine: closed")
 type Config struct {
 	// DPUs is the total number of simulated PIM cores (default 8).
 	DPUs int
-	// Shards is the number of independent pipeline groups the cores
-	// are divided into; batches are load-balanced across shards. DPUs
+	// Shards is the number of independent core groups the cores are
+	// divided into; batches are load-balanced across shards. DPUs
 	// must be divisible by Shards. Default: 2 when DPUs is even and
 	// >1, else 1.
 	Shards int
@@ -61,9 +62,6 @@ type Config struct {
 	// QueueDepth bounds the submit queue; callers block (backpressure)
 	// when it is full. Default 64.
 	QueueDepth int
-	// Buffers is the number of MRAM I/O buffer slots per shard; 2 (the
-	// default) double-buffers transfer-in against compute.
-	Buffers int
 	// Cost selects the machine profile (zero value: the UPMEM-like
 	// default).
 	Cost pimsim.CostModel
@@ -143,35 +141,32 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Buffers <= 0 {
-		c.Buffers = 2
-	}
 	if c.Cost == (pimsim.CostModel{}) {
 		c.Cost = pimsim.Default()
 	}
 	return c
 }
 
-// shard is one pipeline group: a contiguous range of cores with its
-// own buffer slots and stage channels.
+// shard is one group of cores: a contiguous range served by one
+// goroutine (serveShard), which runs one batch at a time.
 type shard struct {
 	id   int
 	ids  []int // global core ids (contiguous)
 	dpus []*pimsim.DPU
+	// crew runs the shard's launches on lane workers started once.
+	crew *pimsim.Crew
 
-	capPerDPU int // elements per core per slot
-	// inAddr/outAddr are [slot][localCore] MRAM addresses of the
-	// interpreted lanes' I/O buffers, allocated and pre-touched at
-	// construction.
-	inAddr  [][]int
-	outAddr [][]int
+	capPerDPU int // elements per core
+	// inAddr/outAddr are the per-core MRAM addresses of the interpreted
+	// lanes' I/O buffers, allocated and pre-touched at construction.
+	inAddr  []int
+	outAddr []int
 
-	// inBuf/outBuf are [slot] flat host staging buffers in chunk-major
-	// order (chunk j owns [j·per, (j+1)·per)), sized capPerDPU·cores: a
+	// inBuf/outBuf are flat host staging buffers in chunk-major order
+	// (chunk j owns [j·per, (j+1)·per)), sized capPerDPU·cores: a
 	// coalesced batch's segments pack into them with contiguous copies.
-	// A slot's staging is owned by the batch holding the slot.
-	inBuf  [][]float32
-	outBuf [][]float32
+	inBuf  []float32
+	outBuf []float32
 	// arena is per-local-core classifier scratch for the fused batch
 	// kernels' SoA lanes, pre-grown to capPerDPU at construction so
 	// steady-state batches allocate nothing. Indexed by serving lane,
@@ -185,13 +180,21 @@ type shard struct {
 	lanes []pimsim.CoreProfile
 	lctx  profiler.LaunchContext
 
-	slots chan int    // free buffer slots (the double-buffer pool)
-	mid   chan *batch // transfer-in → compute
-	out   chan *batch // compute → transfer-out
+	// batchKernel and programKernel are the shard's launch kernels,
+	// built once so that a launch allocates nothing (see newBatchKernel
+	// and newProgramKernel). They read the batch in flight from cur, ops
+	// and per, or ex and phase, which the compute path sets before each
+	// launch and serveShard clears after the batch.
+	batchKernel, programKernel func(*pimsim.Ctx, int) error
+	cur                        *batch
+	ops                        []*core.Operator
+	per                        int
+	ex                         *fusion.Exec
+	phase                      int
 
 	// plans memoizes each spec's resolved operators on this shard (see
-	// batchOps). Only the shard's compute stage touches it, so it needs
-	// no lock, and it holds at most one entry per spec served here.
+	// batchOps). Only the shard's goroutine touches it, so it needs no
+	// lock, and it holds at most one entry per spec served here.
 	plans map[Spec]plan
 
 	// Per-launch lane scratch for computeBatch's recovery ladder.
@@ -267,8 +270,8 @@ type Engine struct {
 }
 
 // New builds and starts an engine: the PIM system, the per-shard I/O
-// buffers (pre-touched), the batcher, and the three pipeline stages
-// per shard.
+// buffers (pre-touched) and lane workers, the batcher, and one
+// goroutine per shard.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DPUs%cfg.Shards != 0 {
@@ -339,9 +342,10 @@ func New(cfg Config) (*Engine, error) {
 		s := &shard{
 			id:        sID,
 			capPerDPU: capPerDPU,
-			slots:     make(chan int, cfg.Buffers),
-			mid:       make(chan *batch, 1),
-			out:       make(chan *batch, 1),
+			inAddr:    make([]int, perShard),
+			outAddr:   make([]int, perShard),
+			inBuf:     make([]float32, capPerDPU*perShard),
+			outBuf:    make([]float32, capPerDPU*perShard),
 			lanes:     make([]pimsim.CoreProfile, perShard),
 			plans:     make(map[Spec]plan),
 
@@ -353,33 +357,24 @@ func New(cfg Config) (*Engine, error) {
 		}
 		for k := 0; k < perShard; k++ {
 			id := sID*perShard + k
+			d := e.sys.DPU(id)
 			s.ids = append(s.ids, id)
-			s.dpus = append(s.dpus, e.sys.DPU(id))
+			s.dpus = append(s.dpus, d)
 			sc := new(lut.Scratch)
 			sc.Grow(capPerDPU)
 			sc.GrowQ(capPerDPU)
 			sc.GrowT(capPerDPU)
 			s.arena = append(s.arena, sc)
+			s.inAddr[k] = d.MRAM.MustAlloc(capPerDPU * 4)
+			s.outAddr[k] = d.MRAM.MustAlloc(capPerDPU * 4)
+			// Pre-touch so serving a batch never grows the backing
+			// store.
+			d.MRAM.Write(s.inAddr[k], zero)
+			d.MRAM.Write(s.outAddr[k], zero)
 		}
-		s.inAddr = make([][]int, cfg.Buffers)
-		s.outAddr = make([][]int, cfg.Buffers)
-		s.inBuf = make([][]float32, cfg.Buffers)
-		s.outBuf = make([][]float32, cfg.Buffers)
-		for slot := 0; slot < cfg.Buffers; slot++ {
-			s.inAddr[slot] = make([]int, perShard)
-			s.outAddr[slot] = make([]int, perShard)
-			s.inBuf[slot] = make([]float32, capPerDPU*perShard)
-			s.outBuf[slot] = make([]float32, capPerDPU*perShard)
-			for k, d := range s.dpus {
-				s.inAddr[slot][k] = d.MRAM.MustAlloc(capPerDPU * 4)
-				s.outAddr[slot][k] = d.MRAM.MustAlloc(capPerDPU * 4)
-				// Pre-touch so serving a batch never grows the
-				// backing store.
-				d.MRAM.Write(s.inAddr[slot][k], zero)
-				d.MRAM.Write(s.outAddr[slot][k], zero)
-			}
-			s.slots <- slot
-		}
+		s.crew = e.sys.NewCrew(perShard)
+		s.batchKernel = e.newBatchKernel(s)
+		s.programKernel = e.newProgramKernel(s)
 		if e.inj != nil {
 			s.rec = pimsim.NewSigRecorder(cfg.Cost)
 			s.ioEnd = make([]int, perShard)
@@ -395,13 +390,10 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.shards = append(e.shards, s)
 	}
-	e.wg.Add(1)
+	e.wg.Add(1 + len(e.shards))
 	go e.batcher()
 	for _, s := range e.shards {
-		e.wg.Add(3)
-		go e.stageTransferIn(s)
-		go e.stageCompute(s)
-		go e.stageTransferOut(s)
+		go e.serveShard(s)
 	}
 	return e, nil
 }
@@ -446,8 +438,8 @@ func (e *Engine) CachedSpecs() int { return e.cache.size() }
 // retuning its fit). The next request for the spec rebuilds; every
 // compiled batch plan self-invalidates via the bumped table-cache
 // generation, so in-flight batches finish on the old tables (which
-// physically remain — PIM memories never free) and no pipeline stage
-// is paused. Returns whether tables were resident. Safe for
+// physically remain — PIM memories never free) and no shard is
+// paused. Returns whether tables were resident. Safe for
 // concurrent use with serving traffic.
 func (e *Engine) InvalidateTables(fn core.Function, p core.Params) bool {
 	ok := e.cache.invalidate(makeSpec(fn, p))
@@ -481,8 +473,8 @@ func (e *Engine) AccuracyViolations() []accwatch.Violation {
 // EvaluateBatch evaluates fn(x) for every x under the given method
 // parameters and returns the outputs with the request's cost report.
 // It blocks until the result is complete (internally the work is
-// batched, sharded and pipelined with concurrent callers). Safe for
-// concurrent use.
+// batched and sharded with concurrent callers). Safe for concurrent
+// use.
 func (e *Engine) EvaluateBatch(fn core.Function, p core.Params, xs []float32) ([]float32, RequestStats, error) {
 	return e.EvaluateBatchTenant("", fn, p, xs)
 }
@@ -547,7 +539,7 @@ func (e *Engine) evaluate(tenant string, extID uint64, fn core.Function, p core.
 	return r.outputs, r.stats, r.rec, r.err
 }
 
-// Close drains in-flight work and stops the pipeline. Subsequent
+// Close drains in-flight work and stops the shards. Subsequent
 // EvaluateBatch calls fail.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -578,6 +570,9 @@ func (e *Engine) batcher() {
 	// Program requests are never coalesced or split: one batch carries
 	// the whole program so its intermediates stay device-resident.
 	var progs []*request
+	// planned holds one spec's batches from planning to dispatch; like
+	// bySpec's slices it persists, nil'd once its batches are sent.
+	var planned []*batch
 	add := func(r *request) {
 		if r.prog != nil {
 			progs = append(progs, r)
@@ -640,13 +635,15 @@ func (e *Engine) batcher() {
 		}
 		e.met.queueDepth.Set(int64(len(e.submit)))
 		for _, spec := range order {
-			for _, b := range planBatches(spec, bySpec[spec], e.cfg.MaxBatch) {
+			planned = planBatches(planned[:0], spec, bySpec[spec], e.cfg.MaxBatch)
+			for i, b := range planned {
 				e.seq++
 				b.seq = e.seq
 				if e.tracer != nil {
 					b.tr = &b.trace
 				}
 				e.dispatch <- b
+				planned[i] = nil
 			}
 		}
 		for _, pr := range progs {
@@ -671,56 +668,52 @@ func (e *Engine) batcher() {
 	}
 }
 
-// stageTransferIn is a shard's first pipeline stage: claim a buffer
-// slot (blocking until the drain stage recycles one — the
-// double-buffer backpressure), pack a coalesced batch's segments into
-// the slot's flat staging buffer with contiguous copies, and charge the
-// rank-parallel host→PIM transfer. It overlaps with the compute stage
-// working on the previous batch in another slot, and touches no MRAM:
-// lanes read their chunk from host memory (see computeLane).
-func (e *Engine) stageTransferIn(s *shard) {
+// serveShard is a shard's goroutine. It takes batches from the shared
+// dispatch channel, so any idle shard takes the next one, and runs each
+// to completion: transfer-in, compute, transfer-out. When the batcher
+// closes the channel it stops the shard's lane workers.
+func (e *Engine) serveShard(s *shard) {
 	defer e.wg.Done()
-	defer close(s.mid)
+	defer s.crew.Close()
 	for b := range e.dispatch {
-		b.slot = <-s.slots
-		if b.tr != nil {
-			b.tr.shard = s.id
-			b.tr.inStart = time.Now()
-		}
-		per, padded := shardPlan(b.n, len(s.dpus))
-		b.perDPU = per
-		if b.prog != nil {
-			e.stageProgramIn(s, b)
-		} else {
-			if len(b.segs) > 1 {
-				flat := s.inBuf[b.slot]
-				idx := 0
-				for _, sg := range b.segs {
-					copy(flat[idx:idx+sg.n], sg.req.inputs[sg.off:sg.off+sg.n])
-					idx += sg.n
-				}
-			}
-			e.chargeTransferIn(s, b, padded)
-		}
-		if b.tr != nil {
-			b.tr.inEnd = time.Now()
-		}
-		s.mid <- b
-	}
-}
-
-// stageCompute is a shard's second stage: run each batch's kernel
-// launches on the shard's cores and account their cycles.
-func (e *Engine) stageCompute(s *shard) {
-	defer e.wg.Done()
-	defer close(s.out)
-	for b := range s.mid {
+		e.transferIn(s, b)
 		if b.prog != nil {
 			e.computeProgram(s, b)
 		} else {
 			e.computeBatch(s, b)
 		}
-		s.out <- b
+		// Drop the kernels' view of the batch, so the shard does not pin
+		// it after it drains.
+		s.cur, s.ops, s.ex = nil, nil, nil
+		e.transferOut(s, b)
+	}
+}
+
+// transferIn packs a coalesced batch's segments into the shard's flat
+// staging buffer with contiguous copies and charges the rank-parallel
+// host→PIM transfer. It touches no MRAM: lanes read their chunk from
+// host memory (see computeLane).
+func (e *Engine) transferIn(s *shard, b *batch) {
+	if b.tr != nil {
+		b.tr.shard = s.id
+		b.tr.inStart = time.Now()
+	}
+	per, padded := shardPlan(b.n, len(s.dpus))
+	b.perDPU = per
+	if b.prog != nil {
+		e.stageProgramIn(s, b)
+	} else {
+		if len(b.segs) > 1 {
+			idx := 0
+			for _, sg := range b.segs {
+				copy(s.inBuf[idx:idx+sg.n], sg.req.inputs[sg.off:sg.off+sg.n])
+				idx += sg.n
+			}
+		}
+		e.chargeTransferIn(s, b, padded)
+	}
+	if b.tr != nil {
+		b.tr.inEnd = time.Now()
 	}
 }
 
@@ -737,10 +730,10 @@ func (e *Engine) stageCompute(s *shard) {
 // lane's record in s.lanes for the recovery ladder and the profiler.
 // Callers charge b.tcomp themselves: it is the critical path, not the
 // sum, when a hedge overlaps a straggler. Steady state allocates
-// nothing beyond the caller's kernel closure.
+// nothing: the shard's kernels are built once (see shard.batchKernel).
 func (e *Engine) launch(s *shard, b *batch, stage string, attempt uint64, ids []int, kernel func(*pimsim.Ctx, int) error) (uint64, error) {
 	lanes := s.lanes[:len(ids)]
-	wall, err := e.sys.LaunchShardSeq(b.seq, attempt, ids, lanes, kernel)
+	wall, err := s.crew.Launch(b.seq, attempt, ids, lanes, kernel)
 	b.cycles += wall
 
 	profiled := e.prof != nil
@@ -774,84 +767,73 @@ func (e *Engine) launch(s *shard, b *batch, stage string, attempt uint64, ids []
 
 // vectors returns a batch's input and output vectors in host memory:
 // a single-segment batch's are its request's own slices, a coalesced
-// batch's are the slot's staging buffers.
+// batch's are the shard's staging buffers.
 func (s *shard) vectors(b *batch) (xs, ys []float32) {
 	if len(b.segs) == 1 {
 		sg := b.segs[0]
 		return sg.req.inputs[sg.off : sg.off+sg.n], sg.req.outputs[sg.off : sg.off+sg.n]
 	}
-	return s.inBuf[b.slot][:b.n], s.outBuf[b.slot][:b.n]
+	return s.inBuf[:b.n], s.outBuf[:b.n]
 }
 
-// gatherOutputs copies a coalesced batch's results out of the slot's
-// staging buffer to its segments with contiguous copies. A
-// single-segment batch's lanes already wrote its request's outputs.
-func (s *shard) gatherOutputs(b *batch) {
-	if len(b.segs) == 1 {
-		return
+// transferOut gathers a batch's results, charges the PIM→host
+// transfer, and completes the batch's requests. A coalesced batch's
+// results are copied out of the shard's staging buffer to its segments
+// with contiguous copies; a single-segment batch's lanes already wrote
+// its request's outputs.
+func (e *Engine) transferOut(s *shard, b *batch) {
+	if b.tr != nil {
+		b.tr.outStart = time.Now()
 	}
-	flat := s.outBuf[b.slot]
-	idx := 0
+	var bytesIn, bytesOut int
+	switch {
+	case b.prog != nil:
+		// Program outputs are already in the request's slices (host
+		// staging); only the result transfer remains to charge.
+		bytesIn, bytesOut = e.drainProgramOut(s, b)
+	case b.err == nil:
+		if len(b.segs) > 1 {
+			idx := 0
+			for _, sg := range b.segs {
+				copy(sg.req.outputs[sg.off:sg.off+sg.n], s.outBuf[idx:idx+sg.n])
+				idx += sg.n
+			}
+		}
+		_, padded := shardPlan(b.n, len(s.dpus))
+		bytesIn = padded
+		// Degraded results come from host memory: nothing to
+		// transfer back from the cores.
+		if !b.hostEval {
+			if b.remapped {
+				padded = b.perDPU * 4 * b.lanes
+			}
+			e.chargeTransferOut(s, b, padded)
+			bytesOut = padded
+		}
+	}
+	if b.tr != nil {
+		b.tr.outEnd = time.Now()
+	}
+	e.met.addBatch(b, s.id, bytesIn, bytesOut)
+	if e.led != nil {
+		e.chargeLedger(b, bytesIn, bytesOut)
+	}
 	for _, sg := range b.segs {
-		copy(sg.req.outputs[sg.off:sg.off+sg.n], flat[idx:idx+sg.n])
-		idx += sg.n
+		if sg.req.complete(b, s.id) {
+			e.finishRequest(sg.req)
+		}
 	}
+	releaseBatch(b)
 }
 
-// stageTransferOut is a shard's third stage: gather results, charge
-// the PIM→host transfer, recycle the buffer slot, and complete the
-// batch's requests.
-func (e *Engine) stageTransferOut(s *shard) {
-	defer e.wg.Done()
-	for b := range s.out {
-		if b.tr != nil {
-			b.tr.outStart = time.Now()
-		}
-		var bytesIn, bytesOut int
-		switch {
-		case b.prog != nil:
-			// Program outputs are already in the request's slices (host
-			// staging); only the result transfer remains to charge.
-			bytesIn, bytesOut = e.drainProgramOut(s, b)
-		case b.err == nil:
-			s.gatherOutputs(b)
-			_, padded := shardPlan(b.n, len(s.dpus))
-			bytesIn = padded
-			// Degraded results come from host memory: nothing to
-			// transfer back from the cores.
-			if !b.hostEval {
-				if b.remapped {
-					padded = b.perDPU * 4 * b.lanes
-				}
-				e.chargeTransferOut(s, b, padded)
-				bytesOut = padded
-			}
-		}
-		if b.tr != nil {
-			b.tr.outEnd = time.Now()
-		}
-		s.slots <- b.slot
-		e.met.addBatch(b, s.id, bytesIn, bytesOut)
-		if e.led != nil {
-			e.chargeLedger(b, bytesIn, bytesOut)
-		}
-		for _, sg := range b.segs {
-			if sg.req.complete(b, s.id) {
-				e.finishRequest(sg.req)
-			}
-		}
-		releaseBatch(b)
-	}
-}
-
-// finishRequest runs on the drain stage after a request's last
+// finishRequest runs on the shard's goroutine after a request's last
 // segment completed and before its caller is released: observe the
 // latency, count request-level errors (the per-request view the batch
 // counter can't give), shadow-sample the outputs for accuracy
 // monitoring, complete and publish the trace record, then close done.
-// The request is quiescent here — every other stage is finished with
-// it and the caller is still parked on done — so the reads and the
-// TraceID write need no lock.
+// The request is quiescent here — every batch that carried it has
+// drained and the caller is still parked on done — so the reads and
+// the TraceID write need no lock.
 func (e *Engine) finishRequest(r *request) {
 	rec := r.rec // nil unless tracing is on
 	if rec != nil {

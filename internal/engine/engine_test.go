@@ -305,7 +305,7 @@ func TestPlanBatches(t *testing.T) {
 	}
 	spec := Spec{Fn: core.Sin, Par: core.Params{Method: core.LLUT}.Normalized()}
 	r1, r2, r3 := mk(10), mk(50), mk(100)
-	batches := planBatches(spec, []*request{r1, r2, r3}, 64)
+	batches := planBatches(nil, spec, []*request{r1, r2, r3}, 64)
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches, want 3", len(batches))
 	}

@@ -98,11 +98,11 @@ func TestComputeCoreZeroAlloc(t *testing.T) {
 			t.Fatal("LLUT operator has no batch fast path")
 		}
 
-		// The pipeline is idle (the warmup request completed), so driving
-		// slot 0 directly is safe. A batch without segments evaluates the
-		// slot's staging buffers.
-		b := &batch{spec: makeSpec(fn, par), n: 256, perDPU: 256, slot: 0}
-		copy(s.inBuf[0][:256], xs)
+		// The shard is idle (the warmup request completed), so driving
+		// its staging buffers directly is safe. A batch without segments
+		// evaluates them.
+		b := &batch{spec: makeSpec(fn, par), n: 256, perDPU: 256}
+		copy(s.inBuf[:256], xs)
 		ctx := s.dpus[0].NewCtx()
 
 		if avg := testing.AllocsPerRun(200, func() {

@@ -13,7 +13,7 @@ import (
 
 // This file is the engine's fused-program path: a compiled
 // fusion.Program rides the same submit → batcher → transfer-in →
-// compute → transfer-out pipeline as ordinary requests, but one batch
+// compute → transfer-out path as ordinary requests, but one batch
 // carries the whole program. Its intermediate vectors never cross the
 // host boundary — transfer-in ships the input vectors (plus the initial
 // scalar broadcasts) once, each phase is one fused kernel launch, the
@@ -85,9 +85,9 @@ const defaultProgPlanLimit = 64
 
 // progPlanCache is the bounded FIFO cache of program execution plans;
 // the bound matters because every CompileProgram call mints a new
-// program ID. An Exec carries per-batch mutable state, but a shard's
-// compute stage runs one batch at a time and entries are keyed by
-// shard, so a cached Exec never serves two batches concurrently.
+// program ID. An Exec carries per-batch mutable state, but a shard
+// runs one batch at a time and entries are keyed by shard, so a cached
+// Exec never serves two batches concurrently.
 type progPlanCache struct {
 	mu    sync.Mutex
 	m     map[progKey]progEntry
@@ -246,7 +246,7 @@ func (e *Engine) stageProgramIn(s *shard, b *batch) {
 	b.pIn = inBytes
 }
 
-// computeProgram is the compute stage for a program batch: resolve (or
+// computeProgram is the compute step for a program batch: resolve (or
 // plan-hit) the execution plan, then run each phase as one shard-wide
 // fused kernel launch with a reduction sync between phases. Under
 // fault injection a failed launch retries the whole phase — RunLane is
@@ -309,21 +309,16 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 		}
 		return
 	}
-	fast := !e.cfg.Reference
-	base := s.ids[0]
+	s.ex = ex
 	for phi := 0; phi < ex.NumPhases(); phi++ {
 		// Each phase is its own launch, labeled so flamegraphs split a
 		// fused program's cycles phase by phase.
 		stage := phaseStage(phi)
-		kern := func(ctx *pimsim.Ctx, id int) error {
-			local := id - base
-			ex.RunLane(ctx, phi, local, s.arena[local], fast)
-			return nil
-		}
+		s.phase = phi
 		var launchErr error
 		for attempt := uint64(0); ; attempt++ {
 			var wall uint64
-			wall, launchErr = e.launch(s, b, stage, attempt, s.ids, kern)
+			wall, launchErr = e.launch(s, b, stage, attempt, s.ids, s.programKernel)
 			b.tcomp += float64(wall) / e.sys.Config().ClockHz
 			if launchErr == nil {
 				break
@@ -371,6 +366,18 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 	}
 	if b.tr != nil {
 		b.tr.kernEnd = time.Now()
+	}
+}
+
+// newProgramKernel builds shard s's program-phase kernel
+// (shard.programKernel): the lane on core id runs phase s.phase of the
+// bound execution plan s.ex on its own slice of the batch.
+func (e *Engine) newProgramKernel(s *shard) func(*pimsim.Ctx, int) error {
+	base, fast := s.ids[0], !e.cfg.Reference
+	return func(ctx *pimsim.Ctx, id int) error {
+		ln := id - base
+		s.ex.RunLane(ctx, s.phase, ln, s.arena[ln], fast)
+		return nil
 	}
 }
 

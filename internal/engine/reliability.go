@@ -54,7 +54,7 @@ func (a *engineFaultAgent) Transfer(seq, attempt uint64, out bool) bool {
 // chargeTransferIn is the checked host→PIM charge with bounded retry:
 // every attempt (failed ones included) costs the transfer time, each
 // retry adds the modeled backoff. Exhaustion marks the batch so the
-// compute stage degrades it to the host mirror — the inputs are still
+// compute path degrades it to the host mirror — the inputs are still
 // in host staging, so no result is lost.
 func (e *Engine) chargeTransferIn(s *shard, b *batch, padded int) {
 	bw := e.sys.Config().HostToPIMBandwidth
@@ -185,7 +185,7 @@ func (e *Engine) healthyLanes(s *shard, seq uint64) []int {
 	return lanes
 }
 
-// computeBatch is the compute stage for an ordinary batch: resolve the
+// computeBatch is the compute step for an ordinary batch: resolve the
 // spec's operators, scrub the tables when bit-flips are injected, then
 // launch the streamed kernel on the shard's healthy lanes and walk the
 // recovery ladder — retry (fresh injector draws per attempt), remap
@@ -220,7 +220,6 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 		return
 	}
 
-	base := s.ids[0]
 	minLanes := (b.n + s.capPerDPU - 1) / s.capPerDPU
 	staged := -1 // lanes the last charged input layout targets; -1 = the original full layout
 	clear(s.failedLane)
@@ -259,14 +258,8 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 		if remapped {
 			stage = "remap"
 		}
-		mx, err := e.launch(s, b, stage, attempt, ids, func(ctx *pimsim.Ctx, id int) error {
-			ln := id - base
-			j := s.chunkOf[ln]
-			if count := min(b.n-j*per, per); count > 0 {
-				e.computeLane(ctx, s, b, ops[ln], ln, j, per, count)
-			}
-			return nil
-		})
+		s.cur, s.ops, s.per = b, ops, per
+		mx, err := e.launch(s, b, stage, attempt, ids, s.batchKernel)
 
 		// Failed attempts still burned the surviving lanes' cycles:
 		// launch charged them to b.cycles, and every exit below charges
@@ -329,7 +322,7 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 			continue
 		}
 
-		crit := e.maybeHedge(s, b, ops, lanes, per, slowest, mx)
+		crit := e.maybeHedge(s, b, lanes, per, slowest, mx)
 		b.tcomp += float64(crit) / e.sys.Config().ClockHz
 		if e.health != nil {
 			for _, k := range lanes {
@@ -349,13 +342,28 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 	}
 }
 
+// newBatchKernel builds shard s's batch kernel (shard.batchKernel): the
+// lane on core id serves chunk s.chunkOf[id−base] of the batch s.cur,
+// s.per elements per chunk, under its operator s.ops[id−base].
+func (e *Engine) newBatchKernel(s *shard) func(*pimsim.Ctx, int) error {
+	base := s.ids[0]
+	return func(ctx *pimsim.Ctx, id int) error {
+		ln := id - base
+		j, per := s.chunkOf[ln], s.per
+		if count := min(s.cur.n-j*per, per); count > 0 {
+			e.computeLane(ctx, s, s.cur, s.ops[ln], ln, j, per, count)
+		}
+		return nil
+	}
+}
+
 // maybeHedge relaunches the slowest lane of a successful launch when
 // its cycle delta exceeds HedgeRatio × the lane median, keeping the
 // cheaper of the two runs (the kernel is idempotent: the relaunch
 // rewrites the same outputs). Both launches count in the batch's
 // kernel cycles; the return value is the batch's critical path for
 // its compute seconds.
-func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []int, per, slowest int, mx uint64) uint64 {
+func (e *Engine) maybeHedge(s *shard, b *batch, lanes []int, per, slowest int, mx uint64) uint64 {
 	if e.rel.HedgeRatio <= 1 || len(lanes) < 2 {
 		return mx
 	}
@@ -364,14 +372,8 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 	if med == 0 || float64(recs[slowest].Cycles) < e.rel.HedgeRatio*float64(med) {
 		return mx
 	}
-	k := lanes[slowest]
-	j := slowest
-	count := b.n - j*per
-	if count > per {
-		count = per
-	}
-	if count <= 0 {
-		return mx
+	if b.n-slowest*per <= 0 {
+		return mx // the straggler's chunk is empty
 	}
 	// The batch's critical path is the slower of the other lanes and
 	// the better of the two runs of the straggler's chunk. Read the
@@ -384,11 +386,11 @@ func (e *Engine) maybeHedge(s *shard, b *batch, ops []*core.Operator, lanes []in
 		}
 	}
 	// A large attempt bias gives the hedge a fresh, independent draw
-	// stream that ordinary retries never reach.
-	hedged, err := e.launch(s, b, "hedge", uint64(e.rel.MaxRetries)+1000, s.ids[k:k+1], func(ctx *pimsim.Ctx, id int) error {
-		e.computeLane(ctx, s, b, ops[k], k, j, per, count)
-		return nil
-	})
+	// stream that ordinary retries never reach. The shard's batch kernel
+	// still holds the launch's layout, so the straggler's core reruns
+	// its own chunk.
+	k := lanes[slowest]
+	hedged, err := e.launch(s, b, "hedge", uint64(e.rel.MaxRetries)+1000, s.ids[k:k+1], s.batchKernel)
 	e.met.hedges.Inc()
 	b.hedged = true
 	if err != nil {
@@ -443,7 +445,7 @@ func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
 // streaming overhead. Otherwise (Config.Reference, or no fast path) it
 // copies its chunk into its MRAM input buffer, streams it through the
 // per-element interpreted loop, and copies the results back out; the
-// copies are uncharged because the transfer stages charge those
+// copies are uncharged because transferIn and transferOut charge those
 // transfers. Accounting is bit-identical either way. Allocation-free in
 // steady state.
 func (e *Engine) computeLane(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, ln, j, per, count int) {
@@ -457,7 +459,7 @@ func (e *Engine) computeLane(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Opera
 		ctx.ChargeSig(&e.streamSig, uint64(count))
 	} else {
 		m := ctx.DPU().MRAM
-		in, out := s.inAddr[b.slot][ln], s.outAddr[b.slot][ln]
+		in, out := s.inAddr[ln], s.outAddr[ln]
 		m.WriteF32s(in, xs)
 		for i := 0; i < count; i++ {
 			x := ctx.LoadStreamedF32(m, in+4*i)

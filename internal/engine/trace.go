@@ -9,20 +9,18 @@ import (
 )
 
 // batchTrace carries the wall-clock stage stamps of one batch while
-// it moves through a shard's pipeline. It lives inline in the batch,
-// and batch.tr points at it only when tracing is enabled (nil
-// otherwise, so the disabled path never calls time.Now on the stage
-// goroutines). Each field is written by exactly one stage goroutine
-// before the batch is handed to the next stage — the channel send is
-// the happens-before edge, so the drain stage reads a fully stamped
-// struct.
+// its shard runs it. It lives inline in the batch, and batch.tr points
+// at it only when tracing is enabled (nil otherwise, so the disabled
+// path never calls time.Now). The shard's goroutine stamps every
+// field in program order, before transferOut copies them into the
+// requests' records.
 type batchTrace struct {
 	shard int
 
-	inStart, inEnd       time.Time // stageTransferIn: scatter + charge
-	setupStart, setupEnd time.Time // stageCompute: cache ensure (≈0 on a hit)
-	kernStart, kernEnd   time.Time // stageCompute: LaunchShardSeq
-	outStart, outEnd     time.Time // stageTransferOut: gather + charge
+	inStart, inEnd       time.Time // transferIn: pack + charge
+	setupStart, setupEnd time.Time // compute: plan or cache ensure (≈0 on a hit)
+	kernStart, kernEnd   time.Time // compute: the launches
+	outStart, outEnd     time.Time // transferOut: gather + charge
 }
 
 // batchRecord is what a request's trace keeps of one batch it rode
@@ -98,7 +96,7 @@ func (r *request) record(b *batch) {
 //
 //	request
 //	├─ queue              (enqueue → first batch picked up)
-//	├─ batch[k]           (one per pipeline batch the request rode in)
+//	├─ batch[k]           (one per batch the request rode in)
 //	│  ├─ transfer_in     wall + modeled host→PIM seconds
 //	│  ├─ setup           cache ensure; modeled generation+broadcast
 //	│  ├─ kernel          wall + modeled cycles/seconds

@@ -10,8 +10,8 @@ import (
 // program-plan cache holds: resolved operator tables for every Func
 // node, the intermediate vector buffers that model MRAM residency, the
 // reduction partial slots, and the runtime scalar values. One Exec
-// serves one shard's compute stage at a time (the engine serializes per
-// shard); Bind rebinds it to each batch, growing its buffers to the
+// serves one shard at a time (an engine shard runs one batch at a
+// time); Bind rebinds it to each batch, growing its buffers to the
 // batch size.
 type Exec struct {
 	c     *Compiled

@@ -10,13 +10,15 @@ import (
 // deltas — and returns the same count as its wall.
 func TestCycleAttribution(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
-	if _, err := sys.LaunchShardSeq(0, 0, []int{0, 1}, nil, burnKernel); err != nil {
+	crew := sys.NewCrew(2)
+	defer crew.Close()
+	if _, err := crew.Launch(0, 0, []int{0, 1}, nil, burnKernel); err != nil {
 		t.Fatal(err)
 	}
 	before := sys.AttributedKernelCycles()
 	issue0 := []uint64{sys.DPU(0).IssueCycles(), sys.DPU(1).IssueCycles()}
 	dma0 := []uint64{sys.DPU(0).DMACycles(), sys.DPU(1).DMACycles()}
-	wall, err := sys.LaunchShardSeq(1, 0, []int{0, 1}, nil, func(ctx *Ctx, id int) error {
+	wall, err := crew.Launch(1, 0, []int{0, 1}, nil, func(ctx *Ctx, id int) error {
 		// Unequal lanes: the attribution must follow the slower one.
 		for i := 0; i < 50*(id+1); i++ {
 			ctx.FMul(2, 3)
@@ -42,7 +44,7 @@ func TestCycleAttribution(t *testing.T) {
 	}
 
 	// A second launch accumulates.
-	if _, err := sys.LaunchShardSeq(2, 0, []int{0}, nil, burnKernel); err != nil {
+	if _, err := crew.Launch(2, 0, []int{0}, nil, burnKernel); err != nil {
 		t.Fatal(err)
 	}
 	if after := sys.AttributedKernelCycles() - before; after <= want {
@@ -55,7 +57,9 @@ func TestCycleAttribution(t *testing.T) {
 func TestCycleAttributionWithFaultAgent(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
 	sys.SetFaultAgent(scriptedAgent{slowLanes: map[int]float64{1: 3}})
-	if _, err := sys.LaunchShardSeq(0, 0, []int{0, 1}, nil, burnKernel); err != nil {
+	crew := sys.NewCrew(2)
+	defer crew.Close()
+	if _, err := crew.Launch(0, 0, []int{0, 1}, nil, burnKernel); err != nil {
 		t.Fatal(err)
 	}
 	var want uint64
@@ -113,9 +117,11 @@ func TestLaunchRecords(t *testing.T) {
 			}
 
 			sys := NewSystem(Config{DPUs: 6, Tasklets: tasklets, Cost: m})
+			crew := sys.NewCrew(len(ids))
+			defer crew.Close()
 			// A clean launch first, so the records below are deltas over
 			// non-zero accounting.
-			if _, err := sys.LaunchShardSeq(0, 0, ids, nil, kernel); err != nil {
+			if _, err := crew.Launch(0, 0, ids, nil, kernel); err != nil {
 				t.Fatal(err)
 			}
 			sys.SetFaultAgent(scriptedAgent{
@@ -136,7 +142,7 @@ func TestLaunchRecords(t *testing.T) {
 			}
 			attrib0 := sys.AttributedKernelCycles()
 			lanes := make([]CoreProfile, len(ids))
-			wall, err := sys.LaunchShardSeq(1, 0, ids, lanes, kernel)
+			wall, err := crew.Launch(1, 0, ids, lanes, kernel)
 			var le *LaunchError
 			if !errors.As(err, &le) || len(le.Lanes) != 1 || le.Lanes[0] != failLane {
 				t.Fatalf("%s/%d: launch error %v, want lane %d failed", profile, tasklets, err, failLane)
@@ -174,18 +180,18 @@ func TestLaunchRecords(t *testing.T) {
 	}
 }
 
-// TestLaunchAllocs: a warm launch that fills records allocates no more
-// with a fault agent installed than without one — the per-lane
-// contexts, marks and verdicts live on the System, not in per-launch
-// values — and either way only its shared worker state and its
-// worker's start (AllocsPerRun runs at GOMAXPROCS 1, so one worker).
+// TestLaunchAllocs: a warm crew launch that fills records allocates
+// nothing, with a fault agent installed or without one. The per-lane
+// contexts, marks and verdicts live on the System, the run state lives
+// on the crew, and the workers are already running.
 func TestLaunchAllocs(t *testing.T) {
-	const maxAllocs = 2
 	ids := []int{0, 1, 2, 3}
 	lanes := make([]CoreProfile, len(ids))
 	sys := NewSystem(Config{DPUs: len(ids)})
+	crew := sys.NewCrew(len(ids))
+	defer crew.Close()
 	launch := func() {
-		if _, err := sys.LaunchShardSeq(0, 0, ids, lanes, burnKernel); err != nil {
+		if _, err := crew.Launch(0, 0, ids, lanes, burnKernel); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +204,7 @@ func TestLaunchAllocs(t *testing.T) {
 	if agent > bare {
 		t.Fatalf("fault agent adds %.0f allocs per launch (bare %.0f)", agent-bare, bare)
 	}
-	if bare > maxAllocs || agent > maxAllocs {
-		t.Fatalf("a 4-lane launch allocates %.0f bare and %.0f with a fault agent, want ≤ %d", bare, agent, maxAllocs)
+	if bare != 0 || agent != 0 {
+		t.Fatalf("a 4-lane launch allocates %.0f bare and %.0f with a fault agent, want 0", bare, agent)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Injected-fault sentinel errors. Wrapped errors returned by
-// LaunchShardSeq and the TryCharge transfer variants match these via
+// Crew.Launch and the TryCharge transfer variants match these via
 // errors.Is, so runtimes can distinguish injected faults (recoverable
 // by retry/remap/degrade) from genuine kernel errors.
 var (
@@ -33,7 +33,7 @@ type LaunchVerdict struct {
 // and deterministic in their arguments (the engine's chaos replays
 // depend on it); see internal/faultsim for the seeded implementation.
 type FaultAgent interface {
-	// Launch is consulted once per lane per LaunchShardSeq attempt.
+	// Launch is consulted once per lane per Crew.Launch attempt.
 	// lane is the position in the launch's ids slice.
 	Launch(seq, attempt uint64, lane int) LaunchVerdict
 	// Transfer is consulted by TryChargeHostToPIM (out=false) and

@@ -37,12 +37,15 @@ func burnKernel(ctx *Ctx, _ int) error {
 	return nil
 }
 
-// TestLaunchShardSeqFail: failed lanes skip their kernel (no cycles
-// charged), surviving lanes run, and the error identifies the lanes.
+// TestLaunchShardSeqFail: in a crew launch, failed lanes skip their
+// kernel (no cycles charged), surviving lanes run, and the error
+// identifies the lanes.
 func TestLaunchShardSeqFail(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 4})
+	crew := sys.NewCrew(4)
+	defer crew.Close()
 	sys.SetFaultAgent(scriptedAgent{failLanes: map[int]bool{1: true, 3: true}})
-	_, err := sys.LaunchShardSeq(7, 0, []int{0, 1, 2, 3}, nil, burnKernel)
+	_, err := crew.Launch(7, 0, []int{0, 1, 2, 3}, nil, burnKernel)
 	if err == nil {
 		t.Fatal("launch with failed lanes returned nil")
 	}
@@ -77,9 +80,11 @@ func TestLaunchShardSeqFail(t *testing.T) {
 // clears the added cycles too.
 func TestLaunchShardSeqSlow(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
+	crew := sys.NewCrew(2)
+	defer crew.Close()
 	sys.SetFaultAgent(scriptedAgent{slowLanes: map[int]float64{1: 3}})
 	for launch := uint64(0); launch < 2; launch++ {
-		if _, err := sys.LaunchShardSeq(launch, 0, []int{0, 1}, nil, burnKernel); err != nil {
+		if _, err := crew.Launch(launch, 0, []int{0, 1}, nil, burnKernel); err != nil {
 			t.Fatal(err)
 		}
 		clean, slow := sys.DPU(0).IssueCycles(), sys.DPU(1).IssueCycles()
@@ -101,11 +106,14 @@ func TestLaunchShardSeqSlow(t *testing.T) {
 func TestLaunchNilAgentUnchanged(t *testing.T) {
 	a := NewSystem(Config{DPUs: 2})
 	b := NewSystem(Config{DPUs: 2})
-	wa, err := a.LaunchShardSeq(0, 0, []int{0, 1}, nil, burnKernel)
+	ca, cb := a.NewCrew(2), b.NewCrew(2)
+	defer ca.Close()
+	defer cb.Close()
+	wa, err := ca.Launch(0, 0, []int{0, 1}, nil, burnKernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := b.LaunchShardSeq(99, 5, []int{0, 1}, nil, burnKernel)
+	wb, err := cb.Launch(99, 5, []int{0, 1}, nil, burnKernel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +132,10 @@ func TestLaunchNilAgentUnchanged(t *testing.T) {
 func TestKernelErrorOutranksInjected(t *testing.T) {
 	sys := NewSystem(Config{DPUs: 2})
 	sys.SetFaultAgent(scriptedAgent{failLanes: map[int]bool{0: true}})
+	crew := sys.NewCrew(2)
+	defer crew.Close()
 	boom := errors.New("boom")
-	_, err := sys.LaunchShardSeq(0, 0, []int{0, 1}, nil, func(ctx *Ctx, id int) error {
+	_, err := crew.Launch(0, 0, []int{0, 1}, nil, func(ctx *Ctx, id int) error {
 		return boom
 	})
 	if !errors.Is(err, boom) {

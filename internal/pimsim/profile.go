@@ -1,7 +1,7 @@
 package pimsim
 
 // CoreProfile is one PIM core's accounting delta over a single
-// kernel launch, as LaunchShardSeq measures it: issue and DMA cycles,
+// kernel launch, as Crew.Launch measures it: issue and DMA cycles,
 // the modeled cycles ClosedFormCycles makes of them, and the
 // per-instruction-class operation and cycle counters — the same
 // decomposition as the paper's Fig. 7 per-method cycle breakdowns

@@ -1,18 +1,20 @@
 package pimsim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentShardLaunches is the -race regression test for the
 // System ownership discipline: several goroutines each own a disjoint
 // shard of the same System and concurrently (1) write inputs into
 // pre-touched MRAM buffers, (2) charge host→PIM transfer time, (3)
-// launch a kernel on their shard, recording per-lane profiles, (4)
+// launch a kernel on their own crew, recording per-lane profiles, (4)
 // charge PIM→host transfer time, and (5) read back results and their
-// own cores' cycle counters — exactly the stage structure of
-// internal/engine. Run with -race.
+// own cores' cycle counters — what each internal/engine shard does per
+// batch. Run with -race.
 func TestConcurrentShardLaunches(t *testing.T) {
 	const (
 		shards   = 4
@@ -44,6 +46,8 @@ func TestConcurrentShardLaunches(t *testing.T) {
 		wg.Add(1)
 		go func(shard int, ids []int) {
 			defer wg.Done()
+			crew := sys.NewCrew(len(ids))
+			defer crew.Close()
 			lanes := make([]CoreProfile, len(ids))
 			for r := 0; r < rounds; r++ {
 				for _, id := range ids {
@@ -53,7 +57,7 @@ func TestConcurrentShardLaunches(t *testing.T) {
 					}
 				}
 				sys.ChargeHostToPIM(perShard*elems*4, true)
-				_, err := sys.LaunchShardSeq(uint64(r), 0, ids, lanes, func(ctx *Ctx, id int) error {
+				_, err := crew.Launch(uint64(r), 0, ids, lanes, func(ctx *Ctx, id int) error {
 					m := ctx.DPU().MRAM
 					ctx.ChargeDMA(elems * 4)
 					for j := 0; j < elems; j++ {
@@ -92,5 +96,51 @@ func TestConcurrentShardLaunches(t *testing.T) {
 	}
 	if sys.TransferSeconds() <= 0 {
 		t.Fatal("no transfer time accumulated")
+	}
+}
+
+// settledGoroutines waits up to 5 s for the goroutine count to stop
+// changing and returns it: a worker that has signalled its exit may
+// still be unwinding.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestCrewLaunchStartsNoGoroutines: every launch of a crew runs on the
+// workers NewCrew started — the goroutine count a kernel sees equals
+// the count before the launch — and Close stops them.
+func TestCrewLaunchStartsNoGoroutines(t *testing.T) {
+	baseline := settledGoroutines()
+	ids := []int{0, 1, 2, 3}
+	sys := NewSystem(Config{DPUs: len(ids)})
+	crew := sys.NewCrew(len(ids))
+	inside := make([]int, len(ids))
+	kernel := func(ctx *Ctx, id int) error {
+		inside[id] = runtime.NumGoroutine()
+		return nil
+	}
+	for launch := uint64(0); launch < 5; launch++ {
+		before := runtime.NumGoroutine()
+		if _, err := crew.Launch(launch, 0, ids, nil, kernel); err != nil {
+			t.Fatal(err)
+		}
+		for id, n := range inside {
+			if n != before {
+				t.Fatalf("launch %d: lane %d saw %d goroutines, %d before the launch", launch, id, n, before)
+			}
+		}
+	}
+	crew.Close()
+	if n := settledGoroutines(); n != baseline {
+		t.Fatalf("%d goroutines after Close, %d before NewCrew", n, baseline)
 	}
 }

@@ -59,18 +59,16 @@ func (c Config) withDefaults() Config {
 // transfer engine with its timing model.
 //
 // Concurrency/ownership discipline (for long-lived runtimes such as
-// internal/engine that keep several kernels in flight):
+// internal/engine that run one owner goroutine per group of cores):
 //
 //   - Each DPU — its Mem contents, allocator and cycle counters — must
-//     be owned by at most one goroutine at a time. Concurrent
-//     LaunchShardSeq calls are safe when their shards are disjoint: a
-//     launch touches only its own cores' entries of the per-core
-//     launch state (ctxs, marks, verdicts).
-//   - Mem backing storage grows on demand; a host-side Write racing a
-//     kernel on the same core can reallocate it. Owners that overlap
-//     host transfers with kernels on the *same* core must pre-touch
-//     their buffers (one Write over the full region) before going
-//     concurrent.
+//     be owned by at most one goroutine at a time. Each owner launches
+//     on its own Crew, and launches on disjoint shards are safe
+//     concurrently: a launch touches only its own cores' entries of the
+//     per-core launch state (ctxs, marks, verdicts).
+//   - Mem backing storage grows on demand, so the first Write to a
+//     region may allocate. Owners that must not allocate while serving
+//     pre-touch their buffers (one Write over the full region) first.
 //   - The transfer clock (ChargeHostToPIM, ChargePIMToHost, and the
 //     Scatter/Gather/Broadcast helpers) is shared and internally
 //     locked, so any goroutine may charge transfer time at any point.
@@ -87,7 +85,7 @@ type System struct {
 	// races safely with in-flight launches.
 	faultAgent atomic.Pointer[faultAgentBox]
 
-	// ctxs, marks and verdicts are LaunchShardSeq's per-core state,
+	// ctxs, marks and verdicts are Crew.Launch's per-core state,
 	// indexed by core id: the execution context each lane's kernel runs
 	// with (its MRAM staging buffer persists across launches), each
 	// lane's accounting before its kernel runs, and its fault verdict
@@ -136,23 +134,75 @@ func (s *System) DPU(i int) *DPU { return s.dpus[i] }
 // DPUs returns all cores.
 func (s *System) DPUs() []*DPU { return s.dpus }
 
-// Launch runs kernel on every PIM core. Kernels for distinct cores run
-// concurrently on the host (bounded by GOMAXPROCS); each kernel sees
-// its own Ctx. Launch blocks until all kernels complete and returns the
-// first kernel error, if any.
+// Launch runs kernel on every PIM core, on a crew it opens and closes
+// for the call. Kernels for distinct cores run concurrently on the host
+// (bounded by GOMAXPROCS); each kernel sees its own Ctx. Launch blocks
+// until all kernels complete and returns the first kernel error, if
+// any. A long-lived owner launching again and again keeps a Crew.
 func (s *System) Launch(kernel func(ctx *Ctx, dpuID int) error) error {
 	ids := make([]int, len(s.dpus))
 	for i := range ids {
 		ids[i] = i
 	}
-	_, err := s.LaunchShardSeq(0, 0, ids, nil, kernel)
+	c := s.NewCrew(len(ids))
+	defer c.Close()
+	_, err := c.Launch(0, 0, ids, nil, kernel)
 	return err
 }
 
-// LaunchShardSeq runs kernel on the listed PIM cores only — a
-// rank-level launch — and measures it. Kernels for distinct cores run
-// concurrently on the host (bounded by GOMAXPROCS); each kernel sees
-// its core's Ctx. It blocks until all kernels complete.
+// Crew is a persistent set of lane workers that runs rank-level
+// launches for one owner: NewCrew starts the workers once, every
+// Launch wakes them, and Close stops them. A launch starts no
+// goroutine and allocates nothing of its own. A crew runs one launch
+// at a time; owners of disjoint shards keep a crew each.
+type Crew struct {
+	s       *System
+	workers int
+	wake    chan struct{} // one token per worker a launch wakes; sized so its sends never block
+	exited  sync.WaitGroup
+
+	// The launch in flight, reset by each Launch: the workers claim
+	// lanes from next and keep the first kernel error.
+	ids    []int
+	kernel func(ctx *Ctx, dpuID int) error
+	next   atomic.Int64
+	done   sync.WaitGroup
+	mu     sync.Mutex // guards err
+	err    error
+}
+
+// NewCrew starts min(GOMAXPROCS, lanes) workers for launches of up to
+// lanes cores. The launching goroutine only waits, so every lane runs
+// on a worker.
+func (s *System) NewCrew(lanes int) *Crew {
+	c := &Crew{s: s, workers: min(runtime.GOMAXPROCS(0), lanes)}
+	c.wake = make(chan struct{}, c.workers)
+	c.exited.Add(c.workers)
+	for w := 0; w < c.workers; w++ {
+		go c.work()
+	}
+	return c
+}
+
+// work runs the lanes of one woken launch per token until Close.
+func (c *Crew) work() {
+	defer c.exited.Done()
+	for range c.wake {
+		c.runLanes()
+	}
+}
+
+// Close stops the crew's workers and waits for them to exit. The crew
+// must be idle.
+func (c *Crew) Close() {
+	close(c.wake)
+	c.exited.Wait()
+}
+
+// Launch runs kernel on the listed PIM cores only — a rank-level
+// launch — and measures it. Kernels for distinct cores run
+// concurrently on the crew's workers; each kernel sees its core's Ctx.
+// It blocks until all kernels complete.
 //
 // seq and attempt identify the launch to the installed FaultAgent (if
 // any), consulted once per lane before the kernels start. Failed lanes
@@ -167,14 +217,11 @@ func (s *System) Launch(kernel func(ctx *Ctx, dpuID int) error) error {
 // is the slowest lane's Cycles, and it is added to
 // AttributedKernelCycles.
 //
-// Concurrent calls are safe as long as their shards are disjoint (see
-// the System ownership discipline): a core's memories and counters are
-// touched only by its own kernel.
-func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, lanes []CoreProfile, kernel func(ctx *Ctx, dpuID int) error) (wall uint64, err error) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+// Launches on different crews are safe concurrently as long as their
+// shards are disjoint (see the System ownership discipline): a core's
+// memories and counters are touched only by its own kernel.
+func (c *Crew) Launch(seq, attempt uint64, ids []int, lanes []CoreProfile, kernel func(ctx *Ctx, dpuID int) error) (wall uint64, err error) {
+	s := c.s
 	// Mark every lane and take its verdict before the kernels start.
 	// Verdicts are applied on the launching goroutine (which owns the
 	// cores): failed lanes skip their kernel entirely; slowed lanes
@@ -187,14 +234,17 @@ func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, lanes []CoreProf
 			s.verdicts[i] = agent.Launch(seq, attempt, k)
 		}
 	}
-	// The launching goroutine only waits; every lane runs on a worker.
-	r := &launchRun{s: s, ids: ids, kernel: kernel}
-	r.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go r.work()
+	c.ids, c.kernel, c.err = ids, kernel, nil
+	c.next.Store(0)
+	n := min(c.workers, len(ids))
+	c.done.Add(n)
+	for w := 0; w < n; w++ {
+		c.wake <- struct{}{}
 	}
-	r.wg.Wait()
-	err = r.err
+	c.done.Wait()
+	err = c.err
+	// A parked crew must not pin the finished launch's work.
+	c.ids, c.kernel = nil, nil
 	// Fold each lane's delta once, scaling a slowed lane's issue and DMA
 	// cycles on the core too so later readers of its counters see the
 	// modeled (slowed) cycles, and collect the failed lanes.
@@ -231,44 +281,32 @@ func (s *System) LaunchShardSeq(seq, attempt uint64, ids []int, lanes []CoreProf
 	return wall, nil
 }
 
-// launchRun is one launch's shared worker state, allocated once per
-// launch: the workers claim lanes from an atomic counter and keep the
-// first kernel error.
-type launchRun struct {
-	s      *System
-	ids    []int
-	kernel func(ctx *Ctx, dpuID int) error
-	next   atomic.Int64
-	wg     sync.WaitGroup
-	mu     sync.Mutex // guards err
-	err    error
-}
-
-// work runs lanes until none is left, then signals the launch.
-func (r *launchRun) work() {
-	defer r.wg.Done()
-	s := r.s
+// runLanes runs lanes of the launch in flight until none is left, then
+// signals the launch.
+func (c *Crew) runLanes() {
+	defer c.done.Done()
+	s := c.s
 	for {
-		k := int(r.next.Add(1) - 1)
-		if k >= len(r.ids) {
+		k := int(c.next.Add(1) - 1)
+		if k >= len(c.ids) {
 			return
 		}
-		i := r.ids[k]
+		i := c.ids[k]
 		if s.verdicts[i].Fail {
 			continue // injected hard failure: the kernel never runs
 		}
-		if e := r.kernel(&s.ctxs[i], i); e != nil {
-			r.mu.Lock()
-			if r.err == nil {
-				r.err = fmt.Errorf("pimsim: dpu %d: %w", i, e)
+		if e := c.kernel(&s.ctxs[i], i); e != nil {
+			c.mu.Lock()
+			if c.err == nil {
+				c.err = fmt.Errorf("pimsim: dpu %d: %w", i, e)
 			}
-			r.mu.Unlock()
+			c.mu.Unlock()
 		}
 	}
 }
 
 // AttributedKernelCycles returns the total wall cycles of every launch
-// so far: the sum of LaunchShardSeq's returned walls.
+// so far: the sum of Crew.Launch's returned walls.
 func (s *System) AttributedKernelCycles() uint64 { return s.attribCycles.Load() }
 
 // KernelCycles returns the cycle count of the slowest PIM core — the

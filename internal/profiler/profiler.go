@@ -200,7 +200,7 @@ func (c *Collector) Close() {
 
 // Observe attributes one launch's per-lane records, as the simulator
 // measured them, to the context's frames. It runs synchronously on the
-// launching goroutine (one shard's compute stage), so distinct shards
+// launching goroutine (one engine shard's goroutine), so distinct shards
 // contend only on the frame map's read lock and the cells' atomics.
 func (c *Collector) Observe(lc *LaunchContext, cores []pimsim.CoreProfile) {
 	if c == nil || len(cores) == 0 {
