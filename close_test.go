@@ -13,7 +13,7 @@ import (
 // every observer on and a fault plan that fires serve concurrent
 // requests and programs; after Close the goroutine count must return
 // to what it was before they were built — pipeline stages, launch
-// workers, and the profiler and timeline tickers all exit.
+// workers, and the timeline tickers all exit.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -22,7 +22,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		TraceDepth:  16,
 		Ledger:      true,
 		Timeline:    TimelineConfig{Enabled: true, BucketWidth: 5 * time.Millisecond},
-		Profiler:    ProfilerConfig{Enabled: true, Window: 5 * time.Millisecond},
+		Profiler:    ProfilerConfig{Enabled: true},
 		Accuracy:    AccuracyConfig{Enabled: true, SampleRate: 0.25},
 		Faults:      "seed=3,dpufail=0.2,dpuslow=0.2x4,transfer=0.05",
 		Reliability: ReliabilityConfig{HedgeRatio: 2},
@@ -37,7 +37,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		TraceDepth: 16,
 		Ledger:     true,
 		Timeline:   TimelineConfig{Enabled: true, BucketWidth: 5 * time.Millisecond},
-		Profiler:   ProfilerConfig{Enabled: true, Window: 5 * time.Millisecond},
+		Profiler:   ProfilerConfig{Enabled: true},
 	})
 	if err != nil {
 		eng.Close()

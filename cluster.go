@@ -51,9 +51,6 @@ type ClusterConfig struct {
 	// on and the fallback targets for least-loaded placement. Default
 	// min(2, Replicas), capped at 16.
 	Replication int
-	// VirtualNodes is the number of ring points per replica (default
-	// 64); more points smooth the key distribution.
-	VirtualNodes int
 	// Seed perturbs the ring and key hashes (default 1). Identical
 	// seeds and request sequences yield identical placements.
 	Seed uint64
@@ -92,12 +89,6 @@ type ClusterConfig struct {
 	// Cluster.ProfileSnapshot merges the replica profiles. Off by
 	// default.
 	Profiler ProfilerConfig
-	// Health tunes replica-granularity quarantine: QuarantineAfter
-	// consecutive replica failures (errors or host-mirror degrades)
-	// quarantine it, ProbationAfter requests later it is re-admitted on
-	// probation, ProbationSuccesses clean serves clear it. Zero values
-	// pick defaults (3 / 64 / 2).
-	Health ReliabilityConfig
 	// Log receives replica quarantine and failover events (and is also
 	// passed to each replica engine unless Engine.Log is set).
 	Log *slog.Logger
@@ -140,12 +131,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Timeline:     cfg.Timeline,
 		Profiler:     cfg.Profiler,
 		Replication:  cfg.Replication,
-		VirtualNodes: cfg.VirtualNodes,
 		Seed:         cfg.Seed,
 		Quotas:       cfg.Quotas,
 		DefaultQuota: cfg.DefaultQuota,
 		MaxQueue:     cfg.MaxQueue,
-		Health:       cfg.Health,
 		Log:          cfg.Log,
 	})
 	if err != nil {
@@ -230,6 +219,18 @@ func (c *Cluster) Observe() *Telemetry { return c.c.Observe() }
 // ReplicaObserve returns replica i's engine telemetry handle (nil for
 // an out-of-range index).
 func (c *Cluster) ReplicaObserve(i int) *Telemetry { return c.c.ReplicaObserve(i) }
+
+// Replica returns replica i's engine (nil for an out-of-range index)
+// for per-replica views: accuracy snapshots and SLO violations, the
+// fault log and lane health. The cluster owns the engine and closes it
+// in Close.
+func (c *Cluster) Replica(i int) *Engine {
+	e := c.c.Replica(i)
+	if e == nil {
+		return nil
+	}
+	return &Engine{e: e}
+}
 
 // Close drains and stops every replica.
 func (c *Cluster) Close() { c.c.Close() }

@@ -1,19 +1,12 @@
-// Command tplprof is the modeled-cycle profiler's CLI: it fetches
-// /debug/profile and /debug/heatmap from a running tplserve (or any
-// transpimlib engine/cluster with EngineConfig.Profiler on), renders
-// top-N hotspot tables and per-DPU heatmaps, writes flamegraph and
-// pprof artifacts, and diffs two profile JSON documents to localize
-// cycle regressions frame by frame.
+// Command tplprof is the modeled-cycle profiler's offline tool: it
+// writes a deterministic benchmark profile and diffs two profile JSON
+// documents to localize cycle regressions frame by frame. A live
+// server's profile is one request away: /debug/profile serves JSON,
+// ?format=folded flamegraph stacks and ?format=pprof a gzipped
+// profile.proto, ?seconds=N an interval profile; tpltop renders its
+// hotspots and per-DPU heatmap live.
 //
 // Modes (exactly one):
-//
-//	tplprof -url http://localhost:9090 [-seconds 5] [-top 20]
-//	        [-folded out.folded] [-pprof out.pb.gz] [-json out.json]
-//	        [-heatmap]
-//	    Fetch a profile (cumulative, or the next N seconds with
-//	    -seconds), print the hotspot table, and optionally write the
-//	    folded-stack / pprof / raw JSON artifacts. -heatmap fetches
-//	    and renders the per-DPU utilization heatmap instead.
 //
 //	tplprof -bench [-n 4096] [-out profile.json]
 //	    Run the deterministic offline benchmark workload (the tplbench
@@ -30,7 +23,7 @@
 //	    report zero deltas and exit 0 — the CI cycle-regression gate.
 //
 // Exit codes: 0 success; 1 gate failure or workload error; 2 bad
-// usage or unreachable server.
+// usage or an unreadable profile.
 package main
 
 import (
@@ -38,11 +31,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"transpimlib/internal/core"
 	"transpimlib/internal/engine"
@@ -52,18 +42,12 @@ import (
 )
 
 var (
-	flagURL     = flag.String("url", "", "base URL of a profiling server (e.g. http://localhost:9090)")
-	flagSeconds = flag.Float64("seconds", 0, "profile the next N seconds instead of the cumulative profile")
-	flagTop     = flag.Int("top", 20, "rows in the hotspot / diff tables")
-	flagFolded  = flag.String("folded", "", "write folded flamegraph stacks to this file")
-	flagPprof   = flag.String("pprof", "", "write a gzipped pprof profile.proto to this file")
-	flagJSON    = flag.String("json", "", "write the raw profile JSON to this file")
-	flagHeatmap = flag.Bool("heatmap", false, "fetch and render /debug/heatmap instead of the profile")
-	flagBench   = flag.Bool("bench", false, "run the deterministic offline benchmark workload")
-	flagN       = flag.Int("n", 4096, "elements per benchmark request (with -bench)")
-	flagOut     = flag.String("out", "", "write the -bench profile JSON to this file (default stdout)")
-	flagDiff    = flag.Bool("diff", false, "diff two profile JSON files: tplprof -diff [-gate 0.10] old.json new.json")
-	flagGate    = flag.Float64("gate", 0, "with -diff: exit 1 when any (function, method, class) frame's wall cycles grew more than this fraction (0 disables)")
+	flagTop   = flag.Int("top", 20, "rows in the hotspot / diff tables")
+	flagBench = flag.Bool("bench", false, "run the deterministic offline benchmark workload")
+	flagN     = flag.Int("n", 4096, "elements per benchmark request (with -bench)")
+	flagOut   = flag.String("out", "", "write the -bench profile JSON to this file (default stdout)")
+	flagDiff  = flag.Bool("diff", false, "diff two profile JSON files: tplprof -diff [-gate 0.10] old.json new.json")
+	flagGate  = flag.Float64("gate", 0, "with -diff: exit 1 when any (function, method, class) frame's wall cycles grew more than this fraction (0 disables)")
 )
 
 func main() {
@@ -76,125 +60,14 @@ func main() {
 		os.Exit(runDiff(flag.Arg(0), flag.Arg(1)))
 	case *flagBench:
 		os.Exit(runBench())
-	case *flagURL != "":
-		os.Exit(runFetch())
 	default:
-		fatalUsage("pick a mode: -url, -bench, or -diff (see -help)")
+		fatalUsage("pick a mode: -bench or -diff (see -help)")
 	}
 }
 
 func fatalUsage(msg string) {
 	fmt.Fprintln(os.Stderr, "tplprof:", msg)
 	os.Exit(2)
-}
-
-// --- fetch mode ---
-
-func fetch(path string) ([]byte, error) {
-	url := strings.TrimRight(*flagURL, "/") + path
-	client := &http.Client{Timeout: time.Duration(*flagSeconds)*time.Second + 30*time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, nil
-}
-
-func runFetch() int {
-	if *flagHeatmap {
-		body, err := fetch("/debug/heatmap")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tplprof:", err)
-			return 2
-		}
-		var hm struct {
-			Sources []struct {
-				Name string `json:"name"`
-				profiler.Heatmap
-			} `json:"sources"`
-		}
-		if err := json.Unmarshal(body, &hm); err != nil {
-			fmt.Fprintln(os.Stderr, "tplprof: bad heatmap document:", err)
-			return 2
-		}
-		for _, s := range hm.Sources {
-			renderHeatmap(os.Stdout, s.Name, s.Heatmap)
-		}
-		if len(hm.Sources) == 0 {
-			fmt.Println("no heatmap sources (is the server profiling?)")
-		}
-		return 0
-	}
-
-	query := ""
-	if *flagSeconds > 0 {
-		query = fmt.Sprintf("?seconds=%g", *flagSeconds)
-		fmt.Fprintf(os.Stderr, "profiling %s for %gs...\n", *flagURL, *flagSeconds)
-	}
-	body, err := fetch("/debug/profile" + query)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tplprof:", err)
-		return 2
-	}
-	var p profiler.Profile
-	if err := json.Unmarshal(body, &p); err != nil {
-		fmt.Fprintln(os.Stderr, "tplprof: bad profile document:", err)
-		return 2
-	}
-	renderTop(os.Stdout, p, *flagTop)
-	if err := writeArtifacts(p, body); err != nil {
-		fmt.Fprintln(os.Stderr, "tplprof:", err)
-		return 1
-	}
-	return 0
-}
-
-// writeArtifacts writes the requested output files from the profile
-// (the raw JSON bytes are reused verbatim for -json).
-func writeArtifacts(p profiler.Profile, raw []byte) error {
-	if *flagJSON != "" {
-		if err := os.WriteFile(*flagJSON, raw, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *flagJSON)
-	}
-	if *flagFolded != "" {
-		f, err := os.Create(*flagFolded)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteFolded(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (feed to flamegraph.pl / speedscope)\n", *flagFolded)
-	}
-	if *flagPprof != "" {
-		f, err := os.Create(*flagPprof)
-		if err != nil {
-			return err
-		}
-		if err := p.WritePprof(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (open with `go tool pprof`)\n", *flagPprof)
-	}
-	return nil
 }
 
 // renderTop prints the hotspot table: the profile's n largest frames
@@ -227,31 +100,6 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-// renderHeatmap prints one source's per-DPU utilization: a bar per
-// core split into issue / DMA-excess / idle shares, plus the window
-// count retained for time-series consumers.
-func renderHeatmap(w io.Writer, name string, h profiler.Heatmap) {
-	fmt.Fprintf(w, "== %s: %d launches, %d retained windows ==\n", name, h.Launches, len(h.Windows))
-	const width = 40
-	for _, d := range h.DPUs {
-		bar := make([]byte, width)
-		iw := int(d.IssueShare * width)
-		dw := int(d.DMAShare * width)
-		for i := range bar {
-			switch {
-			case i < iw:
-				bar[i] = '#'
-			case i < iw+dw:
-				bar[i] = '='
-			default:
-				bar[i] = '.'
-			}
-		}
-		fmt.Fprintf(w, "  dpu %3d [%s] issue %5.1f%%  dma %5.1f%%  idle %5.1f%%  (%d launches)\n",
-			d.DPU, bar, 100*d.IssueShare, 100*d.DMAShare, 100*d.IdleShare, d.Launches)
-	}
 }
 
 // --- bench mode ---

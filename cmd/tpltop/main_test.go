@@ -83,14 +83,16 @@ func TestRateSparkline(t *testing.T) {
 }
 
 // TestFetchRenderLive runs the real fetch/render path against a live
-// instrumented cluster mounted the way tplserve mounts it.
+// instrumented cluster mounted the way tplload mounts it.
 func TestFetchRenderLive(t *testing.T) {
 	cl, err := transpimlib.NewCluster(transpimlib.ClusterConfig{
 		Replicas: 2,
-		Engine:   transpimlib.EngineConfig{DPUs: 2, Shards: 1},
+		Engine: transpimlib.EngineConfig{DPUs: 2, Shards: 1,
+			Accuracy: transpimlib.AccuracyConfig{Enabled: true, SampleRate: 1}},
 		Seed:     1,
 		Ledger:   true,
 		Timeline: transpimlib.TimelineConfig{Enabled: true, BucketWidth: time.Second},
+		Profiler: transpimlib.ProfilerConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +142,8 @@ func TestFetchRenderLive(t *testing.T) {
 	var sb strings.Builder
 	render(&sb, p1, p2)
 	out := sb.String()
-	for _, want := range []string{"acme", "sigmoid", "l-lut(i)", "REPLICA", "REQ/s"} {
+	for _, want := range []string{"acme", "sigmoid", "l-lut(i)", "REPLICA", "REQ/s",
+		"WALLCYC/s", "HEATMAP replica/1", "  dpu   1 [", "ACCURACY replica/0", "ACCURACY replica/1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render output lacks %q:\n%s", want, out)
 		}

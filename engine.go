@@ -30,19 +30,11 @@ type EngineConfig struct {
 	// BatchWindow is how long the batcher holds a request to let more
 	// arrive and coalesce (default 0: coalesce only what is queued).
 	BatchWindow time.Duration
-	// QueueDepth bounds pending requests; callers block when full
-	// (default 64).
-	QueueDepth int
 	// TraceDepth retains the span trees of the last N completed
 	// requests, readable via TraceLast/Traces and servable at
 	// /debug/trace (default 0: tracing disabled, no per-stage
 	// timestamps are taken).
 	TraceDepth int
-	// ProcName names this engine's process lane in Chrome trace
-	// exports (e.g. "replica/2"); spans inherit it down the tree.
-	// Empty uses the exporter default. NewCluster stamps one per
-	// replica automatically.
-	ProcName string
 	// Ledger enables the per-tenant cost ledger: every served request
 	// is charged to its (tenant, function, method) row — elements,
 	// modeled kernel cycles, host↔PIM bytes, degraded serves — with
@@ -61,8 +53,8 @@ type EngineConfig struct {
 	// Profiler enables the continuous modeled-cycle profiler: every
 	// launch's cycles are attributed to a (tenant, function, method,
 	// stage, instruction class) stack in a lock-cheap aggregation
-	// tree, with per-DPU issue/DMA/idle heatmap accounting over a ring
-	// of time windows. Read it via Engine.Profile*, /debug/profile
+	// tree, with cumulative per-DPU issue/DMA/idle heatmap accounting.
+	// Read it via Engine.Profile*, /debug/profile
 	// (folded flamegraph text, pprof profile.proto, or JSON), and
 	// /debug/heatmap. The simulator measures every launch once either
 	// way; the profiler reads those records, so enabling it adds no
@@ -189,9 +181,8 @@ type LedgerRow = telemetry.LedgerRow
 // as JSON.
 type LedgerSnapshot = telemetry.LedgerSnapshot
 
-// ProfilerConfig tunes the modeled-cycle profiler: heatmap window
-// width and retained window count. The profiler keeps at most 4096
-// frames; further stacks share one "~other" frame.
+// ProfilerConfig switches the modeled-cycle profiler on. The profiler
+// keeps at most 4096 frames; further stacks share one "~other" frame.
 type ProfilerConfig = profiler.Config
 
 // CycleProfile is a point-in-time view of the modeled-cycle profiler:
@@ -207,8 +198,8 @@ type CycleProfile = profiler.Profile
 type CycleFrame = profiler.Frame
 
 // CycleHeatmap is the per-DPU utilization view: cumulative
-// issue/DMA/idle cycle shares per core plus the retained time
-// windows. It is what /debug/heatmap serves per source.
+// issue/DMA/idle cycles and shares per core. It is what
+// /debug/heatmap serves per source.
 type CycleHeatmap = profiler.Heatmap
 
 // Engine is a long-lived serving runtime over a multi-core PIM
@@ -239,9 +230,7 @@ func (cfg EngineConfig) internal() (engine.Config, error) {
 		Shards:      cfg.Shards,
 		MaxBatch:    cfg.MaxBatch,
 		BatchWindow: cfg.BatchWindow,
-		QueueDepth:  cfg.QueueDepth,
 		TraceDepth:  cfg.TraceDepth,
-		ProcName:    cfg.ProcName,
 		Ledger:      cfg.Ledger,
 		Timeline:    cfg.Timeline,
 		Profiler:    cfg.Profiler,

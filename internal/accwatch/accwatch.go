@@ -484,8 +484,9 @@ func (w *Watcher) closeWindow(s *series) (breached, drifted bool) {
 }
 
 // CheckSLOs evaluates every series' cumulative errors against its
-// SLOs — the shutdown/gate check tplserve -acc-gate uses, independent
-// of window boundaries. Violations are returned sorted by series key.
+// SLOs — the shutdown/gate check tplload -acc-gate runs on every
+// replica, independent of window boundaries. Violations are returned
+// sorted by series key.
 func (w *Watcher) CheckSLOs() []Violation {
 	if w == nil {
 		return nil

@@ -579,7 +579,8 @@ func (c *Cluster) ReplicaObserve(i int) *telemetry.Telemetry {
 }
 
 // Replica returns replica i's engine, or nil for injected executors —
-// the escape hatch tplserve uses for per-replica accuracy snapshots.
+// the per-replica view the root API's Cluster.Replica wraps (accuracy,
+// fault logs, lane health).
 func (c *Cluster) Replica(i int) *engine.Engine {
 	if i < 0 || i >= len(c.engines) {
 		return nil

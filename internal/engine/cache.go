@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"transpimlib/internal/core"
 )
@@ -31,12 +30,6 @@ func makeSpec(fn core.Function, p core.Params) Spec {
 type tableCache struct {
 	mu      sync.Mutex
 	entries map[Spec]*cacheEntry
-
-	// gen counts invalidations. Compiled plans (shard.plans and the
-	// program plans) pin the generation they were built against and
-	// self-invalidate when it moves, so a table hot-swap needs no plan
-	// walk.
-	gen atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -99,48 +92,16 @@ func (c *tableCache) size() int {
 	return len(c.entries)
 }
 
-// generation returns the invalidation counter compiled plans pin.
-func (c *tableCache) generation() uint64 { return c.gen.Load() }
-
-// invalidate drops the spec's residency bookkeeping and bumps the
-// generation, lazily invalidating every compiled plan. The old tables
-// physically stay in the PIM memories (bump allocator, no free), so
-// in-flight batches holding the old operators finish safely; the next
-// request for the spec rebuilds fresh tables above them. Returns
-// whether tables were resident.
-func (c *tableCache) invalidate(spec Spec) bool {
-	c.mu.Lock()
-	_, ok := c.entries[spec]
-	delete(c.entries, spec)
-	c.mu.Unlock()
-	if ok {
-		c.gen.Add(1)
-	}
-	return ok
-}
-
-// plan is a shard's compiled recipe for one spec: the operators its
-// cores hold and the table-cache generation they were resolved
-// against. A table hot-swap bumps the generation, which makes the plan
-// stale.
-type plan struct {
-	ops []*core.Operator
-	gen uint64
-}
-
 // batchOps returns the operators serving b's spec on shard s (the
-// cache hit/miss point). A plan hit proves the tables were resident
-// when the plan was compiled and the table-cache generation has not
-// moved since: no table-cache lock, no setup charge. A miss resolves
-// the tables through the cache and compiles the plan. The generation
-// is read before ensure, so a hot-swap racing the build leaves the plan
-// stale and the spec's next batch recompiles it.
+// cache hit/miss point). A plan hit proves the tables are resident on
+// the shard, since cache entries are never dropped: no table-cache
+// lock, no setup charge. A miss resolves the tables through the cache
+// and records the plan.
 func (e *Engine) batchOps(s *shard, b *batch) ([]*core.Operator, error) {
-	gen := e.cache.generation()
-	if p, ok := s.plans[b.spec]; ok && p.gen == gen {
+	if ops, ok := s.plans[b.spec]; ok {
 		e.met.planHits.Inc()
 		b.hit = true
-		return p.ops, nil
+		return ops, nil
 	}
 	e.met.planMisses.Inc()
 	ops, hit, setup, err := e.cache.ensure(b.spec, s)
@@ -149,6 +110,6 @@ func (e *Engine) batchOps(s *shard, b *batch) ([]*core.Operator, error) {
 		return nil, err
 	}
 	b.hit, b.setup = hit, setup
-	s.plans[b.spec] = plan{ops: ops, gen: gen}
+	s.plans[b.spec] = ops
 	return ops, nil
 }

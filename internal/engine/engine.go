@@ -195,7 +195,7 @@ type shard struct {
 	// plans memoizes each spec's resolved operators on this shard (see
 	// batchOps). Only the shard's goroutine touches it, so it needs no
 	// lock, and it holds at most one entry per spec served here.
-	plans map[Spec]plan
+	plans map[Spec][]*core.Operator
 
 	// Per-launch lane scratch for computeBatch's recovery ladder.
 	lanesScratch []int
@@ -225,8 +225,7 @@ type Engine struct {
 	shards []*shard
 	cache  *tableCache
 	// pplans caches fused-program execution plans per (program, shard);
-	// see program.go. Like shard.plans, entries pin the table-cache
-	// generation.
+	// see program.go.
 	pplans *progPlanCache
 
 	submit   chan *request
@@ -292,8 +291,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.tel = &telemetry.Telemetry{Registry: reg, Tracer: e.tracer}
 	if cfg.Profiler.Enabled {
-		e.prof = profiler.New(cfg.Profiler, cfg.DPUs)
-		e.prof.Start()
+		e.prof = profiler.New(cfg.DPUs)
 		srcName := cfg.ProcName
 		if srcName == "" {
 			srcName = "engine"
@@ -347,7 +345,7 @@ func New(cfg Config) (*Engine, error) {
 			inBuf:     make([]float32, capPerDPU*perShard),
 			outBuf:    make([]float32, capPerDPU*perShard),
 			lanes:     make([]pimsim.CoreProfile, perShard),
-			plans:     make(map[Spec]plan),
+			plans:     make(map[Spec][]*core.Operator),
 
 			lanesScratch: make([]int, 0, perShard),
 			launchIDs:    make([]int, 0, perShard),
@@ -432,20 +430,6 @@ func (e *Engine) Traces() []*telemetry.Trace { return e.tracer.Traces() }
 // CachedSpecs returns how many (function, method) configurations hold
 // resident tables.
 func (e *Engine) CachedSpecs() int { return e.cache.size() }
-
-// InvalidateTables drops the resident tables for one configuration —
-// the hot-swap hook for regenerating a function's tables (say, after
-// retuning its fit). The next request for the spec rebuilds; every
-// compiled batch plan self-invalidates via the bumped table-cache
-// generation, so in-flight batches finish on the old tables (which
-// physically remain — PIM memories never free) and no shard is
-// paused. Returns whether tables were resident. Safe for
-// concurrent use with serving traffic.
-func (e *Engine) InvalidateTables(fn core.Function, p core.Params) bool {
-	ok := e.cache.invalidate(makeSpec(fn, p))
-	e.met.cachedSpecs.Set(int64(e.cache.size()))
-	return ok
-}
 
 // Accuracy returns a point-in-time snapshot of the accuracy watcher's
 // shadow-sample statistics; ok is false when accuracy monitoring is
@@ -552,7 +536,6 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	e.wg.Wait()
 	e.timeline.Close()
-	e.prof.Close()
 }
 
 // batcher collects queued requests, groups them by spec, and emits

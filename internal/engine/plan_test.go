@@ -55,64 +55,9 @@ func TestEnginePlanCounters(t *testing.T) {
 	}
 }
 
-// TestInvalidateTablesRecompiles drives the hot-swap path: after
-// InvalidateTables the next request rebuilds tables (a real cache
-// miss with a setup charge), the compiled plan self-invalidates via
-// the generation, and outputs stay bit-identical to the pre-swap run
-// (same spec ⇒ same tables ⇒ same values).
-func TestInvalidateTablesRecompiles(t *testing.T) {
-	e, err := New(Config{DPUs: 2, Shards: 1, MaxBatch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	fn, par := llutSpec()
-	xs := stats.RandomInputs(-7.9, 7.9, 256, 7)
-
-	before, _, err := e.EvaluateBatch(fn, par, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.EvaluateBatch(fn, par, xs); err != nil {
-		t.Fatal(err) // plan hit
-	}
-	warm := e.Stats()
-	if warm.PlanHits == 0 {
-		t.Fatal("warmup never hit the plan cache")
-	}
-
-	if !e.InvalidateTables(fn, par) {
-		t.Fatal("InvalidateTables found no resident tables")
-	}
-	if e.CachedSpecs() != 0 {
-		t.Fatalf("CachedSpecs=%d after invalidation, want 0", e.CachedSpecs())
-	}
-	after, rst, err := e.EvaluateBatch(fn, par, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.CacheHit || rst.SetupSeconds == 0 {
-		t.Fatalf("post-swap request did not rebuild tables: %+v", rst)
-	}
-	st := e.Stats()
-	if st.PlanMisses != warm.PlanMisses+1 {
-		t.Fatalf("post-swap plan misses = %d, want %d (stale plan must recompile)",
-			st.PlanMisses, warm.PlanMisses+1)
-	}
-	for i := range xs {
-		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
-			t.Fatalf("output %d drifted across hot-swap: %v != %v", i, after[i], before[i])
-		}
-	}
-	// Invalidating a spec that was never built reports false.
-	if e.InvalidateTables(core.Exp, core.Params{Method: core.MLUT, SizeLog2: 8}) {
-		t.Fatal("InvalidateTables reported residency for an unbuilt spec")
-	}
-}
-
 // TestPlanCacheConcurrentTenants hammers the plan cache from many
-// tenants with mixed specs and sizes while a hot-swapper invalidates
-// tables mid-flight — the -race exercise — on a clean engine and on
+// tenants with mixed specs and sizes — the -race exercise — on a
+// clean engine and on
 // one whose faults walk the recovery ladder. Every output is checked
 // bit-identical against a quiet reference engine.
 func TestPlanCacheConcurrentTenants(t *testing.T) {
@@ -193,14 +138,6 @@ func TestPlanCacheConcurrentTenants(t *testing.T) {
 					}
 				}()
 			}
-			// The hot-swapper: invalidate each spec once while traffic flows.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, sp := range specs {
-					e.InvalidateTables(sp.fn, sp.par)
-				}
-			}()
 			wg.Wait()
 			close(errCh)
 			for err := range errCh {

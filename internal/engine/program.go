@@ -74,13 +74,6 @@ type progKey struct {
 	shard int
 }
 
-// progEntry pins the table-cache generation like shard.plans does: a
-// table hot-swap bumps the generation and the entry self-invalidates.
-type progEntry struct {
-	ex  *fusion.Exec
-	gen uint64
-}
-
 const defaultProgPlanLimit = 64
 
 // progPlanCache is the bounded FIFO cache of program execution plans;
@@ -90,32 +83,28 @@ const defaultProgPlanLimit = 64
 // Exec never serves two batches concurrently.
 type progPlanCache struct {
 	mu    sync.Mutex
-	m     map[progKey]progEntry
+	m     map[progKey]*fusion.Exec
 	order []progKey
 	limit int
 }
 
 func newProgPlanCache(limit int) *progPlanCache {
-	return &progPlanCache{m: make(map[progKey]progEntry), limit: limit}
+	return &progPlanCache{m: make(map[progKey]*fusion.Exec), limit: limit}
 }
 
-func (c *progPlanCache) lookup(k progKey, gen uint64) *fusion.Exec {
+func (c *progPlanCache) lookup(k progKey) *fusion.Exec {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[k]
-	if !ok || e.gen != gen {
-		return nil
-	}
-	return e.ex
+	return c.m[k]
 }
 
-func (c *progPlanCache) store(k progKey, ex *fusion.Exec, gen uint64) {
+func (c *progPlanCache) store(k progKey, ex *fusion.Exec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[k]; !ok {
 		c.order = append(c.order, k)
 	}
-	c.m[k] = progEntry{ex: ex, gen: gen}
+	c.m[k] = ex
 	for len(c.order) > c.limit {
 		old := c.order[0]
 		c.order = c.order[1:]
@@ -259,9 +248,8 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 	if b.tr != nil {
 		b.tr.setupStart = time.Now()
 	}
-	gen := e.cache.generation()
 	key := progKey{pid: c.ID(), shard: s.id}
-	ex := e.pplans.lookup(key, gen)
+	ex := e.pplans.lookup(key)
 	if ex != nil {
 		b.hit, b.setup = true, 0
 		e.met.planHits.Inc()
@@ -287,7 +275,7 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 			ex.SetOps(i, ops)
 		}
 		b.hit, b.setup = hit, setup
-		e.pplans.store(key, ex, gen)
+		e.pplans.store(key, ex)
 	}
 	if b.tr != nil {
 		b.tr.setupEnd = time.Now()

@@ -93,8 +93,7 @@ type Stats struct {
 	CacheMisses uint64
 
 	// PlanHits/PlanMisses count per-batch compiled-plan lookups: a hit
-	// skips table-cache locking entirely; a miss compiles (or
-	// recompiles, after a table hot-swap) the plan.
+	// skips table-cache locking entirely; a miss compiles the plan.
 	PlanHits   uint64
 	PlanMisses uint64
 
@@ -113,7 +112,7 @@ type Stats struct {
 	// QueueDepth is the coalescing-batcher backlog at snapshot time:
 	// requests accepted but not yet pulled into a batching round. A
 	// point-in-time gauge, not a counter — the cluster router's
-	// least-loaded placement and tplwatch both read it.
+	// least-loaded placement reads the same backlog.
 	QueueDepth int
 
 	// Reliability counters (all zero unless fault injection is on).

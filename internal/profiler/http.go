@@ -80,7 +80,7 @@ type heatmapSource struct {
 
 // HeatmapHandler serves /debug/heatmap: per-DPU utilization
 // decompositions per source (one per replica under a cluster),
-// cumulative plus the retained windows.
+// cumulative since each collector started.
 func HeatmapHandler(sources func() []Source) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		out := struct {

@@ -15,10 +15,10 @@
 // cycles reconcile ±0 against the pimsim attribution counter and the
 // cost ledger for the same run.
 //
-// The collector also keeps per-DPU utilization accumulators — issue
-// vs. DMA-excess vs. idle cycles per core — both cumulative and as a
-// ring of time-windowed snapshots (the Timeline discipline), exported
-// as heatmaps.
+// The collector also keeps cumulative per-DPU utilization
+// accumulators — issue vs. DMA-excess vs. idle cycles per core —
+// exported as heatmaps; a reader makes windows by subtracting two
+// snapshots (SubHeatmap), as it does for profiles (Sub).
 package profiler
 
 import (
@@ -34,26 +34,11 @@ type Config struct {
 	// Enabled turns the profiler on. Off (the zero value), the engine
 	// builds no collector and its launch path skips the profile.
 	Enabled bool
-	// Window is the width of one heatmap window (default 1s).
-	Window time.Duration
-	// Windows is the ring capacity: how many closed windows the
-	// heatmap retains (default 60).
-	Windows int
 }
 
 // maxFrames caps frame cardinality; past it, new stacks collapse into
 // a single "~other" overflow frame.
 const maxFrames = 4096
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.Windows <= 0 {
-		c.Windows = 60
-	}
-	return c
-}
 
 // Seg is one tenant's contiguous element range within a launch and
 // its share of the launch's wall cycles.
@@ -109,7 +94,7 @@ type dpuCell struct {
 	idle      atomic.Uint64
 }
 
-// dpuAccum is a plain snapshot of a dpuCell (window delta math).
+// dpuAccum is a plain snapshot of a dpuCell.
 type dpuAccum struct {
 	launches, wall, issueAdj, dmaExcess, idle uint64
 }
@@ -118,7 +103,6 @@ type dpuAccum struct {
 // engine (one pimsim.System); a cluster keeps one per replica and
 // merges snapshots at export time.
 type Collector struct {
-	cfg   Config
 	start time.Time
 
 	mu       sync.RWMutex
@@ -127,75 +111,18 @@ type Collector struct {
 
 	launches atomic.Uint64
 	dpus     []dpuCell
-
-	// Window ring, sealed by Tick (Start's ticker or an explicit call).
-	wmu      sync.Mutex
-	prev     []dpuAccum
-	ring     []HeatWindow
-	head     int // next write position
-	count    int
-	winStart time.Time
-
-	tickStop  chan struct{}
-	tickDone  chan struct{}
-	closeOnce sync.Once
 }
 
 // New builds a collector for a system with the given core count.
-func New(cfg Config, dpus int) *Collector {
-	cfg = cfg.withDefaults()
+func New(dpus int) *Collector {
 	if dpus < 0 {
 		dpus = 0
 	}
-	now := time.Now()
 	return &Collector{
-		cfg:      cfg,
-		start:    now,
-		frames:   make(map[frameKey]*frameCell),
-		dpus:     make([]dpuCell, dpus),
-		prev:     make([]dpuAccum, dpus),
-		ring:     make([]HeatWindow, 0, cfg.Windows),
-		winStart: now,
+		start:  time.Now(),
+		frames: make(map[frameKey]*frameCell),
+		dpus:   make([]dpuCell, dpus),
 	}
-}
-
-// Start launches the background window ticker. Optional: a collector
-// works without it (cumulative views only); Close is still required
-// to stop the ticker once started.
-func (c *Collector) Start() {
-	if c == nil || c.tickStop != nil {
-		return
-	}
-	c.tickStop = make(chan struct{})
-	c.tickDone = make(chan struct{})
-	go func() {
-		defer close(c.tickDone)
-		t := time.NewTicker(c.cfg.Window)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				c.Tick(now)
-			case <-c.tickStop:
-				return
-			}
-		}
-	}()
-}
-
-// Close stops the ticker and seals the final partial window. Nil-safe
-// and idempotent.
-func (c *Collector) Close() {
-	if c == nil {
-		return
-	}
-	c.closeOnce.Do(func() {
-		if c.tickStop != nil {
-			close(c.tickStop)
-			<-c.tickDone
-		}
-		c.Tick(time.Now())
-	})
 }
 
 // Observe attributes one launch's per-lane records, as the simulator
@@ -330,50 +257,6 @@ func (c *Collector) addFrame(lc *LaunchContext, tenant string, cl pimsim.OpClass
 	cell.wall.Add(wall)
 }
 
-// Tick seals the window ending at now: per-DPU deltas since the last
-// tick go into the ring (overwriting the oldest once full). Safe for
-// concurrent use with Observe; empty windows (no launches anywhere)
-// are still recorded so the heatmap's time axis has no holes.
-func (c *Collector) Tick(now time.Time) {
-	if c == nil {
-		return
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	w := HeatWindow{
-		Start: c.winStart,
-		End:   now,
-		DPUs:  make([]HeatDPU, len(c.dpus)),
-	}
-	for i := range c.dpus {
-		cell := &c.dpus[i]
-		cur := dpuAccum{
-			launches:  cell.launches.Load(),
-			wall:      cell.wall.Load(),
-			issueAdj:  cell.issueAdj.Load(),
-			dmaExcess: cell.dmaExcess.Load(),
-			idle:      cell.idle.Load(),
-		}
-		p := c.prev[i]
-		w.DPUs[i] = makeHeatDPU(i, dpuAccum{
-			launches:  cur.launches - p.launches,
-			wall:      cur.wall - p.wall,
-			issueAdj:  cur.issueAdj - p.issueAdj,
-			dmaExcess: cur.dmaExcess - p.dmaExcess,
-			idle:      cur.idle - p.idle,
-		})
-		c.prev[i] = cur
-	}
-	if len(c.ring) < c.cfg.Windows {
-		c.ring = append(c.ring, w)
-	} else {
-		c.ring[c.head] = w
-	}
-	c.head = (c.head + 1) % c.cfg.Windows
-	c.count++
-	c.winStart = now
-}
-
 func makeHeatDPU(id int, d dpuAccum) HeatDPU {
 	h := HeatDPU{
 		DPU:         id,
@@ -391,8 +274,8 @@ func makeHeatDPU(id int, d dpuAccum) HeatDPU {
 	return h
 }
 
-// HeatDPU is one core's utilization decomposition over one window (or
-// cumulatively): occupancy-adjusted issue cycles, DMA-excess cycles
+// HeatDPU is one core's utilization decomposition, cumulative or over
+// the interval between two snapshots: occupancy-adjusted issue cycles, DMA-excess cycles
 // (DMA busy beyond the pipeline), and idle cycles waiting on the
 // launch's slowest lane. The three cycle columns sum to WallCycles.
 type HeatDPU struct {
@@ -407,23 +290,36 @@ type HeatDPU struct {
 	IdleShare   float64 `json:"idle_share"`
 }
 
-// HeatWindow is one sealed heatmap window.
-type HeatWindow struct {
-	Start time.Time `json:"start"`
-	End   time.Time `json:"end"`
-	DPUs  []HeatDPU `json:"dpus"`
-}
-
-// Heatmap is the per-DPU utilization export: cumulative totals plus
-// the retained windows, oldest first.
+// Heatmap is the per-DPU utilization export: cumulative totals since
+// the collector started.
 type Heatmap struct {
-	Launches uint64       `json:"launches"`
-	DPUs     []HeatDPU    `json:"dpus"`
-	Windows  []HeatWindow `json:"windows"`
+	Launches uint64    `json:"launches"`
+	DPUs     []HeatDPU `json:"dpus"`
 }
 
-// HeatmapSnapshot returns the cumulative per-DPU decomposition and the
-// closed windows, oldest first.
+// SubHeatmap returns the interval heatmap cur − prev: per-core cycle
+// and launch deltas with their shares recomputed, so issue + DMA-excess
+// + idle still sums to the interval's wall cycles. Cores absent from
+// prev are rated against zero.
+func SubHeatmap(cur, prev Heatmap) Heatmap {
+	out := Heatmap{Launches: cur.Launches - prev.Launches, DPUs: make([]HeatDPU, len(cur.DPUs))}
+	for i, d := range cur.DPUs {
+		var p HeatDPU
+		if i < len(prev.DPUs) {
+			p = prev.DPUs[i]
+		}
+		out.DPUs[i] = makeHeatDPU(d.DPU, dpuAccum{
+			launches:  d.Launches - p.Launches,
+			wall:      d.WallCycles - p.WallCycles,
+			issueAdj:  d.IssueCycles - p.IssueCycles,
+			dmaExcess: d.DMACycles - p.DMACycles,
+			idle:      d.IdleCycles - p.IdleCycles,
+		})
+	}
+	return out
+}
+
+// HeatmapSnapshot returns the cumulative per-DPU decomposition.
 func (c *Collector) HeatmapSnapshot() Heatmap {
 	if c == nil {
 		return Heatmap{}
@@ -442,14 +338,5 @@ func (c *Collector) HeatmapSnapshot() Heatmap {
 			idle:      cell.idle.Load(),
 		})
 	}
-	c.wmu.Lock()
-	if c.count <= len(c.ring) {
-		h.Windows = append(h.Windows, c.ring...)
-	} else {
-		for i := 0; i < len(c.ring); i++ {
-			h.Windows = append(h.Windows, c.ring[(c.head+i)%len(c.ring)])
-		}
-	}
-	c.wmu.Unlock()
 	return h
 }

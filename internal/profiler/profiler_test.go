@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"transpimlib/internal/pimsim"
 )
@@ -82,7 +81,7 @@ func sumProfile(p Profile) (ops, cycles, wall uint64) {
 // partitioning, so ops, per-class cycles and wall cycles each sum
 // back to the launch totals with zero remainder.
 func TestObserveAttributionExact(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	prof := synthProfile()
 	lc := &LaunchContext{
 		Function: "sin", Method: "l-lut(i)", Stage: "kernel",
@@ -135,7 +134,7 @@ func TestObserveAttributionExact(t *testing.T) {
 // A launch that charged no per-class cycles still has its wall
 // attributed (to ctrl), so totals keep reconciling.
 func TestObserveNoClassCyclesFallsToCtrl(t *testing.T) {
-	c := New(Config{Enabled: true}, 1)
+	c := New(1)
 	prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 100, DMACycles: 0})
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "t", N: 4}}, N: 4}
@@ -148,7 +147,7 @@ func TestObserveNoClassCyclesFallsToCtrl(t *testing.T) {
 }
 
 func TestHeatmapDecompositionSumsToWall(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	prof := synthProfile()
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 8}}, N: 8}
@@ -173,39 +172,42 @@ func TestHeatmapDecompositionSumsToWall(t *testing.T) {
 	}
 }
 
-// The window ring overwrites oldest-first and the snapshot returns
-// windows in chronological order, Timeline-style.
-func TestHeatmapWindowRingWraparound(t *testing.T) {
-	c := New(Config{Enabled: true, Windows: 3}, 1)
+// SubHeatmap rates the interval between two snapshots: per-core
+// deltas whose issue + DMA-excess + idle still equal the interval wall.
+func TestSubHeatmapIsIntervalDelta(t *testing.T) {
+	c := New(1)
 	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 1}}, N: 1}
-	base := time.Unix(1000, 0)
-	for i := 0; i < 5; i++ {
-		// i+1 launches in window i → per-window launch delta = i+1.
-		for j := 0; j <= i; j++ {
-			prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 10})
-			c.Observe(split(lc, prof), prof)
-		}
-		c.Tick(base.Add(time.Duration(i+1) * time.Second))
+	launch := func(issue uint64) {
+		prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: issue})
+		c.Observe(split(lc, prof), prof)
 	}
-	h := c.HeatmapSnapshot()
-	if len(h.Windows) != 3 {
-		t.Fatalf("want 3 retained windows, got %d", len(h.Windows))
+	launch(10)
+	before := c.HeatmapSnapshot()
+	launch(20)
+	launch(30)
+	after := c.HeatmapSnapshot()
+	d := SubHeatmap(after, before)
+	if d.Launches != 2 || d.DPUs[0].Launches != 2 {
+		t.Fatalf("interval launches = %d / %d, want 2", d.Launches, d.DPUs[0].Launches)
 	}
-	for i, w := range h.Windows {
-		wantLaunches := uint64(i + 3) // windows 2,3,4 survive
-		if w.DPUs[0].Launches != wantLaunches {
-			t.Fatalf("window %d launches = %d, want %d", i, w.DPUs[0].Launches, wantLaunches)
-		}
-		wantEnd := base.Add(time.Duration(i+3) * time.Second)
-		if !w.End.Equal(wantEnd) {
-			t.Fatalf("window %d end = %v, want %v", i, w.End, wantEnd)
-		}
+	h := d.DPUs[0]
+	if h.WallCycles != after.DPUs[0].WallCycles-before.DPUs[0].WallCycles {
+		t.Fatalf("interval wall = %d", h.WallCycles)
+	}
+	if h.IssueCycles+h.DMACycles+h.IdleCycles != h.WallCycles {
+		t.Fatalf("interval decomposition %+v does not sum to wall", h)
+	}
+	if s := h.IssueShare + h.DMAShare + h.IdleShare; h.WallCycles > 0 && (s < 0.999 || s > 1.001) {
+		t.Fatalf("interval shares sum to %v", s)
+	}
+	if z := SubHeatmap(after, after); z.Launches != 0 || z.DPUs[0].WallCycles != 0 {
+		t.Fatalf("self-difference not empty: %+v", z)
 	}
 }
 
 func TestMergeSumsAndDiffOfIdenticalIsEmpty(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 		Segs: []Seg{{Tenant: "a", N: 5}}, N: 5}
 	c.Observe(split(lc, synthProfile()), synthProfile())
@@ -232,7 +234,7 @@ func TestMergeSumsAndDiffOfIdenticalIsEmpty(t *testing.T) {
 }
 
 func TestSubIsIntervalDelta(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 		Segs: []Seg{{Tenant: "a", N: 5}}, N: 5}
 	c.Observe(split(lc, synthProfile()), synthProfile())
@@ -248,7 +250,7 @@ func TestSubIsIntervalDelta(t *testing.T) {
 }
 
 func TestRollupCollapsesTenantAndStage(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	for _, tn := range []string{"a", "b"} {
 		lc := &LaunchContext{Function: "sin", Method: "l-lut", Stage: "kernel",
 			Segs: []Seg{{Tenant: tn, N: 5}}, N: 5}
@@ -272,7 +274,7 @@ func TestRollupCollapsesTenantAndStage(t *testing.T) {
 }
 
 func TestMaxFramesOverflow(t *testing.T) {
-	c := New(Config{Enabled: true}, 1)
+	c := New(1)
 	prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 100})
 	// Each function yields one (ctrl) frame: maxFrames real frames, then
 	// two more stacks that must collapse into the overflow frame.
@@ -305,7 +307,7 @@ func TestMaxFramesOverflow(t *testing.T) {
 }
 
 func TestWriteFoldedFormat(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	lc := &LaunchContext{Function: "sin", Method: "l-lut(i)", Stage: "kernel",
 		Segs: []Seg{{Tenant: "", N: 5}}, N: 5}
 	c.Observe(split(lc, synthProfile()), synthProfile())
@@ -330,7 +332,7 @@ func TestWriteFoldedFormat(t *testing.T) {
 // Concurrent Observe from several goroutines (the multi-shard case)
 // keeps exact totals — run under -race.
 func TestObserveConcurrent(t *testing.T) {
-	c := New(Config{Enabled: true}, 2)
+	c := New(2)
 	prof := synthProfile()
 	wall := launchWall(prof)
 	const goroutines, per = 8, 50
@@ -343,9 +345,6 @@ func TestObserveConcurrent(t *testing.T) {
 				Segs: []Seg{{Tenant: "t", N: 3}, {Tenant: "u", N: 5}}, N: 8}
 			for i := 0; i < per; i++ {
 				c.Observe(split(lc, prof), prof)
-				if i%10 == 0 {
-					c.Tick(time.Now())
-				}
 			}
 		}(g)
 	}
@@ -362,27 +361,10 @@ func TestObserveConcurrent(t *testing.T) {
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.Observe(&LaunchContext{}, nil)
-	c.Tick(time.Now())
-	c.Close()
 	if p := c.Snapshot(); len(p.Frames) != 0 {
 		t.Fatal("nil collector produced frames")
 	}
 	if h := c.HeatmapSnapshot(); len(h.DPUs) != 0 {
 		t.Fatal("nil collector produced heatmap rows")
 	}
-}
-
-func TestStartCloseSealsPartialWindow(t *testing.T) {
-	c := New(Config{Enabled: true, Window: time.Hour}, 1)
-	c.Start()
-	lc := &LaunchContext{Function: "f", Method: "m", Stage: "kernel",
-		Segs: []Seg{{Tenant: "", N: 1}}, N: 1}
-	prof := records(pimsim.CoreProfile{DPU: 0, Tasklets: 16, IssueCycles: 10})
-	c.Observe(split(lc, prof), prof)
-	c.Close()
-	h := c.HeatmapSnapshot()
-	if len(h.Windows) == 0 || h.Windows[len(h.Windows)-1].DPUs[0].Launches != 1 {
-		t.Fatalf("Close did not seal the partial window: %+v", h.Windows)
-	}
-	c.Close() // idempotent
 }

@@ -1,7 +1,7 @@
 // Package promparse parses Prometheus 0.0.4 text exposition into a
 // flat series-name → value map. It is the shared client-side half of
-// internal/telemetry's exposition: tplwatch and tpltop both scrape
-// registries this package's server side rendered, so anything
+// internal/telemetry's exposition: tpltop scrapes registries this
+// package's server side rendered, so anything
 // unparseable is a bug worth surfacing, not a case to skip.
 package promparse
 
