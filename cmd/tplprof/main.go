@@ -9,8 +9,9 @@
 // Modes (exactly one):
 //
 //	tplprof -bench [-n 4096] [-out profile.json]
-//	    Run the deterministic offline benchmark workload (the tplbench
-//	    engine snapshot mix plus a fused softmax program) under a
+//	    Run the deterministic offline benchmark workload (sigmoid
+//	    L-LUTi, GELU DL-LUTi and exp fixed L-LUTi requests plus a fused
+//	    softmax program) under a
 //	    profiling engine and write the resulting profile. Modeled
 //	    cycles are machine-independent, so the output is byte-level
 //	    reproducible and can be committed as a CI baseline.
@@ -104,9 +105,9 @@ func orDash(s string) string {
 
 // --- bench mode ---
 
-// benchProfile runs the deterministic offline workload — the tplbench
-// engine-snapshot mix (sigmoid L-LUTi, GELU DL-LUTi, exp fixed
-// L-LUTi over two rounds) plus a fused softmax program — on a
+// benchProfile runs the deterministic offline workload — sigmoid
+// L-LUTi, GELU DL-LUTi and exp fixed L-LUTi requests over two rounds,
+// plus a fused softmax program — on a
 // profiling engine and returns its cumulative profile. Everything
 // that reaches the profile is modeled, so two runs on any machines
 // produce identical frames.

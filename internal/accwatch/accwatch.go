@@ -3,7 +3,7 @@
 // accuracy-vs-performance tradeoff per method (Figs. 5–7: CORDIC vs.
 // the M/L/D-LUT families); the serving stack measures the performance
 // half continuously but, before this package, accuracy only offline
-// (cmd/tplaccuracy). accwatch closes that gap the way production ML
+// (cmd/tplrepro's accuracy table). accwatch closes that gap the way production ML
 // serving systems treat model-quality drift — as a first-class
 // observable next to latency:
 //
@@ -191,7 +191,7 @@ type series struct {
 	mu  sync.Mutex
 	key Key
 
-	cum     stats.Collector // since engine start — bit-comparable with tplaccuracy
+	cum     stats.Collector // since engine start — bit-comparable with tplrepro's accuracy table
 	win     stats.Collector // current rolling window
 	winN    int
 	windows uint64

@@ -68,7 +68,7 @@ func TestSamplerDeterminism(t *testing.T) {
 // TestFullRateMatchesCollector pins bit-comparability with the offline
 // path: at SampleRate 1.0 the watcher's cumulative errors equal a
 // stats.Collector fed the same (output, reference) pairs in order —
-// the exact math cmd/tplaccuracy uses.
+// the exact math cmd/tplrepro's accuracy table uses.
 func TestFullRateMatchesCollector(t *testing.T) {
 	w := New(Config{Enabled: true, SampleRate: 1.0, Window: 1 << 20}, telemetry.NewRegistry(), nil)
 	xs := stats.RandomInputs(0, 2*math.Pi, 1000, 7)

@@ -82,8 +82,7 @@ func TestClusterConnectedTrace(t *testing.T) {
 
 	fn := core.Sigmoid
 	p := core.Params{Method: core.LLUT, Interp: true, SizeLog2: 10}
-	// Prewarm: a cold setup span's modeled seconds include the measured
-	// host table-build time, which the golden cannot pin.
+	// Prewarm so the pinned skeleton is a warm request's.
 	if err := cl.Prewarm(fn, p, "acme"); err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ import (
 // /debug/trace?format=chrome document for the same traces with its
 // wall-clock ts and dur zeroed. The mix covers a one-batch, a
 // three-batch and a three-element request, a failing request, batches
-// recovered from injected faults, and a fused program on a standalone
-// engine.
+// recovered from injected faults, a cold request whose setup span
+// pins the modeled table build and broadcast, and a fused program on
+// a standalone engine.
 //
-// Every served spec is prewarmed (the program runs once before the
-// recorded run): a cold setup span's modeled seconds include measured
-// host table-build time, which no golden can pin.
+// The faulted spec is prewarmed (and the program runs once before the
+// recorded run) so the recovery traces show warm batches only.
 func TestTraceRequestsGolden(t *testing.T) {
 	// Replica 0 serves this spec's key. Its lane 0 fails the first
 	// launch of each of the 1,100-element request's three batches
@@ -72,6 +72,11 @@ func TestTraceRequestsGolden(t *testing.T) {
 	if _, _, err := cl.EvaluateBatchTenant("acme", fn, bad, stats.RandomInputs(-1, 1, 16, 4)); err == nil {
 		t.Fatal("oversized WRAM table must fail")
 	}
+	// Cold: this spec's tables are built on first use.
+	cold := core.Params{Method: core.DLLUT, Interp: true, SizeLog2: 8}
+	if _, st, err := cl.EvaluateBatchTenant("acme", core.Tanh, cold, stats.RandomInputs(-6, 6, 32, 5)); err != nil || st.CacheHit {
+		t.Fatalf("cold request: hit=%v err=%v", st.CacheHit, err)
+	}
 
 	e, err := engine.New(engine.Config{DPUs: 2, Shards: 1, TraceDepth: 8})
 	if err != nil {
@@ -113,7 +118,7 @@ func TestTraceRequestsGolden(t *testing.T) {
 	section("engine", e.Observe(), 1)
 
 	out := sb.String()
-	for _, want := range []string{"retries=", "remapped=true", "hedged=true", "error", "program=softmax"} {
+	for _, want := range []string{"retries=", "remapped=true", "hedged=true", "error", "setup", "program=softmax"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("golden traces lack %q", want)
 		}

@@ -89,6 +89,10 @@ func NewLUTAssist(dpu *pimsim.DPU, place Placement, lutBits, tailIters int) (*LU
 	return la, nil
 }
 
+// Constants returns how many constants the host generated: head-table
+// entries and tail iteration constants.
+func (la *LUTAssist) Constants() (head, tail int) { return la.entries, la.tail.t.Iterations() }
+
 // TableBytes returns the PIM memory footprint: head table plus tail
 // iteration constants.
 func (la *LUTAssist) TableBytes() int {

@@ -1,7 +1,7 @@
 // Package core assembles the substrates — CORDIC engines, fuzzy
 // lookup tables, range reduction, polynomial baseline — into
 // TransPimLib proper: for every supported (function, method) pair it
-// builds the host-side setup (tables, measured setup time) and a
+// builds the host-side setup (tables, modeled setup time) and a
 // device-side evaluator that runs on the simulated PIM core with full
 // cycle accounting.
 package core

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"transpimlib/internal/cordic"
 	"transpimlib/internal/fixed"
@@ -32,7 +31,7 @@ type Operator struct {
 	sigs   [maxCostClasses]pimsim.CostSig
 
 	tableBytes      int
-	buildSeconds    float64
+	hostCycles      float64 // table generation on the model host (hostcost.go)
 	transferSeconds float64
 }
 
@@ -46,9 +45,11 @@ func (o *Operator) Eval(ctx *pimsim.Ctx, x float32) float32 { return o.eval(ctx,
 // (Fig. 7).
 func (o *Operator) TableBytes() int { return o.tableBytes }
 
-// BuildSeconds returns the measured host wall time spent generating
-// tables (the host-CPU part of Fig. 6).
-func (o *Operator) BuildSeconds() float64 { return o.buildSeconds }
+// BuildSeconds returns the modeled host time spent generating tables
+// (the host-CPU part of Fig. 6): the build's table entries, CORDIC
+// constants and fit samples priced on the model host (hostcost.go).
+// It is a pure function of the function and params.
+func (o *Operator) BuildSeconds() float64 { return o.hostCycles / XeonClockHz }
 
 // TransferSeconds returns the modeled Host→PIM transfer time for the
 // tables (the transfer part of Fig. 6's setup time).
@@ -56,18 +57,18 @@ func (o *Operator) TransferSeconds() float64 { return o.transferSeconds }
 
 // SetupSeconds returns the total setup time: host-side generation plus
 // Host→PIM transfer (§4.1.1).
-func (o *Operator) SetupSeconds() float64 { return o.buildSeconds + o.transferSeconds }
+func (o *Operator) SetupSeconds() float64 { return o.BuildSeconds() + o.transferSeconds }
 
 // Build compiles fn with params onto the PIM core: it generates any
-// tables on the host (measuring wall time), loads them into the
-// selected memory, and wires the device-side evaluator.
+// tables on the host (pricing the generation on the model host),
+// loads them into the selected memory, and wires the device-side
+// evaluator.
 func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 	p = p.withDefaults()
 	if !p.Method.Supports(fn) {
 		return nil, fmt.Errorf("core: %v does not support %v (see Table 2)", p.Method, fn)
 	}
 	o := &Operator{Fn: fn, Par: p}
-	start := time.Now()
 	var err error
 	switch p.Method {
 	case CORDIC:
@@ -132,7 +133,6 @@ func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 		o.mirror = wrapSqrtGuard(o.mirror)
 	}
 	o.recordSigs(dpu.Model())
-	o.buildSeconds = time.Since(start).Seconds()
 	// Table transfer to a single PIM core's DRAM bank proceeds at the
 	// serial (single-bank) bandwidth.
 	o.transferSeconds = float64(o.tableBytes) / pimsim.DefaultSerialBandwidth
@@ -163,15 +163,26 @@ func foldQuadrant64(ctx *pimsim.Ctx, theta int64) (int64, rangered.Quadrant) {
 	return theta, q
 }
 
+// loadCORDIC generates the mode's iteration constants and loads them
+// onto the core.
+func (o *Operator) loadCORDIC(dpu *pimsim.DPU, mode cordic.Mode) (*cordic.Tables, *cordic.Device, error) {
+	tb := cordic.NewTables(mode, o.Par.Iterations)
+	dev, err := tb.Load(dpu, o.Par.Placement)
+	if err != nil {
+		return nil, nil, err
+	}
+	o.tableBytes = tb.TableBytes()
+	o.hostCycles = cordicCycles(tb.Iterations())
+	return tb, dev, nil
+}
+
 func (o *Operator) buildCORDIC(dpu *pimsim.DPU) error {
 	switch o.Fn {
 	case Sin, Cos, Tan:
-		tb := cordic.NewTables(cordic.Circular, o.Par.Iterations)
-		dev, err := tb.Load(dpu, o.Par.Placement)
+		tb, dev, err := o.loadCORDIC(dpu, cordic.Circular)
 		if err != nil {
 			return err
 		}
-		o.tableBytes = tb.TableBytes()
 		sincos := func(ctx *pimsim.Ctx, x float32) (float32, float32) {
 			xf := ctx.F32ToFix64(x, cordic.FracBits)
 			theta, q := foldQuadrant64(ctx, xf)
@@ -218,12 +229,10 @@ func (o *Operator) buildCORDIC(dpu *pimsim.DPU) error {
 	case Atan:
 		// Circular vectoring of (1, x): the whole arctangent image fits
 		// inside the mode's convergence range, so no extension is needed.
-		tb := cordic.NewTables(cordic.Circular, o.Par.Iterations)
-		dev, err := tb.Load(dpu, o.Par.Placement)
+		tb, dev, err := o.loadCORDIC(dpu, cordic.Circular)
 		if err != nil {
 			return err
 		}
-		o.tableBytes = tb.TableBytes()
 		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
 			z := dev.Atan(ctx, ctx.F32ToFix64(x, cordic.FracBits))
 			return ctx.Fix64ToF32(z, cordic.FracBits)
@@ -239,12 +248,10 @@ func (o *Operator) buildCORDIC(dpu *pimsim.DPU) error {
 		return nil
 
 	case Sinh, Cosh, Tanh, Exp, Log, Sqrt, Sigmoid:
-		tb := cordic.NewTables(cordic.Hyperbolic, o.Par.Iterations)
-		dev, err := tb.Load(dpu, o.Par.Placement)
+		tb, dev, err := o.loadCORDIC(dpu, cordic.Hyperbolic)
 		if err != nil {
 			return err
 		}
-		o.tableBytes = tb.TableBytes()
 		expCore := func(ctx *pimsim.Ctx, x float32) float32 {
 			r, k := rangered.SplitExp(ctx, x)
 			er := ctx.Fix64ToF32(dev.Exp(ctx, ctx.F32ToFix64(r, cordic.FracBits)), cordic.FracBits)
@@ -331,6 +338,8 @@ func (o *Operator) buildCORDICLUT(dpu *pimsim.DPU) error {
 		return err
 	}
 	o.tableBytes = la.TableBytes()
+	head, tail := la.Constants()
+	o.hostCycles = tableCycles(head, 2*XeonTrig) + cordicCycles(tail)
 	sincos := func(ctx *pimsim.Ctx, x float32) (float32, float32) {
 		xf := ctx.F32ToFix64(x, cordic.FracBits)
 		theta, q := foldQuadrant64(ctx, xf)
@@ -393,6 +402,7 @@ func (o *Operator) floatLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, h
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
+		o.hostCycles += tableCycles(len(t.Entries), o.Fn.refCycles())
 		return dev.Eval, dev.Mirror, dev.MirrorMany, t.Bytes(), nil
 	}
 	n := densityExp(lo, hi, o.Par.SizeLog2)
@@ -404,6 +414,7 @@ func (o *Operator) floatLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, h
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
+	o.hostCycles += tableCycles(len(t.Entries), o.Fn.refCycles())
 	return dev.Eval, dev.Mirror, dev.MirrorMany, t.Bytes(), nil
 }
 
@@ -509,6 +520,7 @@ func (o *Operator) fixedLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, h
 	if err != nil {
 		return nil, 0, err
 	}
+	o.hostCycles += tableCycles(len(t.Entries), o.Fn.refCycles())
 	return dev, t.Bytes(), nil
 }
 
@@ -718,6 +730,7 @@ func (o *Operator) buildDLUT(dpu *pimsim.DPU) error {
 			return err
 		}
 		o.tableBytes = t.Bytes()
+		o.hostCycles = tableCycles(len(t.Pos)+len(t.Neg), o.Fn.refCycles())
 		o.eval = dev.Eval
 		o.mirror = mirror1(dev.Mirror, 1)
 		o.mirror.kernel = plainKernel(dev.MirrorMany)
@@ -733,6 +746,7 @@ func (o *Operator) buildDLUT(dpu *pimsim.DPU) error {
 		return err
 	}
 	o.tableBytes = t.Bytes()
+	o.hostCycles = tableCycles(len(t.L.Entries)+len(t.D.Pos)+len(t.D.Neg), o.Fn.refCycles())
 	o.eval = dev.Eval
 	// The L-LUT serves |x| below the split point (2⁻⁴ here), the D-LUT
 	// the rest — two distinct charge traces.
@@ -763,15 +777,26 @@ func clampInt(v, lo, hi int) int {
 
 // ---------- polynomial baseline ----------
 
+// fit is poly.FitChebyshev with its samples priced on the model host
+// at ref cycles per reference call.
+func (o *Operator) fit(f func(float64) float64, ref float64, lo, hi float64, deg int) (*poly.Poly, error) {
+	p, err := poly.FitChebyshev(f, lo, hi, deg)
+	if err != nil {
+		return nil, err
+	}
+	o.hostCycles += fitCycles(len(p.Coeffs), ref)
+	return p, nil
+}
+
 func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 	deg := o.Par.Degree
 	switch o.Fn {
 	case Sin, Cos, Tan:
-		sinP, err := poly.FitChebyshev(math.Sin, 0, math.Pi/2, deg)
+		sinP, err := o.fit(math.Sin, XeonTrig, 0, math.Pi/2, deg)
 		if err != nil {
 			return err
 		}
-		cosP, err := poly.FitChebyshev(math.Cos, 0, math.Pi/2, deg)
+		cosP, err := o.fit(math.Cos, XeonTrig, 0, math.Pi/2, deg)
 		if err != nil {
 			return err
 		}
@@ -939,7 +964,7 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 		// Chebyshev over [−8, 8] converges too slowly (poles at ±i), so
 		// the baseline reduces by reciprocal: atan(x) = sign·(π/2 −
 		// atan(1/|x|)) for |x| > 1, with one polynomial on [0, 1].
-		p, err := poly.FitChebyshev(math.Atan, 0, 1, deg)
+		p, err := o.fit(math.Atan, XeonTrig, 0, 1, deg)
 		if err != nil {
 			return err
 		}
@@ -1025,7 +1050,7 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 
 	case Exp, Sinh, Cosh, Tanh, Sigmoid:
 		lo, hi := Exp.CoreRange()
-		expP, err := poly.FitChebyshev(math.Exp, lo, hi, deg)
+		expP, err := o.fit(math.Exp, XeonExp, lo, hi, deg)
 		if err != nil {
 			return err
 		}
@@ -1123,7 +1148,7 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 
 	case Log:
 		lo, hi := Log.CoreRange()
-		p, err := poly.FitChebyshev(math.Log, lo, hi, deg)
+		p, err := o.fit(math.Log, XeonLog, lo, hi, deg)
 		if err != nil {
 			return err
 		}
@@ -1141,7 +1166,7 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 
 	case Sqrt:
 		lo, hi := Sqrt.CoreRange()
-		p, err := poly.FitChebyshev(math.Sqrt, lo, hi, deg)
+		p, err := o.fit(math.Sqrt, XeonSqrt, lo, hi, deg)
 		if err != nil {
 			return err
 		}
@@ -1155,7 +1180,7 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 
 	case GELU:
 		lo, hi := GELU.CoreRange()
-		p, err := poly.FitChebyshev(geluRef, lo, hi, clampInt(deg*2, deg, 25))
+		p, err := o.fit(geluRef, GELU.refCycles(), lo, hi, clampInt(deg*2, deg, 25))
 		if err != nil {
 			return err
 		}

@@ -26,11 +26,11 @@ type OperatorSet struct {
 }
 
 // BuildSet compiles fn(params) onto every listed core. The host-side
-// generation cost is measured on the first core only (the generated
-// tables are byte-identical across replicas, so a host keeps and
-// reuses them; the per-replica regeneration below is a simulator-host
-// artifact and is deliberately not re-counted). Table transfer is
-// charged as one rank-wide parallel broadcast.
+// generation cost is counted once, from the first core's build (the
+// generated tables are byte-identical across replicas, so a host keeps
+// and reuses them; the per-replica regeneration below is a
+// simulator-host artifact and is deliberately not re-counted). Table
+// transfer is charged as one rank-wide parallel broadcast.
 func BuildSet(fn Function, p Params, dpus []*pimsim.DPU) (*OperatorSet, error) {
 	p = p.Normalized()
 	set := &OperatorSet{Fn: fn, Par: p, ops: make([]*Operator, 0, len(dpus))}

@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"transpimlib/internal/pimsim"
 	"transpimlib/internal/stats"
 )
 
 // Point is one measured configuration of a method: the accuracy it
-// reached and what it cost in PIM cycles, host setup time, and PIM
+// reached and what it cost in PIM cycles, modeled setup time, and PIM
 // memory — the three axes of Figures 5, 6 and 7.
 type Point struct {
 	Fn     Function
@@ -17,15 +16,11 @@ type Point struct {
 	Errors stats.Errors
 
 	CyclesPerElem float64
-	SetupSeconds  float64
-	TableBytes    int
-
-	// HostElemsPerSec is the wall-clock throughput of the operator's
-	// fused batch path (EvalBatch) on the measuring host — the serving
-	// engine's compute ceiling, as opposed to the modeled PIM cycles
-	// above. Host-dependent by nature; tracked to watch the fast path's
-	// trajectory across revisions, not as a simulator quantity.
-	HostElemsPerSec float64
+	// SetupSeconds is BuildSeconds (table generation on the model host)
+	// plus the Host→PIM table transfer.
+	SetupSeconds float64
+	BuildSeconds float64
+	TableBytes   int
 
 	// Counters holds the kernel's per-instruction-class op and cycle
 	// totals over the whole input sweep (setup loads excluded) — the
@@ -64,47 +59,16 @@ func MeasureOperatorCost(fn Function, p Params, inputs []float32, cost pimsim.Co
 		got := op.Eval(ctx, x)
 		col.Add(got, ref(float64(x)))
 	}
-	cyclesPerElem := float64(dpu.Cycles()) / float64(len(inputs))
-	// Snapshot the class counters now: measureHostRate below reruns the
-	// batch path and would pollute them.
-	counters := dpu.Counters()
 	return Point{
-		Fn:              fn,
-		Par:             op.Par,
-		Errors:          col.Result(),
-		CyclesPerElem:   cyclesPerElem,
-		SetupSeconds:    op.SetupSeconds(),
-		TableBytes:      op.TableBytes(),
-		HostElemsPerSec: measureHostRate(ctx, op, inputs),
-		Counters:        counters,
+		Fn:            fn,
+		Par:           op.Par,
+		Errors:        col.Result(),
+		CyclesPerElem: float64(dpu.Cycles()) / float64(len(inputs)),
+		SetupSeconds:  op.SetupSeconds(),
+		BuildSeconds:  op.BuildSeconds(),
+		TableBytes:    op.TableBytes(),
+		Counters:      dpu.Counters(),
 	}, nil
-}
-
-// measureHostRate times the operator's fused batch path over the
-// inputs: repeated EvalBatch passes until the sample is long enough to
-// trust the wall clock. Runs after the cycle measurement is captured,
-// so the extra modeled charges it accrues are never observed.
-func measureHostRate(ctx *pimsim.Ctx, op *Operator, inputs []float32) float64 {
-	if len(inputs) == 0 {
-		return 0
-	}
-	ys := make([]float32, len(inputs))
-	const minSample = 2 * time.Millisecond
-	reps := 0
-	start := time.Now()
-	var elapsed time.Duration
-	for {
-		op.EvalBatch(ctx, inputs, ys)
-		reps++
-		elapsed = time.Since(start)
-		if elapsed >= minSample || reps >= 64 {
-			break
-		}
-	}
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(len(inputs)) * float64(reps) / elapsed.Seconds()
 }
 
 // SweepConfig defines one accuracy sweep of one method (one curve in

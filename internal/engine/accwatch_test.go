@@ -84,7 +84,7 @@ func TestAccuracyDisabledNoWatcher(t *testing.T) {
 // at SampleRate 1.0 the watcher's cumulative per-series errors must
 // exactly equal an offline stats.Collector fed the same (output,
 // reference) pairs — both paths route through stats.Deviation, so
-// online /debug/accuracy numbers and cmd/tplaccuracy numbers agree to
+// online /debug/accuracy numbers and cmd/tplrepro accuracy numbers agree to
 // the last bit on the same inputs.
 func TestOnlineMatchesOffline(t *testing.T) {
 	e, err := New(Config{
@@ -345,7 +345,7 @@ func TestAccuracyGateViolations(t *testing.T) {
 }
 
 // TestMethodLabel pins the method label convention shared with
-// cmd/tplaccuracy ("l-lut" plain, "l-lut(i)" interpolated).
+// cmd/tplrepro ("l-lut" plain, "l-lut(i)" interpolated).
 func TestMethodLabel(t *testing.T) {
 	cases := []struct {
 		par  core.Params

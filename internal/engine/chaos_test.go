@@ -88,17 +88,12 @@ func TestFaultsDisabledBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(outC[i], outA[i]) {
 			t.Fatalf("request %d outputs diverge with a never-firing plan", i)
 		}
-		if stC[i].KernelCycles != stA[i].KernelCycles {
-			t.Fatalf("request %d cycles diverge: %d vs %d", i, stC[i].KernelCycles, stA[i].KernelCycles)
-		}
-		// SetupSeconds carries a wall-clock generation component (the
-		// Fig.-6 host-side build is measured, not modeled) and is never
-		// bit-comparable across engines; the fully modeled stage costs
-		// must match exactly.
-		if stC[i].TransferInSeconds != stA[i].TransferInSeconds ||
-			stC[i].ComputeSeconds != stA[i].ComputeSeconds ||
-			stC[i].TransferOutSeconds != stA[i].TransferOutSeconds {
-			t.Fatalf("request %d modeled stage seconds diverge:\nclean %+v\narmed %+v", i, stC[i], stA[i])
+		// Latency is host wall time; every other field is modeled or
+		// counted and must match exactly.
+		c, a := stC[i], stA[i]
+		c.Latency, a.Latency = 0, 0
+		if c != a {
+			t.Fatalf("request %d stats diverge:\nclean %+v\narmed %+v", i, c, a)
 		}
 		if stA[i].Degraded || stA[i].Retries != 0 || stA[i].Remaps != 0 {
 			t.Fatalf("request %d reports recovery activity with no faults: %+v", i, stA[i])

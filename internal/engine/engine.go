@@ -901,7 +901,7 @@ var interpLabels = func() []string {
 	return out
 }()
 
-// methodLabel renders a request's method the way tplaccuracy labels
+// methodLabel renders a request's method the way tplrepro keys
 // it — "l-lut(i)" for the interpolated variant — so online series and
 // offline reports key identically.
 func methodLabel(p core.Params) string {

@@ -5,7 +5,7 @@ import (
 	"transpimlib/internal/telemetry"
 )
 
-// MethodLabel renders method parameters the way tplaccuracy labels
+// MethodLabel renders method parameters the way tplrepro keys
 // them — "l-lut(i)" for the interpolated variant — so cost-ledger rows,
 // online accuracy series and offline reports all key identically.
 func MethodLabel(p core.Params) string { return methodLabel(p) }

@@ -145,10 +145,6 @@ func TestLedgerDisabledBitIdentical(t *testing.T) {
 		}
 		st := e.Stats()
 		st.QueueDepth = 0
-		// Setup seconds derive in part from host wall time and vary
-		// run to run regardless of the ledger; everything else in the
-		// modeled accounting is deterministic.
-		st.SetupSeconds = 0
 		return out, st
 	}
 	outOn, stOn := run(true)

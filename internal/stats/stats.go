@@ -14,7 +14,7 @@ import (
 // Errors summarizes the deviation of a set of computed values from
 // their references. The JSON tags make it directly embeddable in
 // accuracy snapshots (the /debug/accuracy endpoint and the offline
-// tplaccuracy -json report share this shape, so the numbers are
+// tplrepro accuracy table share this shape, so the numbers are
 // bit-comparable).
 type Errors struct {
 	N       int     `json:"n"`
@@ -47,9 +47,9 @@ type Collector struct {
 }
 
 // Deviation is the single error-math kernel every accuracy surface in
-// the repo shares — the offline Collector (tplaccuracy, sweeps) and
-// the online shadow sampler (internal/accwatch) both call it, so
-// their numbers are bit-comparable by construction. It returns the
+// the repo shares — the offline Collector (tplrepro's accuracy table,
+// sweeps) and the online shadow sampler (internal/accwatch) both call
+// it, so their numbers are bit-comparable by construction. It returns the
 // absolute error and the error in units of last place of the float32
 // reference. exact reports a non-finite pair where both sides agree
 // (both +Inf, both NaN): such pairs count as error-free and carry no

@@ -14,21 +14,21 @@ import (
 
 // Result is one bar of Figure 9: a workload run by one variant.
 type Result struct {
-	Workload string
-	Variant  string
-	Elements int
+	Workload string `json:"workload"`
+	Variant  string `json:"variant"`
+	Elements int    `json:"elements"`
 
 	// KernelSeconds is compute time: modeled PIM cycles at the PIM
 	// clock, or host wall time for measured CPU runs.
-	KernelSeconds float64
+	KernelSeconds float64 `json:"kernel_seconds"`
 	// TransferSeconds is the modeled Host↔PIM transfer time (zero for
 	// CPU variants).
-	TransferSeconds float64
+	TransferSeconds float64 `json:"transfer_seconds"`
 
 	// Errors compares outputs against the float64 host reference.
-	Errors stats.Errors
+	Errors stats.Errors `json:"errors"`
 
-	TableBytes int
+	TableBytes int `json:"table_bytes"`
 }
 
 // Seconds is the headline execution time: kernel plus transfers.

@@ -7,9 +7,9 @@ import (
 
 // Calibration measures the per-call cost of the host's math library on
 // *this* machine, in nanoseconds, so the analytic CPUModel can be
-// cross-checked against reality (`tplworkloads -measured` uses the
-// measured baselines directly; the calibration quantifies how far this
-// host is from the paper's 2.1-GHz Xeon).
+// cross-checked against reality (`tplrepro -show fig9 -measured`
+// prints it beside the measured CPU baselines; it quantifies how far
+// this host is from the paper's 2.1-GHz Xeon).
 type Calibration struct {
 	ExpNs  float64
 	LogNs  float64
@@ -49,31 +49,4 @@ func Calibrate(iters int) Calibration {
 		DivNs:  timeIt(func(x float64) float64 { return 1.0 / x }) - flop,
 		FlopNs: flop,
 	}
-}
-
-// ModelFor converts the calibration into a CPUModel with this host's
-// effective per-op costs, expressed at the model clock (the cycle
-// counts become host-ns × clock).
-func (c Calibration) ModelFor(clockHz float64, threads int) (CPUModel, func(workload string) float64) {
-	m := CPUModel{ClockHz: clockHz, Threads: threads, Efficiency: 0.9}
-	toCycles := func(ns float64) float64 {
-		if ns < 0 {
-			ns = 0
-		}
-		return ns * 1e-9 * clockHz
-	}
-	perElem := func(workload string) float64 {
-		switch workload {
-		case "blackscholes":
-			return toCycles(c.LogNs) + toCycles(c.SqrtNs) + toCycles(c.ExpNs) +
-				2*(toCycles(c.ExpNs)+10*toCycles(c.FlopNs)+toCycles(c.DivNs)) +
-				30*toCycles(c.FlopNs)
-		case "sigmoid":
-			return toCycles(c.ExpNs) + toCycles(c.DivNs) + 2*toCycles(c.FlopNs)
-		case "softmax":
-			return toCycles(c.ExpNs) + toCycles(c.DivNs) + 3*toCycles(c.FlopNs)
-		}
-		return 0
-	}
-	return m, perElem
 }

@@ -1,16 +1,18 @@
 // Package workloads implements the paper's three full workloads —
 // Blackscholes, Sigmoid, Softmax (§4.1.2, §4.3, Fig. 9) — as PIM
 // kernels on the simulated system (with polynomial-baseline, M-LUT,
-// L-LUT and fixed-point L-LUT math kits) and as host-CPU baselines
-// (measured on this machine, plus an analytic model of the paper's
-// 32-core 2.1-GHz Xeon so the Fig. 9 ratios are reproducible anywhere).
+// L-LUT and fixed-point L-LUT math kits) and as host-CPU baselines: an
+// analytic model of the paper's 32-core 2.1-GHz Xeon, so the Fig. 9
+// ratios are reproducible anywhere, plus runs measured on this machine.
 package workloads
 
+import "transpimlib/internal/core"
+
 // CPUModel is the analytic host-CPU baseline: a multicore x86 running
-// a vendor math library, costed per transcendental call. The default
-// parameters follow the paper's evaluation host (2-socket Xeon, 32
-// cores at 2.1 GHz, §4.1). Modeled per-op cycle counts are typical of
-// glibc's float transcendental paths on such a core.
+// a vendor math library, costed per transcendental call. The per-call
+// costs are the model host's (core.Xeon*), the same table Fig. 6's
+// table generation is priced from; the default parameters follow the
+// paper's evaluation host (2-socket Xeon, 32 cores at 2.1 GHz, §4.1).
 type CPUModel struct {
 	ClockHz    float64
 	Threads    int
@@ -19,19 +21,8 @@ type CPUModel struct {
 
 // DefaultXeon returns the paper's host with the given thread count.
 func DefaultXeon(threads int) CPUModel {
-	return CPUModel{ClockHz: 2.1e9, Threads: threads, Efficiency: 0.9}
+	return CPUModel{ClockHz: core.XeonClockHz, Threads: threads, Efficiency: 0.9}
 }
-
-// Per-call cycle costs on the model CPU: scalar glibc-class
-// transcendental latencies on a 2.1-GHz Xeon core.
-const (
-	cpuExp  = 80.0
-	cpuLog  = 85.0
-	cpuSqrt = 20.0 // hardware sqrtss
-	cpuDiv  = 25.0
-	cpuFlop = 2.0   // dependent add/mul in a scalar chain
-	cpuCNDF = 190.0 // Abramowitz–Stegun: one exp, the b-polynomial, a divide
-)
 
 // Seconds converts a per-element cycle cost into wall time for n
 // elements across the model's threads.
@@ -50,15 +41,15 @@ func (m CPUModel) Seconds(perElemCycles float64, n int) float64 {
 // BlackscholesCycles is the modeled per-option CPU cost: one log, one
 // sqrt, one exp, two CNDF calls and the surrounding arithmetic.
 func BlackscholesCycles() float64 {
-	return cpuLog + cpuSqrt + cpuExp + 2*cpuCNDF + 30*cpuFlop
+	return core.XeonLog + core.XeonSqrt + core.XeonExp + 2*core.XeonCNDF + 30*core.XeonFlop
 }
 
 // SigmoidCycles is the modeled per-element CPU cost of 1/(1+e^{−x}).
-func SigmoidCycles() float64 { return cpuExp + cpuDiv + 2*cpuFlop }
+func SigmoidCycles() float64 { return core.XeonExp + core.XeonDiv + 2*core.XeonFlop }
 
 // SoftmaxCycles is the modeled per-element CPU cost across both passes
 // (exp + accumulate, then normalize).
-func SoftmaxCycles() float64 { return cpuExp + cpuDiv + 3*cpuFlop }
+func SoftmaxCycles() float64 { return core.XeonExp + core.XeonDiv + 3*core.XeonFlop }
 
 // Full-scale experiment geometry (§4.1, §4.1.2): 2545 PIM cores; 10M
 // options for Blackscholes, 30M elements for Sigmoid and Softmax.

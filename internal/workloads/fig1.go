@@ -20,19 +20,19 @@ import (
 // execution in the host CPU" once the saved PIM↔Host transfers are
 // accounted. This type quantifies both paths under our models.
 type Fig1Comparison struct {
-	Workload string
-	Elements int
+	Workload string `json:"workload"`
+	Elements int    `json:"elements"`
 
 	// HostPath is the Figure 1(b) time: PIM→Host gather + host compute
 	// (modeled 32-thread Xeon) + Host→PIM scatter.
 	HostPath struct {
-		GatherSeconds  float64
-		ComputeSeconds float64
-		ScatterSeconds float64
-	}
+		GatherSeconds  float64 `json:"gather_seconds"`
+		ComputeSeconds float64 `json:"compute_seconds"`
+		ScatterSeconds float64 `json:"scatter_seconds"`
+	} `json:"host_path"`
 	// PIMSeconds is the Figure 1(c) time: the in-place PIM kernel with
 	// no transfers (operands already resident).
-	PIMSeconds float64
+	PIMSeconds float64 `json:"pim_seconds"`
 }
 
 // HostPathSeconds is the total Figure 1(b) time.

@@ -153,8 +153,8 @@ func (l *Lib) Cycles() uint64 { return l.dpu.Cycles() }
 // ResetCycles zeroes the cycle counter.
 func (l *Lib) ResetCycles() { l.dpu.ResetCycles() }
 
-// SetupSeconds returns the host-side setup time: measured table
-// generation plus modeled Host→PIM transfer (§4.1.1).
+// SetupSeconds returns the modeled setup time: table generation priced
+// on the model Xeon host plus the Host→PIM transfer (§4.1.1).
 func (l *Lib) SetupSeconds() float64 { return l.setupSeconds }
 
 // TableBytes returns the PIM memory consumed by tables and constants.
