@@ -163,9 +163,10 @@ func (c *Cluster) EvaluateBatchAs(tenant string, fn Function, spec Config, xs []
 	return c.c.EvaluateBatchTenant(tenant, fn, spec.params(), xs)
 }
 
-// Prewarm eagerly builds the spec's tables on every replica in the
-// (function, method, tenant) key's candidate set, so the first real
-// request hits a warm setup cache wherever the router places it.
+// Prewarm eagerly pays the spec's setup on every replica in the
+// (function, method, tenant) key's candidate set, so every later
+// request for the key is a setup-cache hit wherever the router places
+// it, on any of the replica's shards.
 func (c *Cluster) Prewarm(fn Function, spec Config, tenant string) error {
 	if spec.PIM != nil {
 		return fmt.Errorf("transpimlib: a Cluster owns its PIM systems; Config.PIM must be nil")
@@ -182,8 +183,8 @@ func (c *Cluster) Stats() ClusterStats { return c.c.Stats() }
 // ReplicaStats snapshots each replica's engine-wide counters.
 func (c *Cluster) ReplicaStats() []EngineStats { return c.c.ReplicaStats() }
 
-// CachedSpecs sums the replicas' resident table configurations; with
-// replication one spec can count on several replicas.
+// CachedSpecs sums the replicas' configurations that have paid their
+// setup; with replication one spec can count on several replicas.
 func (c *Cluster) CachedSpecs() int { return c.c.CachedSpecs() }
 
 // Health returns the replica health scoreboard: lifetime errors,

@@ -74,8 +74,8 @@ type EngineConfig struct {
 	// disables injection entirely — the pipeline is then bit-identical
 	// to earlier releases.
 	Faults string
-	// Reliability tunes the recovery ladder (zero value: defaults);
-	// only consulted when Faults is set.
+	// Reliability tunes the recovery ladder (zero value: no launch
+	// timeout, no hedging); only consulted when Faults is set.
 	Reliability ReliabilityConfig
 	// Accuracy enables the online accuracy watcher: a deterministic
 	// shadow sampler re-evaluates a configurable fraction of each
@@ -93,8 +93,8 @@ type EngineConfig struct {
 }
 
 // ReliabilityConfig tunes the engine's recovery ladder under fault
-// injection: retry counts and modeled backoff, quarantine/probation
-// thresholds, the straggler launch timeout, and the hedge ratio.
+// injection: the straggler launch timeout and the hedge ratio. Retry
+// counts, backoff and quarantine thresholds are fixed.
 type ReliabilityConfig = engine.ReliabilityConfig
 
 // AccuracyConfig tunes the online accuracy watcher: shadow-sampling
@@ -203,8 +203,9 @@ type CycleFrame = profiler.Frame
 type CycleHeatmap = profiler.Heatmap
 
 // Engine is a long-lived serving runtime over a multi-core PIM
-// system: a table/setup cache keyed by (function, method, LUT size,
-// placement), request coalescing and sharding, and a pipelined
+// system: each configuration (function, method, LUT size, placement)
+// pays its table setup once per engine, then request coalescing and
+// sharding, and a pipelined
 // transfer/compute/drain datapath per shard. Unlike Lib — one
 // statically compiled configuration on one core — an Engine serves
 // any supported (function, method) mix on demand and is safe for
@@ -258,8 +259,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 // EvaluateBatch evaluates fn over xs with the method configuration in
 // spec (spec.PIM must be nil: the engine owns its own cores) and
 // returns the outputs plus the request's cost report. The first
-// request for a configuration pays table generation and broadcast;
-// subsequent ones hit the setup cache. Safe for concurrent use.
+// request for a configuration pays one table generation plus one
+// broadcast to every core of the engine; later ones, on any shard, are
+// setup-cache hits. Safe for concurrent use.
 func (e *Engine) EvaluateBatch(fn Function, spec Config, xs []float32) ([]float32, RequestStats, error) {
 	if spec.PIM != nil {
 		return nil, RequestStats{}, fmt.Errorf("transpimlib: EngineConfig owns its PIM system; Config.PIM must be nil")
@@ -318,7 +320,7 @@ func (e *Engine) Heatmap() CycleHeatmap {
 }
 
 // CachedSpecs returns how many (function, method) configurations
-// currently hold resident tables.
+// have paid their setup: those built on at least one shard.
 func (e *Engine) CachedSpecs() int { return e.e.CachedSpecs() }
 
 // FaultEvents returns the canonically sorted injected-fault log (nil

@@ -4,9 +4,10 @@
 // keys onto them with consistent hashing, falling back to the
 // least-loaded healthy candidate when the primary is quarantined or
 // backlogged. Hot table state replicates to a key's K-replica
-// candidate set through each engine's ordinary setup cache (the first
-// request a replica sees for a spec builds its tables there; Prewarm
-// forces it eagerly). Admission control sheds load with typed
+// candidate set through each engine's own setup: the first request a
+// replica sees for a spec pays the spec's setup there, and the
+// replica's other shards build their copies free (Prewarm pays it
+// eagerly). Admission control sheds load with typed
 // ErrOverloaded — per-tenant token-bucket quotas in elements, plus a
 // backlog bound — and a replica-granularity health tracker (the PR-4
 // engine tracker reused one level up) quarantines replicas that keep
@@ -34,6 +35,11 @@ import (
 // ErrClusterClosed is returned by submit paths after Close.
 var ErrClusterClosed = errors.New("cluster: closed")
 
+// replicaProbation is how many routing sequence numbers a quarantined
+// replica sits out before it is re-admitted on probation; the doubling
+// and the other thresholds are the engine health tracker's.
+const replicaProbation = 64
+
 // Config describes a cluster.
 type Config struct {
 	// Engines configures one engine replica each; len(Engines) is the
@@ -59,13 +65,6 @@ type Config struct {
 	// MaxQueue, when > 0, is the backlog bound: a request is shed when
 	// every healthy candidate replica's queue depth is at or above it.
 	MaxQueue int
-	// Health tunes replica-granularity quarantine (the engine
-	// reliability knobs reused one level up): QuarantineAfter
-	// consecutive failures quarantine a replica, ProbationAfter
-	// sequence numbers later it is re-admitted on probation, and
-	// ProbationSuccesses clean requests clear it. Zero values pick
-	// defaults (3 / 64 / 2).
-	Health engine.ReliabilityConfig
 	// TraceDepth retains the span trees of the last N requests routed
 	// through the cluster front-end (Cluster.TraceLast, /debug/trace).
 	// Each trace is minted at the cluster boundary and shows the whole
@@ -117,15 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Health.QuarantineAfter <= 0 {
-		c.Health.QuarantineAfter = 3
-	}
-	if c.Health.ProbationAfter == 0 {
-		c.Health.ProbationAfter = 64
-	}
-	if c.Health.ProbationSuccesses <= 0 {
-		c.Health.ProbationSuccesses = 2
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -277,7 +267,7 @@ func NewWithExecutors(cfg Config, execs []engine.Executor) (*Cluster, error) {
 		cfg:    cfg,
 		execs:  execs,
 		ring:   newRing(len(execs), cfg.VirtualNodes, cfg.Seed),
-		health: engine.NewHealthTracker(len(execs), cfg.Health),
+		health: engine.NewHealthTracker(len(execs), replicaProbation),
 		met:    newMetrics(reg, len(execs)),
 		log:    cfg.Log,
 	}
@@ -483,7 +473,9 @@ func (c *Cluster) updateHealthGauges() {
 // Prewarm eagerly replicates a spec's tables to every replica in its
 // key's candidate set by evaluating one in-domain element there — the
 // explicit form of the hot-table replication that least-loaded
-// fallback performs lazily. It bypasses admission and health
+// fallback performs lazily. That request pays the spec's setup on the
+// replica, so every later request for the key is a cache hit there,
+// whichever shard serves it. It bypasses admission and health
 // bookkeeping; use it before opening traffic.
 func (c *Cluster) Prewarm(fn core.Function, p core.Params, tenant string) error {
 	if c.closed.Load() {
@@ -535,9 +527,9 @@ func (c *Cluster) ReplicaStats() []engine.Stats {
 	return out
 }
 
-// CachedSpecs sums the replicas' resident table configurations —
-// replication means one spec can count on several replicas. Injected
-// executors without an engine contribute zero.
+// CachedSpecs sums the replicas' configurations that have paid their
+// setup — replication means one spec can count on several replicas.
+// Injected executors without an engine contribute zero.
 func (c *Cluster) CachedSpecs() int {
 	n := 0
 	for _, e := range c.engines {

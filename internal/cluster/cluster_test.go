@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -180,6 +181,39 @@ func TestPrewarmReplicates(t *testing.T) {
 	if !st.CacheHit {
 		t.Fatal("request after Prewarm missed the setup cache")
 	}
+}
+
+// TestPrewarmWarmsEveryShard: on default replicas (two shards each),
+// Prewarm pays a spec's setup once per replica, so every later request
+// for the key is a cache hit whichever shard serves it.
+func TestPrewarmWarmsEveryShard(t *testing.T) {
+	c, err := New(Config{Engines: []engine.Config{{}, {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Prewarm(core.Sigmoid, testParams(), "warmed"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				_, st, err := c.EvaluateBatchTenant("warmed", core.Sigmoid, testParams(), make([]float32, 32))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !st.CacheHit || st.SetupSeconds != 0 {
+					t.Errorf("request after Prewarm missed the setup cache: %+v", st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestClusterClosed: submits after Close fail with ErrClusterClosed.

@@ -125,8 +125,8 @@ type placement struct {
 //  2. the least-loaded healthy candidate under MaxQueue (ties to the
 //     lowest replica index);
 //  3. when no candidate is healthy: the least-loaded healthy replica
-//     outside the set (failover placement — tables will be built there
-//     through the ordinary setup cache);
+//     outside the set (failover placement — the replica builds the
+//     tables itself, paying the spec's setup once);
 //  4. when no replica anywhere is healthy: the primary regardless —
 //     each engine still has its own recovery ladder and host-mirror
 //     last rung, which beats refusing outright;

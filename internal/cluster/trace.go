@@ -111,8 +111,8 @@ func (t *reqTrace) Materialize() *telemetry.Trace {
 			s.SetAttr("failover", "true")
 		}
 		if a.served {
-			// Prewarm/replication visibility: were the spec's tables
-			// already resident on the serving replica?
+			// Prewarm/replication visibility: had the serving replica
+			// already paid the spec's setup?
 			s.SetAttr("cache_hit", fmt.Sprint(a.cacheHit))
 		}
 		root.AddChild(s)

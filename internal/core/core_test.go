@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,6 +83,14 @@ func TestSupportMatrixTable2(t *testing.T) {
 	}
 	if lines := strings.Count(s, "\n"); lines != int(numMethods)+1 {
 		t.Errorf("SupportMatrix has %d lines, want %d", lines, numMethods+1)
+	}
+	header := strings.Fields(strings.SplitN(s, "\n", 2)[0])
+	want := []string{"method"}
+	for _, f := range Functions() {
+		want = append(want, f.String())
+	}
+	if !slices.Equal(header, want) {
+		t.Errorf("SupportMatrix header fields = %q, want %q", header, want)
 	}
 }
 

@@ -171,22 +171,32 @@ func (p Params) Label() string {
 }
 
 // SupportMatrix renders Table 2: which methods implement which
-// functions.
+// functions. Each column is one wider than its longest name, so
+// adjacent names never run together.
 func SupportMatrix() string {
+	mw := len("method")
+	for _, m := range methodNames {
+		mw = max(mw, len(m))
+	}
+	fw := 0
+	for _, f := range functionNames {
+		fw = max(fw, len(f))
+	}
+	mw, fw = mw+1, fw+1
 	var b strings.Builder
-	b.WriteString(fmt.Sprintf("%-12s", "method"))
+	fmt.Fprintf(&b, "%-*s", mw, "method")
 	for _, f := range Functions() {
-		fmt.Fprintf(&b, "%6s", f)
+		fmt.Fprintf(&b, "%*s", fw, f)
 	}
 	b.WriteByte('\n')
 	for _, m := range Methods() {
-		fmt.Fprintf(&b, "%-12s", m)
+		fmt.Fprintf(&b, "%-*s", mw, m)
 		for _, f := range Functions() {
 			mark := "-"
 			if m.Supports(f) {
 				mark = "x"
 			}
-			fmt.Fprintf(&b, "%6s", mark)
+			fmt.Fprintf(&b, "%*s", fw, mark)
 		}
 		b.WriteByte('\n')
 	}

@@ -86,12 +86,12 @@ func TestComputeCoreZeroAlloc(t *testing.T) {
 		}
 
 		s := e.shards[0]
-		ops, hit, _, err := e.cache.ensure(makeSpec(fn, par), s)
+		ops, hit, _, err := e.specOps(s, makeSpec(fn, par))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !hit {
-			t.Fatal("warmup did not populate the table cache")
+			t.Fatal("warmup did not build the shard's plan")
 		}
 		op := ops[0]
 		if !op.HasFastPath() {

@@ -3,62 +3,45 @@ package engine
 import "sync"
 
 // ReliabilityConfig tunes the engine's recovery ladder when fault
-// injection is enabled (Config.Faults). The zero value selects the
-// defaults noted per field. All durations are modeled simulator
-// seconds, not wall clock — recovery costs show up in the same
-// accounting as the work they protect, and tests stay fast and
-// scheduler-independent.
+// injection is enabled (Config.Faults). The zero value disables both
+// knobs. Durations are modeled simulator seconds, not wall clock —
+// recovery costs show up in the same accounting as the work they
+// protect, and tests stay fast and scheduler-independent.
 type ReliabilityConfig struct {
-	// MaxRetries bounds launch and transfer retries per batch (default
-	// 3). When exhausted the batch degrades to the host mirror.
-	MaxRetries int
-	// RetryBackoff is the modeled pause before the first retry (default
-	// 1µs); it doubles per subsequent attempt.
-	RetryBackoff float64
 	// LaunchTimeout, when > 0, fails a launch attempt whose modeled
 	// kernel time (slowest lane) exceeds it — the straggler cutoff. The
 	// slowest lane is blamed on the health tracker. Zero disables.
 	LaunchTimeout float64
-	// QuarantineAfter quarantines a DPU after this many consecutive
-	// failures (default 3). A failure during probation re-quarantines
-	// immediately.
-	QuarantineAfter int
-	// ProbationAfter is how many batch sequence numbers a DPU sits
-	// quarantined before it is re-admitted on probation (default 16).
-	// The penalty doubles on every re-quarantine.
-	ProbationAfter uint64
-	// ProbationSuccesses is how many clean launches a probationary DPU
-	// needs for full re-admission (default 2).
-	ProbationSuccesses int
 	// HedgeRatio, when > 1, relaunches a batch's slowest lane on its
 	// own when that lane's modeled cycles exceed HedgeRatio times the
 	// lane median, keeping the cheaper of the two runs. Zero disables.
 	HedgeRatio float64
 }
 
-func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 1e-6
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 3
-	}
-	if c.ProbationAfter == 0 {
-		c.ProbationAfter = 16
-	}
-	if c.ProbationSuccesses <= 0 {
-		c.ProbationSuccesses = 2
-	}
-	return c
-}
+// The recovery ladder's fixed knobs.
+const (
+	// maxRetries bounds launch and transfer retries per batch; when they
+	// are exhausted the batch degrades to the host mirror.
+	maxRetries = 3
+	// retryBackoff is the modeled pause before the first retry; it
+	// doubles per subsequent attempt.
+	retryBackoff = 1e-6
+	// quarantineAfter consecutive failures quarantine a core (or, in a
+	// cluster, a replica); a failure during probation re-quarantines it
+	// immediately.
+	quarantineAfter = 3
+	// probationSuccesses clean launches fully re-admit a probationary
+	// core.
+	probationSuccesses = 2
+	// laneProbation is how many batch sequence numbers a DPU sits
+	// quarantined before it is re-admitted on probation.
+	laneProbation = 16
+)
 
 // backoff returns the modeled pause before retry attempt n (1-based):
-// RetryBackoff doubling per attempt.
-func (c ReliabilityConfig) backoff(attempt uint64) float64 {
-	d := c.RetryBackoff
+// retryBackoff doubling per attempt.
+func backoff(attempt uint64) float64 {
+	d := retryBackoff
 	for i := uint64(1); i < attempt; i++ {
 		d *= 2
 	}
@@ -81,7 +64,7 @@ type LaneHealth struct {
 // immediately, successes clear it. Quarantine time is measured in
 // batch sequence numbers, the engine's deterministic clock.
 type HealthTracker struct {
-	rel ReliabilityConfig
+	probation uint64 // first quarantine length in seqs
 
 	mu    sync.Mutex
 	lanes []laneState
@@ -97,8 +80,12 @@ type laneState struct {
 	probationOK int    // clean launches accumulated on probation
 }
 
-func NewHealthTracker(dpus int, rel ReliabilityConfig) *HealthTracker {
-	return &HealthTracker{rel: rel, lanes: make([]laneState, dpus)}
+// NewHealthTracker tracks n units (DPUs, or a cluster's replicas) that
+// sit out probation sequence numbers on their first quarantine. The
+// other thresholds are the ladder's constants: quarantineAfter and
+// probationSuccesses.
+func NewHealthTracker(n int, probation uint64) *HealthTracker {
+	return &HealthTracker{probation: probation, lanes: make([]laneState, n)}
 }
 
 // RecordFailure charges one failure (hard fail or timeout) against a
@@ -111,14 +98,14 @@ func (h *HealthTracker) RecordFailure(dpu int, seq uint64) (quarantined bool) {
 	st := &h.lanes[dpu]
 	st.errors++
 	st.consecutive++
-	if st.probation || st.consecutive >= h.rel.QuarantineAfter {
+	if st.probation || st.consecutive >= quarantineAfter {
 		quarantined = !st.quarantined
 		st.quarantined = true
 		st.probation = false
 		st.probationOK = 0
 		st.since = seq
 		if st.penalty == 0 {
-			st.penalty = h.rel.ProbationAfter
+			st.penalty = h.probation
 		} else {
 			st.penalty *= 2
 		}
@@ -135,7 +122,7 @@ func (h *HealthTracker) RecordSuccess(dpu int) {
 	st.consecutive = 0
 	if st.probation {
 		st.probationOK++
-		if st.probationOK >= h.rel.ProbationSuccesses {
+		if st.probationOK >= probationSuccesses {
 			st.probation = false
 			st.probationOK = 0
 		}

@@ -5,14 +5,10 @@ import (
 	"testing"
 )
 
-func testRel() ReliabilityConfig {
-	return ReliabilityConfig{}.withDefaults() // QuarantineAfter 3, ProbationAfter 16, ProbationSuccesses 2
-}
-
 // TestQuarantineEntry: a DPU is quarantined exactly at the consecutive-
 // failure threshold, and a success before it resets the streak.
 func TestQuarantineEntry(t *testing.T) {
-	h := NewHealthTracker(2, testRel())
+	h := NewHealthTracker(2, laneProbation)
 	h.RecordFailure(0, 1)
 	h.RecordFailure(0, 2)
 	if !h.Available(0, 3) {
@@ -37,18 +33,17 @@ func TestQuarantineEntry(t *testing.T) {
 }
 
 // TestQuarantineExitAndProbation: the penalty lapses after
-// ProbationAfter seqs, the core returns on probation, and
-// ProbationSuccesses clean launches fully re-admit it.
+// laneProbation seqs, the core returns on probation, and
+// probationSuccesses clean launches fully re-admit it.
 func TestQuarantineExitAndProbation(t *testing.T) {
-	rel := testRel()
-	h := NewHealthTracker(1, rel)
+	h := NewHealthTracker(1, laneProbation)
 	for i := uint64(1); i <= 3; i++ {
 		h.RecordFailure(0, 10)
 	}
-	if h.Available(0, 10+rel.ProbationAfter-1) {
+	if h.Available(0, 10+laneProbation-1) {
 		t.Fatal("available before the penalty lapsed")
 	}
-	if !h.Available(0, 10+rel.ProbationAfter) {
+	if !h.Available(0, 10+laneProbation) {
 		t.Fatal("not re-admitted on probation after the penalty")
 	}
 	sn := h.Snapshot()[0]
@@ -68,23 +63,22 @@ func TestQuarantineExitAndProbation(t *testing.T) {
 // TestProbationFailureRequarantines: any failure on probation
 // re-quarantines immediately with a doubled penalty.
 func TestProbationFailureRequarantines(t *testing.T) {
-	rel := testRel()
-	h := NewHealthTracker(1, rel)
+	h := NewHealthTracker(1, laneProbation)
 	for i := 0; i < 3; i++ {
 		h.RecordFailure(0, 10)
 	}
-	if !h.Available(0, 10+rel.ProbationAfter) {
+	if !h.Available(0, 10+laneProbation) {
 		t.Fatal("not on probation")
 	}
 	h.RecordFailure(0, 30) // single probation failure
 	if h.Available(0, 31) {
 		t.Fatal("probation failure did not re-quarantine")
 	}
-	// Penalty doubled: 2×ProbationAfter from seq 30.
-	if h.Available(0, 30+2*rel.ProbationAfter-1) {
+	// Penalty doubled: 2×laneProbation from seq 30.
+	if h.Available(0, 30+2*laneProbation-1) {
 		t.Fatal("re-quarantine penalty did not double")
 	}
-	if !h.Available(0, 30+2*rel.ProbationAfter) {
+	if !h.Available(0, 30+2*laneProbation) {
 		t.Fatal("not re-admitted after the doubled penalty")
 	}
 }
@@ -94,7 +88,7 @@ func TestProbationFailureRequarantines(t *testing.T) {
 // replayable.
 func TestHealthDeterminism(t *testing.T) {
 	run := func() []LaneHealth {
-		h := NewHealthTracker(4, testRel())
+		h := NewHealthTracker(4, laneProbation)
 		script := []struct {
 			dpu  int
 			seq  uint64
@@ -119,21 +113,13 @@ func TestHealthDeterminism(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule: the modeled backoff doubles per attempt and is
-// a pure function of the config (deterministic across identical
-// seeds/plans).
+// TestBackoffSchedule: the modeled backoff starts at retryBackoff and
+// doubles per attempt.
 func TestBackoffSchedule(t *testing.T) {
-	rel := ReliabilityConfig{RetryBackoff: 2e-6}.withDefaults()
-	want := []float64{2e-6, 4e-6, 8e-6, 16e-6}
+	want := []float64{1e-6, 2e-6, 4e-6, 8e-6}
 	for i, w := range want {
-		if got := rel.backoff(uint64(i + 1)); got != w {
+		if got := backoff(uint64(i + 1)); got != w {
 			t.Errorf("backoff(%d) = %g, want %g", i+1, got, w)
-		}
-	}
-	again := ReliabilityConfig{RetryBackoff: 2e-6}.withDefaults()
-	for n := uint64(1); n < 8; n++ {
-		if rel.backoff(n) != again.backoff(n) {
-			t.Fatalf("backoff(%d) not deterministic", n)
 		}
 	}
 }

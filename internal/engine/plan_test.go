@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"transpimlib/internal/core"
+	"transpimlib/internal/fusion"
+	"transpimlib/internal/pimsim"
 	"transpimlib/internal/stats"
 )
 
@@ -151,5 +153,118 @@ func TestPlanCacheConcurrentTenants(t *testing.T) {
 				t.Error("fault plan injected no faults — the scenario tested nothing")
 			}
 		})
+	}
+}
+
+// TestSetupChargedOncePerEngine: a sequential round-robin stream of
+// three specs on a default two-shard engine pays each spec's setup
+// exactly once — one generation plus one broadcast to every core of
+// the engine — whichever shards serve it, so every run of the stream
+// charges the same total.
+func TestSetupChargedOncePerEngine(t *testing.T) {
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	specs := []struct {
+		fn  core.Function
+		par core.Params
+	}{
+		{core.Sigmoid, core.Params{Method: core.LLUT, Interp: true, SizeLog2: 12}},
+		{core.GELU, core.Params{Method: core.DLLUT, Interp: true, SizeLog2: 12}},
+		{core.Exp, core.Params{Method: core.LLUTFixed, Interp: true, SizeLog2: 12}},
+	}
+	var want float64
+	bw := e.System().Config().HostToPIMBandwidth
+	for _, sp := range specs {
+		op, err := core.Build(sp.fn, sp.par, pimsim.NewSystem(pimsim.Config{}).DPU(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += op.BuildSeconds() + float64(op.TableBytes())*float64(e.cfg.DPUs)/bw
+	}
+
+	var got float64
+	for i := 0; i < 12; i++ {
+		sp := specs[i%len(specs)]
+		_, st, err := e.EvaluateBatch(sp.fn, sp.par, stats.RandomInputs(-2, 2, 64, uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHit != (i >= len(specs)) {
+			t.Fatalf("request %d: CacheHit = %v", i, st.CacheHit)
+		}
+		got += st.SetupSeconds
+	}
+	if got != want {
+		t.Fatalf("stream charged %.9g s of setup, want %.9g s", got, want)
+	}
+	t.Logf("stream setup: %.9g s", got)
+	if st := e.Stats(); st.CacheMisses != uint64(len(specs)) || st.SetupSeconds != want {
+		t.Fatalf("engine counted %d misses and %.9g s of setup, want %d and %.9g s",
+			st.CacheMisses, st.SetupSeconds, len(specs), want)
+	}
+}
+
+// TestFailedBuildCachesNothing: a spec whose tables outgrow the 64-KB
+// WRAM fails on every request and is never counted as cached.
+func TestFailedBuildCachesNothing(t *testing.T) {
+	e, err := New(Config{DPUs: 2, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	bad := core.Params{Method: core.LLUT, Interp: true, SizeLog2: 18, Placement: pimsim.InWRAM}
+	for i := 0; i < 3; i++ {
+		if _, _, err := e.EvaluateBatch(core.Sigmoid, bad, make([]float32, 16)); err == nil {
+			t.Fatal("oversized WRAM table must fail")
+		}
+	}
+	if n := e.CachedSpecs(); n != 0 {
+		t.Fatalf("CachedSpecs = %d after failed builds, want 0", n)
+	}
+	if st := e.Stats(); st.SetupSeconds != 0 {
+		t.Fatalf("failed builds charged %g s of setup", st.SetupSeconds)
+	}
+}
+
+// TestProgramPlansBounded: each compiled program mints a new ID, so a
+// shard keeps only the newest progPlanLimit program plans, and an
+// evicted program rebuilds its plan and serves bit-identically.
+func TestProgramPlansBounded(t *testing.T) {
+	e, err := New(Config{DPUs: 2, Shards: 1, MaxBatch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	xs := [][]float32{stats.RandomInputs(-4, 4, 64, 7)}
+	var first *fusion.Compiled
+	var want []float32
+	for i := 0; i <= progPlanLimit; i++ {
+		prog, err := e.CompileProgram(progSoftmax(), progParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := e.EvaluateProgram(prog, xs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first, want = prog, out
+		}
+	}
+	if n := len(e.shards[0].progs); n > progPlanLimit {
+		t.Fatalf("shard holds %d program plans after %d programs, want ≤ %d", n, progPlanLimit+1, progPlanLimit)
+	}
+	misses := e.Stats().PlanMisses
+	got, st, err := e.EvaluateProgram(first, xs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustBits(t, "evicted program", got, want)
+	if e.Stats().PlanMisses != misses+1 || st.SetupSeconds != 0 {
+		t.Fatalf("evicted program: plan misses %d → %d, setup %g s; want one rebuild and no setup",
+			misses, e.Stats().PlanMisses, st.SetupSeconds)
 	}
 }

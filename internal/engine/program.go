@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"transpimlib/internal/core"
@@ -66,60 +65,20 @@ func (s PerOpStats) ModeledSeconds() float64 {
 	return s.SetupSeconds + s.TransferInSeconds + s.ComputeSeconds + s.TransferOutSeconds
 }
 
-// progKey identifies a cached program execution plan: one compiled
-// program on one shard (whose cores hold the operator tables). Exec.Bind
-// sizes the plan for each batch.
-type progKey struct {
-	pid   uint64
-	shard int
+// progPlanLimit bounds each shard's program plans (shard.progs): every
+// CompileProgram call mints a new program ID, so without a bound a
+// caller that compiles per request would grow the map forever.
+const progPlanLimit = 64
+
+// storeProg records program id's execution plan on shard s, evicting
+// the shard's oldest plan once it holds progPlanLimit. Program IDs
+// start at 1, so an empty ring slot evicts nothing.
+func (s *shard) storeProg(id uint64, ex *fusion.Exec) {
+	delete(s.progs, s.progRing[s.progNext])
+	s.progRing[s.progNext] = id
+	s.progNext = (s.progNext + 1) % progPlanLimit
+	s.progs[id] = ex
 }
-
-const defaultProgPlanLimit = 64
-
-// progPlanCache is the bounded FIFO cache of program execution plans;
-// the bound matters because every CompileProgram call mints a new
-// program ID. An Exec carries per-batch mutable state, but a shard
-// runs one batch at a time and entries are keyed by shard, so a cached
-// Exec never serves two batches concurrently.
-type progPlanCache struct {
-	mu    sync.Mutex
-	m     map[progKey]*fusion.Exec
-	order []progKey
-	limit int
-}
-
-func newProgPlanCache(limit int) *progPlanCache {
-	return &progPlanCache{m: make(map[progKey]*fusion.Exec), limit: limit}
-}
-
-func (c *progPlanCache) lookup(k progKey) *fusion.Exec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[k]
-}
-
-func (c *progPlanCache) store(k progKey, ex *fusion.Exec) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; !ok {
-		c.order = append(c.order, k)
-	}
-	c.m[k] = ex
-	for len(c.order) > c.limit {
-		old := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, old)
-	}
-}
-
-func (c *progPlanCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// CachedProgramPlans returns how many program execution plans are live.
-func (e *Engine) CachedProgramPlans() int { return e.pplans.size() }
 
 // CompileProgram compiles a fused program against this engine's cost
 // model under the given method parameters. The compiled program is
@@ -235,10 +194,11 @@ func (e *Engine) stageProgramIn(s *shard, b *batch) {
 	b.pIn = inBytes
 }
 
-// computeProgram is the compute step for a program batch: resolve (or
-// plan-hit) the execution plan, then run each phase as one shard-wide
-// fused kernel launch with a reduction sync between phases. Under
-// fault injection a failed launch retries the whole phase — RunLane is
+// computeProgram is the compute step for a program batch: look up the
+// shard's execution plan for the program, or build one on a miss by
+// resolving every Func node through the shard's plans (specOps), then
+// run each phase as one shard-wide fused kernel launch with a
+// reduction sync between phases. Under fault injection a failed launch retries the whole phase — RunLane is
 // idempotent over its bound state — and exhaustion (or a failed
 // transfer-in) degrades to the bit-exact host mirror, the same last
 // rung as the per-op ladder.
@@ -248,34 +208,27 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 	if b.tr != nil {
 		b.tr.setupStart = time.Now()
 	}
-	key := progKey{pid: c.ID(), shard: s.id}
-	ex := e.pplans.lookup(key)
+	ex := s.progs[c.ID()]
+	b.hit = true
 	if ex != nil {
-		b.hit, b.setup = true, 0
 		e.met.planHits.Inc()
 	} else {
 		e.met.planMisses.Inc()
 		ex = c.NewExec(len(s.dpus))
-		hit := true
-		var setup float64
 		for i, fn := range c.FuncNodes() {
-			ops, h, su, err := e.cache.ensure(Spec{Fn: fn, Par: c.Params()}, s)
-			e.met.cachedSpecs.Set(int64(e.cache.size()))
+			ops, hit, setup, err := e.specOps(s, Spec{Fn: fn, Par: c.Params()})
 			if err != nil {
-				b.err = err
+				b.hit, b.err = false, err
 				if b.tr != nil {
 					b.tr.setupEnd = time.Now()
 				}
 				return
 			}
-			if !h {
-				hit = false
-			}
-			setup += su
+			b.hit = b.hit && hit
+			b.setup += setup
 			ex.SetOps(i, ops)
 		}
-		b.hit, b.setup = hit, setup
-		e.pplans.store(key, ex)
+		s.storeProg(c.ID(), ex)
 	}
 	if b.tr != nil {
 		b.tr.setupEnd = time.Now()
@@ -312,10 +265,10 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 				break
 			}
 			var le *pimsim.LaunchError
-			if e.inj != nil && errors.As(launchErr, &le) && attempt < uint64(e.rel.MaxRetries) {
+			if e.inj != nil && errors.As(launchErr, &le) && attempt < maxRetries {
 				e.met.launchRetries.Inc()
 				b.retries++
-				b.tcomp += e.rel.backoff(attempt + 1)
+				b.tcomp += backoff(attempt + 1)
 				continue
 			}
 			break

@@ -375,8 +375,8 @@ func TestProgramPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.CachedProgramPlans() == 0 {
-		t.Fatal("first evaluation cached no program plan")
+	if m := e.Stats().PlanMisses; m != 1 {
+		t.Fatalf("first evaluation counted %d plan misses, want 1", m)
 	}
 	hits0 := e.Stats().PlanHits
 	out2, st2, err := e.EvaluateProgramTenant("", prog, mk(), nil)
@@ -397,6 +397,9 @@ func TestProgramPlanCache(t *testing.T) {
 	}
 	if e.Stats().PlanHits <= hits1 {
 		t.Fatal("a larger batch did not hit the program plan cache")
+	}
+	if m := e.Stats().PlanMisses; m != 1 {
+		t.Fatalf("warm evaluations built program plans: %d plan misses, want 1", m)
 	}
 	wantBig, _, err := e.EvaluateProgramPerOp("", prog, mkN(1000), nil)
 	if err != nil {

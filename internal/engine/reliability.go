@@ -65,12 +65,12 @@ func (e *Engine) chargeTransferIn(s *shard, b *batch, padded int) {
 			return
 		}
 		e.met.transferRetries.Inc()
-		if attempt >= uint64(e.rel.MaxRetries) {
+		if attempt >= maxRetries {
 			b.inFailed = true
 			return
 		}
 		b.retries++
-		b.tin += e.rel.backoff(attempt + 1)
+		b.tin += backoff(attempt + 1)
 	}
 }
 
@@ -87,7 +87,7 @@ func (e *Engine) chargeTransferOut(s *shard, b *batch, padded int) {
 			return
 		}
 		e.met.transferRetries.Inc()
-		if attempt >= uint64(e.rel.MaxRetries) {
+		if attempt >= maxRetries {
 			if !b.degraded {
 				b.degraded = true
 				e.met.degraded.Inc()
@@ -95,7 +95,7 @@ func (e *Engine) chargeTransferOut(s *shard, b *batch, padded int) {
 			return
 		}
 		b.retries++
-		b.tout += e.rel.backoff(attempt + 1)
+		b.tout += backoff(attempt + 1)
 	}
 }
 
@@ -312,13 +312,13 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 		if retry {
 			b.tcomp += float64(mx) / e.sys.Config().ClockHz
 			e.met.quarantined.Set(int64(e.health.QuarantinedCount()))
-			if attempt >= uint64(e.rel.MaxRetries) {
+			if attempt >= maxRetries {
 				e.degradeBatch(s, b, ops)
 				return
 			}
 			b.retries++
 			e.met.launchRetries.Inc()
-			b.tcomp += e.rel.backoff(attempt + 1)
+			b.tcomp += backoff(attempt + 1)
 			continue
 		}
 
@@ -390,7 +390,7 @@ func (e *Engine) maybeHedge(s *shard, b *batch, lanes []int, per, slowest int, m
 	// still holds the launch's layout, so the straggler's core reruns
 	// its own chunk.
 	k := lanes[slowest]
-	hedged, err := e.launch(s, b, "hedge", uint64(e.rel.MaxRetries)+1000, s.ids[k:k+1], s.batchKernel)
+	hedged, err := e.launch(s, b, "hedge", maxRetries+1000, s.ids[k:k+1], s.batchKernel)
 	e.met.hedges.Inc()
 	b.hedged = true
 	if err != nil {

@@ -26,12 +26,13 @@ type RequestStats struct {
 	// larger than the request's own length when coalescing packed it
 	// with neighbours.
 	BatchElements int
-	// CacheHit reports whether every batch found its tables already
-	// resident on its shard (the Fig.-6 setup cost was skipped).
+	// CacheHit reports whether no batch paid its spec's setup: the
+	// engine had already charged it (the Fig.-6 setup cost was
+	// skipped), though a shard may still have built its own copy.
 	CacheHit bool
 	// SetupSeconds is the modeled setup time charged to this request's
-	// batches: table generation plus rank-wide broadcast on a cache
-	// miss, exactly zero on a warm hit.
+	// batches: table generation plus a broadcast to every core of the
+	// engine on a cache miss, exactly zero on a hit.
 	SetupSeconds float64
 	// Per-stage modeled seconds of the batches the request rode in.
 	// ComputeSeconds is each batch's kernel critical path: when a hedge
@@ -87,13 +88,14 @@ type Stats struct {
 	// request — the amortization the batcher exists for.
 	CoalescedBatches uint64
 
-	// CacheHits/CacheMisses count per-batch table lookups; a miss is a
-	// shard-level table build (generation and/or broadcast).
+	// CacheHits/CacheMisses count batches; a miss is the batch that
+	// paid its spec's setup, once per spec per engine.
 	CacheHits   uint64
 	CacheMisses uint64
 
-	// PlanHits/PlanMisses count per-batch compiled-plan lookups: a hit
-	// skips table-cache locking entirely; a miss compiles the plan.
+	// PlanHits/PlanMisses count per-batch plan lookups on the serving
+	// shard: a hit reuses the shard's operators (or program plan); a
+	// miss builds them on the shard.
 	PlanHits   uint64
 	PlanMisses uint64
 
@@ -195,8 +197,8 @@ func newMetrics(reg *telemetry.Registry, shards int) *metrics {
 		batchErrors:   reg.Counter("engine_batch_errors_total", "pipeline batches that failed"),
 		elements:      reg.Counter("engine_elements_total", "elements evaluated"),
 		coalesced:     reg.Counter("engine_coalesced_batches_total", "batches carrying more than one request"),
-		cacheHits:     reg.Counter("engine_cache_hits_total", "per-batch table lookups served from resident tables"),
-		cacheMisses:   reg.Counter("engine_cache_misses_total", "per-batch table lookups that built tables"),
+		cacheHits:     reg.Counter("engine_cache_hits_total", "batches whose spec's setup was already paid"),
+		cacheMisses:   reg.Counter("engine_cache_misses_total", "batches that paid their spec's setup, once per spec"),
 		planHits:      reg.Counter("engine_plan_hits_total", "batches served by a compiled batch plan"),
 		planMisses:    reg.Counter("engine_plan_misses_total", "batches that compiled or recompiled their plan"),
 		setupSeconds:  reg.FloatCounter("engine_setup_seconds_total", "modeled table generation + broadcast seconds"),
@@ -206,7 +208,7 @@ func newMetrics(reg *telemetry.Registry, shards int) *metrics {
 		kernelCycles:  reg.Counter("engine_kernel_cycles_total", "modeled kernel cycles (slowest core per batch)"),
 		bytesIn:       reg.Counter("engine_bytes_in_total", "host-to-PIM payload bytes (padded, rank-parallel)"),
 		bytesOut:      reg.Counter("engine_bytes_out_total", "PIM-to-host payload bytes"),
-		cachedSpecs:   reg.Gauge("engine_cached_specs", "configurations holding resident tables"),
+		cachedSpecs:   reg.Gauge("engine_cached_specs", "configurations whose setup has been paid"),
 		queueDepth:    reg.Gauge("engine_queue_depth", "requests waiting in the submit queue"),
 		latency:       reg.Histogram("engine_request_latency_seconds", "wall-clock request latency", telemetry.LatencyBuckets()),
 		batchElems:    reg.Histogram("engine_batch_elements", "elements per dispatched batch", telemetry.SizeBuckets()),
@@ -232,8 +234,8 @@ func newMetrics(reg *telemetry.Registry, shards int) *metrics {
 			kernelCycles: reg.Counter("engine_shard_kernel_cycles_total"+lb, "modeled kernel cycles per shard"),
 			bytesIn:      reg.Counter("engine_shard_bytes_in_total"+lb, "host-to-PIM bytes per shard"),
 			bytesOut:     reg.Counter("engine_shard_bytes_out_total"+lb, "PIM-to-host bytes per shard"),
-			cacheHits:    reg.Counter("engine_shard_cache_hits_total"+lb, "table-cache hits per shard"),
-			cacheMisses:  reg.Counter("engine_shard_cache_misses_total"+lb, "table-cache misses per shard"),
+			cacheHits:    reg.Counter("engine_shard_cache_hits_total"+lb, "setup-cache hits per shard"),
+			cacheMisses:  reg.Counter("engine_shard_cache_misses_total"+lb, "setup-cache misses per shard"),
 		})
 	}
 	return m

@@ -9,8 +9,8 @@ import (
 	"transpimlib/internal/pimsim"
 )
 
-// progIDs mints unique program ids; the engine's program-plan cache
-// keys on them.
+// progIDs mints unique program ids, starting at 1; each engine shard's
+// program-plan map keys on them.
 var progIDs atomic.Uint64
 
 // step is one device operation inside a phase, executed per element of
@@ -357,7 +357,7 @@ func appendUnique(s []int, v int) []int {
 
 // --- public inspection ---
 
-// ID returns the program's unique id (the engine's plan-cache key).
+// ID returns the program's unique id (the key of each engine shard's program plan).
 func (c *Compiled) ID() uint64 { return c.id }
 
 // Name returns the program's label.

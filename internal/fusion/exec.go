@@ -6,9 +6,9 @@ import (
 	"transpimlib/internal/pimsim"
 )
 
-// Exec is the per-(program, shard) execution state the engine's
-// program-plan cache holds: resolved operator tables for every Func
-// node, the intermediate vector buffers that model MRAM residency, the
+// Exec is the per-(program, shard) execution state an engine shard
+// keeps in its program-plan map, keyed by program ID: resolved
+// operator tables for every Func node, the intermediate vector buffers that model MRAM residency, the
 // reduction partial slots, and the runtime scalar values. One Exec
 // serves one shard at a time (an engine shard runs one batch at a
 // time); Bind rebinds it to each batch, growing its buffers to the
@@ -60,8 +60,8 @@ func (ex *Exec) Program() *Compiled { return ex.c }
 func (ex *Exec) NumPhases() int { return len(ex.c.phases) }
 
 // SetOps installs the per-lane operator tables for Func node i (the
-// engine resolves them through its setup cache, one Spec per entry of
-// FuncNodes).
+// engine resolves them through the shard's plans, one Spec per entry
+// of FuncNodes).
 func (ex *Exec) SetOps(i int, ops []*core.Operator) { ex.ops[i] = ops }
 
 // Bind attaches a batch: the caller's input vectors (aliased, not
