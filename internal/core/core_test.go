@@ -103,6 +103,32 @@ func TestBuildRejectsUnsupported(t *testing.T) {
 	}
 }
 
+// TestBuildFailureRollsBack: a build that fails on a later table gives
+// back the memory its earlier tables took, so WRAM.Used and MRAM.Used
+// are unchanged after each failed build.
+func TestBuildFailureRollsBack(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		fn      Function
+		p       Params
+		prefill int // WRAM bytes taken before the build
+	}{
+		{"l-lut tan fails on its cosine table", Tan, Params{Method: LLUT, SizeLog2: 13}, 26926},
+		{"m-lut tan fails on its cosine table", Tan, Params{Method: MLUT, SizeLog2: 13}, 16384},
+		{"cordic+lut head table after its tail", Sin, Params{Method: CORDICLUT, HeadBits: 12}, 0},
+	} {
+		dpu := newDPU()
+		dpu.WRAM.MustAlloc(c.prefill)
+		wram, mram := dpu.WRAM.Used(), dpu.MRAM.Used()
+		if _, err := Build(c.fn, c.p, dpu); err == nil {
+			t.Fatalf("%s: build fit, want WRAM exhaustion", c.name)
+		}
+		if w, m := dpu.WRAM.Used(), dpu.MRAM.Used(); w != wram || m != mram {
+			t.Errorf("%s: WRAM/MRAM used %d/%d after the failed build, want %d/%d", c.name, w, m, wram, mram)
+		}
+	}
+}
+
 // Every supported (function, method, interp) triple must build and
 // reach a sane accuracy on its domain.
 func TestAllPairsAccuracy(t *testing.T) {

@@ -39,18 +39,22 @@ func (f Function) refCycles() float64 {
 	}
 }
 
+// The cost helpers round each product explicitly (float64(a*b)): the
+// builds sum their results, and a product fused into that sum (an
+// FMADD on arm64) would price setup differently from amd64.
+
 // tableCycles prices entries table entries: one reference call, then
 // the a⁻¹(i) = p + i/k input mapping (a divide and an add) and the
 // round to the stored word.
 func tableCycles(entries int, ref float64) float64 {
-	return float64(entries) * (ref + XeonDiv + 2*XeonFlop)
+	return float64(float64(entries) * (ref + XeonDiv + 2*XeonFlop))
 }
 
 // cordicCycles prices CORDIC iteration constants: the angle
 // atan(2⁻ⁱ) or atanh(2⁻ⁱ), the gain factor √(1 ± 2⁻²ⁱ) and its
 // running product.
 func cordicCycles(constants int) float64 {
-	return float64(constants) * (XeonTrig + XeonSqrt + 2*XeonFlop)
+	return float64(float64(constants) * (XeonTrig + XeonSqrt + 2*XeonFlop))
 }
 
 // fitCycles prices a Chebyshev fit with n samples (poly.FitChebyshev):
@@ -58,5 +62,5 @@ func cordicCycles(constants int) float64 {
 // flops, then n² cosine-weighted sums and the monomial recurrence.
 func fitCycles(n int, ref float64) float64 {
 	s := float64(n)
-	return s*(ref+XeonTrig+3*XeonFlop) + s*s*(XeonTrig+3*XeonFlop)
+	return float64(s*(ref+XeonTrig+3*XeonFlop)) + float64(s*s*(XeonTrig+3*XeonFlop))
 }

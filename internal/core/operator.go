@@ -24,9 +24,9 @@ type Operator struct {
 	eval func(*pimsim.Ctx, float32) float32
 
 	// mirror and sigs drive the batch-evaluation fast path (batch.go):
-	// an unmetered bit-exact host twin of eval plus one pre-recorded
-	// cost signature per control-flow class. mirror is nil when only
-	// the interpreted path is available.
+	// the host slice kernel that replays eval bit for bit without
+	// charging, plus one pre-recorded cost signature per control-flow
+	// class. mirror is nil when only the interpreted path is available.
 	mirror *opMirror
 	sigs   [maxCostClasses]pimsim.CostSig
 
@@ -62,13 +62,15 @@ func (o *Operator) SetupSeconds() float64 { return o.BuildSeconds() + o.transfer
 // Build compiles fn with params onto the PIM core: it generates any
 // tables on the host (pricing the generation on the model host),
 // loads them into the selected memory, and wires the device-side
-// evaluator.
+// evaluator. A failed build leaves the core's memories as it found
+// them.
 func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 	p = p.withDefaults()
 	if !p.Method.Supports(fn) {
 		return nil, fmt.Errorf("core: %v does not support %v (see Table 2)", p.Method, fn)
 	}
 	o := &Operator{Fn: fn, Par: p}
+	wram, mram := dpu.WRAM.Used(), dpu.MRAM.Used()
 	var err error
 	switch p.Method {
 	case CORDIC:
@@ -87,6 +89,10 @@ func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 		err = fmt.Errorf("core: unknown method %v", p.Method)
 	}
 	if err != nil {
+		// A multi-table build can fail on a later table; the memories
+		// are bump allocators, so give back what the earlier ones took.
+		dpu.WRAM.Rollback(wram)
+		dpu.MRAM.Rollback(mram)
 		return nil, err
 	}
 	if p.WideRange {
@@ -103,7 +109,8 @@ func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 	}
 	// Domain guards: logarithm and square root of non-positive inputs
 	// return NaN (one compare and branch on the device), matching the
-	// host math library the accuracy metrics compare against.
+	// host math library the accuracy metrics compare against. The
+	// kernel composes the same guard as one more cost class.
 	switch fn {
 	case Log:
 		inner := o.eval
@@ -117,7 +124,13 @@ func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 			}
 			return inner(ctx, x)
 		}
-		o.mirror = wrapLogGuard(o.mirror)
+		// FCmp(x, 0) <= 0 holds for NaN too, so NaN takes the guard.
+		o.mirror = o.mirror.guard(func(x float32) bool { return x > 0 }, func(x float32) float32 {
+			if x == 0 {
+				return float32(math.Inf(-1))
+			}
+			return float32(math.NaN())
+		})
 	case Sqrt:
 		inner := o.eval
 		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
@@ -130,7 +143,14 @@ func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 			}
 			return inner(ctx, x)
 		}
-		o.mirror = wrapSqrtGuard(o.mirror)
+		// Negative inputs (NaN result) and zero share one guard class;
+		// NaN fails both compares and falls through to the inner kernel.
+		o.mirror = o.mirror.guard(func(x float32) bool { return !(x < 0) && x != 0 }, func(x float32) float32 {
+			if x < 0 {
+				return float32(math.NaN())
+			}
+			return 0
+		})
 	}
 	o.recordSigs(dpu.Model())
 	// Table transfer to a single PIM core's DRAM bank proceeds at the
@@ -139,12 +159,116 @@ func Build(fn Function, p Params, dpu *pimsim.DPU) (*Operator, error) {
 	return o, nil
 }
 
+// ---------- compositions shared by the methods ----------
+
+// compose sets eval and mirror from a core evaluator over the
+// function's core range (Function.CoreRange): core runs on the device,
+// coreMany is its host slice twin. Exp, log and sqrt wrap the core in
+// their §2.2.3 range reductions; any other function is the core.
+func (o *Operator) compose(core func(*pimsim.Ctx, float32) float32, coreMany func(xs, ys []float32)) {
+	switch o.Fn {
+	case Exp:
+		o.expFamily(core, coreMany)
+	case Log:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			m, e := rangered.SplitLog(ctx, x)
+			return rangered.JoinLog(ctx, core(ctx, m), e)
+		}
+		o.mirror = mirror1(logSplitKernel(coreMany), 0.7)
+	case Sqrt:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			m, h := rangered.SplitSqrt(ctx, x)
+			return rangered.JoinSqrt(ctx, core(ctx, m), h)
+		}
+		o.mirror = sqrtParityMirror(coreMany)
+	default:
+		lo, hi := o.Fn.CoreRange()
+		o.eval = core
+		o.mirror = mirror1(plainKernel(coreMany), float32((lo+hi)/2))
+	}
+}
+
+// expFamily sets eval and mirror for exp around a core over its
+// reduced argument (SplitExp, core, JoinExp) and, for the methods
+// without tables of their own, for sinh, cosh, tanh and sigmoid over
+// that exp. Their kernels are pre- and post-passes around the exp
+// kernel, with pre-transformed inputs in the XA lane.
+func (o *Operator) expFamily(core func(*pimsim.Ctx, float32) float32, coreMany func(rs, ys []float32)) {
+	exp := func(ctx *pimsim.Ctx, x float32) float32 {
+		r, k := rangered.SplitExp(ctx, x)
+		return rangered.JoinExp(ctx, core(ctx, r), k)
+	}
+	expKernel := expSplitKernel(coreMany)
+	kernel := expKernel
+	switch o.Fn {
+	case Exp:
+		o.eval = exp
+	case Sinh:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			ex := exp(ctx, x)
+			return ctx.FMul(0.5, ctx.FSub(ex, ctx.FDiv(1, ex)))
+		}
+		kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+			expKernel(xs, ys, sc, counts)
+			for i, ex := range ys {
+				ys[i] = 0.5 * (ex - 1/ex)
+			}
+		}
+	case Cosh:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			ex := exp(ctx, x)
+			return ctx.FMul(0.5, ctx.FAdd(ex, ctx.FDiv(1, ex)))
+		}
+		kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+			expKernel(xs, ys, sc, counts)
+			for i, ex := range ys {
+				ys[i] = 0.5 * (ex + 1/ex)
+			}
+		}
+	case Tanh:
+		// tanh x = 1 − 2/(e^{2x}+1), valid over the whole line.
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			e2 := exp(ctx, ctx.FAdd(x, x))
+			return ctx.FSub(1, ctx.FDiv(2, ctx.FAdd(e2, 1)))
+		}
+		kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+			sc.Grow(len(xs))
+			dx := sc.XA[:len(xs)]
+			for i, x := range xs {
+				dx[i] = x + x
+			}
+			expKernel(dx, ys, sc, counts)
+			for i, e2 := range ys {
+				ys[i] = 1 - 2/(e2+1)
+			}
+		}
+	case Sigmoid:
+		// S(x) = 1/(1+e^{−x}).
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			e := exp(ctx, ctx.FNeg(x))
+			return ctx.FDiv(1, ctx.FAdd(1, e))
+		}
+		kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+			sc.Grow(len(xs))
+			nx := sc.XA[:len(xs)]
+			for i, x := range xs {
+				nx[i] = -x
+			}
+			expKernel(nx, ys, sc, counts)
+			for i, e := range ys {
+				ys[i] = 1 / (1 + e)
+			}
+		}
+	}
+	o.mirror = mirror1(kernel, 0.5)
+}
+
 // ---------- CORDIC ----------
 
 var halfPi64 = cordic.FromFloat(math.Pi / 2)
 
-// tanQuadrantHost is the quadrant fix-up of the CORDIC Tan mirrors:
-// both trig fix-ups then the quotient, matching the scalar path.
+// tanQuadrantHost is the quadrant fix-up of the CORDIC Tan kernels:
+// both trig fix-ups then the quotient, matching the device path.
 func tanQuadrantHost(s, c float32, q rangered.Quadrant) float32 {
 	return rangered.ApplySinQuadrantHost(s, c, q) / rangered.ApplyCosQuadrantHost(s, c, q)
 }
@@ -163,6 +287,55 @@ func foldQuadrant64(ctx *pimsim.Ctx, theta int64) (int64, rangered.Quadrant) {
 	return theta, q
 }
 
+// fixDev lifts a Q23.40 device routine to float32 through the
+// F32ToFix64/Fix64ToF32 conversions around it; fixMany is its host
+// slice twin.
+func fixDev(f func(*pimsim.Ctx, int64) int64) func(*pimsim.Ctx, float32) float32 {
+	return func(ctx *pimsim.Ctx, x float32) float32 {
+		return ctx.Fix64ToF32(f(ctx, ctx.F32ToFix64(x, cordic.FracBits)), cordic.FracBits)
+	}
+}
+
+func fixMany(f func(int64) int64) func(xs, ys []float32) {
+	return func(xs, ys []float32) {
+		ys = ys[:len(xs)]
+		for i, x := range xs {
+			ys[i] = fix64ToF32(f(fix64FromF32(x)))
+		}
+	}
+}
+
+// circular wires sin, cos or tan over a circular-mode rotation: fold
+// the Q23.40 angle to [0, π/2] plus its quadrant, rotate, convert back
+// and apply the quadrant fix-ups; tan divides the two (§4.2.4). sinCos
+// is the device rotation and many its host slice twin.
+func (o *Operator) circular(sinCos func(*pimsim.Ctx, int64) (int64, int64), many func(thetas, sins, coss []int64)) error {
+	sincos := func(ctx *pimsim.Ctx, x float32) (float32, float32) {
+		theta, q := foldQuadrant64(ctx, ctx.F32ToFix64(x, cordic.FracBits))
+		s64, c64 := sinCos(ctx, theta)
+		s := ctx.Fix64ToF32(s64, cordic.FracBits)
+		c := ctx.Fix64ToF32(c64, cordic.FracBits)
+		return rangered.ApplySinQuadrant(ctx, s, c, q), rangered.ApplyCosQuadrant(ctx, s, c, q)
+	}
+	switch o.Fn {
+	case Sin:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 { s, _ := sincos(ctx, x); return s }
+		o.mirror = quadMirror(sincosKernel(many, rangered.ApplySinQuadrantHost))
+	case Cos:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 { _, c := sincos(ctx, x); return c }
+		o.mirror = quadMirror(sincosKernel(many, rangered.ApplyCosQuadrantHost))
+	case Tan:
+		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+			s, c := sincos(ctx, x)
+			return ctx.FDiv(s, c)
+		}
+		o.mirror = quadMirror(sincosKernel(many, tanQuadrantHost))
+	default:
+		return fmt.Errorf("core: %v cannot compute %v", o.Par.Method, o.Fn)
+	}
+	return nil
+}
+
 // loadCORDIC generates the mode's iteration constants and loads them
 // onto the core.
 func (o *Operator) loadCORDIC(dpu *pimsim.DPU, mode cordic.Mode) (*cordic.Tables, *cordic.Device, error) {
@@ -177,159 +350,33 @@ func (o *Operator) loadCORDIC(dpu *pimsim.DPU, mode cordic.Mode) (*cordic.Tables
 }
 
 func (o *Operator) buildCORDIC(dpu *pimsim.DPU) error {
+	mode := cordic.Hyperbolic
+	switch o.Fn {
+	case Sin, Cos, Tan, Atan:
+		mode = cordic.Circular
+	}
+	tb, dev, err := o.loadCORDIC(dpu, mode)
+	if err != nil {
+		return err
+	}
 	switch o.Fn {
 	case Sin, Cos, Tan:
-		tb, dev, err := o.loadCORDIC(dpu, cordic.Circular)
-		if err != nil {
-			return err
-		}
-		sincos := func(ctx *pimsim.Ctx, x float32) (float32, float32) {
-			xf := ctx.F32ToFix64(x, cordic.FracBits)
-			theta, q := foldQuadrant64(ctx, xf)
-			s64, c64 := dev.SinCos(ctx, theta)
-			s := ctx.Fix64ToF32(s64, cordic.FracBits)
-			c := ctx.Fix64ToF32(c64, cordic.FracBits)
-			return rangered.ApplySinQuadrant(ctx, s, c, q), rangered.ApplyCosQuadrant(ctx, s, c, q)
-		}
-		sincosM := func(x float32) (float32, float32, rangered.Quadrant) {
-			theta, q := foldQuadrant64Host(fix64FromF32(x))
-			s64, c64 := tb.SinCosHost(theta)
-			s := fix64ToF32(s64)
-			c := fix64ToF32(c64)
-			return rangered.ApplySinQuadrantHost(s, c, q), rangered.ApplyCosQuadrantHost(s, c, q), q
-		}
-		switch o.Fn {
-		case Sin:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 { s, _ := sincos(ctx, x); return s }
-			o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-				s, _, q := sincosM(x)
-				return s, int(q)
-			}}
-			o.mirror.kernel = sincosKernel(tb.SinCosHostMany, rangered.ApplySinQuadrantHost)
-		case Cos:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 { _, c := sincos(ctx, x); return c }
-			o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-				_, c, q := sincosM(x)
-				return c, int(q)
-			}}
-			o.mirror.kernel = sincosKernel(tb.SinCosHostMany, rangered.ApplyCosQuadrantHost)
-		default: // Tan: sine, cosine and one float division (§4.2.4)
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				s, c := sincos(ctx, x)
-				return ctx.FDiv(s, c)
-			}
-			o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-				s, c, q := sincosM(x)
-				return s / c, int(q)
-			}}
-			o.mirror.kernel = sincosKernel(tb.SinCosHostMany, tanQuadrantHost)
-		}
-		return nil
-
+		return o.circular(dev.SinCos, tb.SinCosHostMany)
 	case Atan:
 		// Circular vectoring of (1, x): the whole arctangent image fits
 		// inside the mode's convergence range, so no extension is needed.
-		tb, dev, err := o.loadCORDIC(dpu, cordic.Circular)
-		if err != nil {
-			return err
-		}
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			z := dev.Atan(ctx, ctx.F32ToFix64(x, cordic.FracBits))
-			return ctx.Fix64ToF32(z, cordic.FracBits)
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			return fix64ToF32(tb.AtanHost(fix64FromF32(x)))
-		}, 0.7)
-		o.mirror.kernel = plainKernel(func(xs, ys []float32) {
-			for i, x := range xs {
-				ys[i] = fix64ToF32(tb.AtanHost(fix64FromF32(x)))
-			}
-		})
-		return nil
-
-	case Sinh, Cosh, Tanh, Exp, Log, Sqrt, Sigmoid:
-		tb, dev, err := o.loadCORDIC(dpu, cordic.Hyperbolic)
-		if err != nil {
-			return err
-		}
-		expCore := func(ctx *pimsim.Ctx, x float32) float32 {
-			r, k := rangered.SplitExp(ctx, x)
-			er := ctx.Fix64ToF32(dev.Exp(ctx, ctx.F32ToFix64(r, cordic.FracBits)), cordic.FracBits)
-			return rangered.JoinExp(ctx, er, k)
-		}
-		expCoreM := func(x float32) float32 {
-			r, k := rangered.SplitExpHost(x)
-			er := fix64ToF32(tb.ExpHost(fix64FromF32(r)))
-			return rangered.JoinExpHost(er, k)
-		}
-		switch o.Fn {
-		case Exp:
-			o.eval = expCore
-			o.mirror = mirror1(expCoreM, 0.7)
-		case Sinh:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				ex := expCore(ctx, x)
-				emx := ctx.FDiv(1, ex)
-				return ctx.FMul(0.5, ctx.FSub(ex, emx))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				ex := expCoreM(x)
-				return 0.5 * (ex - 1/ex)
-			}, 0.5)
-		case Cosh:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				ex := expCore(ctx, x)
-				emx := ctx.FDiv(1, ex)
-				return ctx.FMul(0.5, ctx.FAdd(ex, emx))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				ex := expCoreM(x)
-				return 0.5 * (ex + 1/ex)
-			}, 0.5)
-		case Tanh:
-			// tanh x = 1 − 2/(e^{2x}+1), valid over the whole line.
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				e2 := expCore(ctx, ctx.FAdd(x, x))
-				return ctx.FSub(1, ctx.FDiv(2, ctx.FAdd(e2, 1)))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				e2 := expCoreM(x + x)
-				return 1 - 2/(e2+1)
-			}, 0.5)
-		case Sigmoid:
-			// S(x) = 1/(1+e^{−x}).
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				e := expCore(ctx, ctx.FNeg(x))
-				return ctx.FDiv(1, ctx.FAdd(1, e))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				e := expCoreM(-x)
-				return 1 / (1 + e)
-			}, 0.5)
-		case Log:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				m, e := rangered.SplitLog(ctx, x)
-				lm := ctx.Fix64ToF32(dev.Ln(ctx, ctx.F32ToFix64(m, cordic.FracBits)), cordic.FracBits)
-				return rangered.JoinLog(ctx, lm, e)
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				m, e := rangered.SplitLogHost(x)
-				lm := fix64ToF32(tb.LnHost(fix64FromF32(m)))
-				return rangered.JoinLogHost(lm, e)
-			}, 0.7)
-		default: // Sqrt
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				m, h := rangered.SplitSqrt(ctx, x)
-				sm := ctx.Fix64ToF32(dev.Sqrt(ctx, ctx.F32ToFix64(m, cordic.FracBits)), cordic.FracBits)
-				return rangered.JoinSqrt(ctx, sm, h)
-			}
-			o.mirror = sqrtParityMirror(func(m float32) float32 {
-				return fix64ToF32(tb.SqrtHost(fix64FromF32(m)))
-			}, nil)
-		}
-		return nil
+		o.eval = fixDev(dev.Atan)
+		o.mirror = mirror1(plainKernel(fixMany(tb.AtanHost)), 0.7)
+	case Log:
+		o.compose(fixDev(dev.Ln), fixMany(tb.LnHost))
+	case Sqrt:
+		o.compose(fixDev(dev.Sqrt), fixMany(tb.SqrtHost))
+	case Exp, Sinh, Cosh, Tanh, Sigmoid:
+		o.expFamily(fixDev(dev.Exp), fixMany(tb.ExpHost))
+	default:
+		return fmt.Errorf("core: cordic cannot compute %v", o.Fn)
 	}
-	return fmt.Errorf("core: cordic cannot compute %v", o.Fn)
+	return nil
 }
 
 func (o *Operator) buildCORDICLUT(dpu *pimsim.DPU) error {
@@ -340,82 +387,44 @@ func (o *Operator) buildCORDICLUT(dpu *pimsim.DPU) error {
 	o.tableBytes = la.TableBytes()
 	head, tail := la.Constants()
 	o.hostCycles = tableCycles(head, 2*XeonTrig) + cordicCycles(tail)
-	sincos := func(ctx *pimsim.Ctx, x float32) (float32, float32) {
-		xf := ctx.F32ToFix64(x, cordic.FracBits)
-		theta, q := foldQuadrant64(ctx, xf)
-		s64, c64 := la.SinCos(ctx, theta)
-		s := ctx.Fix64ToF32(s64, cordic.FracBits)
-		c := ctx.Fix64ToF32(c64, cordic.FracBits)
-		return rangered.ApplySinQuadrant(ctx, s, c, q), rangered.ApplyCosQuadrant(ctx, s, c, q)
-	}
-	sincosM := func(x float32) (float32, float32, rangered.Quadrant) {
-		theta, q := foldQuadrant64Host(fix64FromF32(x))
-		s64, c64 := la.SinCosHost(theta)
-		s := fix64ToF32(s64)
-		c := fix64ToF32(c64)
-		return rangered.ApplySinQuadrantHost(s, c, q), rangered.ApplyCosQuadrantHost(s, c, q), q
-	}
-	switch o.Fn {
-	case Sin:
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 { s, _ := sincos(ctx, x); return s }
-		o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-			s, _, q := sincosM(x)
-			return s, int(q)
-		}}
-		o.mirror.kernel = sincosKernel(la.SinCosHostMany, rangered.ApplySinQuadrantHost)
-	case Cos:
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 { _, c := sincos(ctx, x); return c }
-		o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-			_, c, q := sincosM(x)
-			return c, int(q)
-		}}
-		o.mirror.kernel = sincosKernel(la.SinCosHostMany, rangered.ApplyCosQuadrantHost)
-	case Tan:
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			s, c := sincos(ctx, x)
-			return ctx.FDiv(s, c)
-		}
-		o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-			s, c, q := sincosM(x)
-			return s / c, int(q)
-		}}
-		o.mirror.kernel = sincosKernel(la.SinCosHostMany, tanQuadrantHost)
-	default:
-		return fmt.Errorf("core: cordic+lut cannot compute %v", o.Fn)
-	}
-	return nil
+	return o.circular(la.SinCos, la.SinCosHostMany)
 }
 
 // ---------- float LUTs (M-LUT, L-LUT) ----------
 
+// addTable adds one loaded table's bytes and its generation cost on
+// the model host.
+func (o *Operator) addTable(bytes, entries int) {
+	o.tableBytes += bytes
+	o.hostCycles += tableCycles(entries, o.Fn.refCycles())
+}
+
 // floatLUTFor builds one table of ref over [lo, hi] for the configured
-// method and returns its device evaluator, its unmetered bit-exact
-// mirror (scalar and fused-slice forms), and byte size.
-func (o *Operator) floatLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, hi float64) (func(*pimsim.Ctx, float32) float32, func(float32) float32, func(xs, ys []float32), int, error) {
+// method, loads it, and returns its device evaluator and host slice
+// twin.
+func (o *Operator) floatLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, hi float64) (func(*pimsim.Ctx, float32) float32, func(xs, ys []float32), error) {
 	if o.Par.Method == MLUT {
-		entries := 1 << o.Par.SizeLog2
-		t, err := lut.BuildMLUT(ref, lo, hi, entries, o.Par.Interp)
+		t, err := lut.BuildMLUT(ref, lo, hi, 1<<o.Par.SizeLog2, o.Par.Interp)
 		if err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, err
 		}
 		dev, err := t.Load(dpu, o.Par.Placement)
 		if err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, err
 		}
-		o.hostCycles += tableCycles(len(t.Entries), o.Fn.refCycles())
-		return dev.Eval, dev.Mirror, dev.MirrorMany, t.Bytes(), nil
+		o.addTable(t.Bytes(), len(t.Entries))
+		return dev.Eval, dev.MirrorMany, nil
 	}
-	n := densityExp(lo, hi, o.Par.SizeLog2)
-	t, err := lut.BuildLLUT(ref, lo, hi, n, o.Par.Interp)
+	t, err := lut.BuildLLUT(ref, lo, hi, densityExp(lo, hi, o.Par.SizeLog2), o.Par.Interp)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, err
 	}
 	dev, err := t.Load(dpu, o.Par.Placement)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, err
 	}
-	o.hostCycles += tableCycles(len(t.Entries), o.Fn.refCycles())
-	return dev.Eval, dev.Mirror, dev.MirrorMany, t.Bytes(), nil
+	o.addTable(t.Bytes(), len(t.Entries))
+	return dev.Eval, dev.MirrorMany, nil
 }
 
 // densityExp picks the power-of-two density exponent so that about
@@ -426,102 +435,43 @@ func densityExp(lo, hi float64, sizeLog2 int) int {
 
 func (o *Operator) buildFloatLUT(dpu *pimsim.DPU) error {
 	lo, hi := o.Fn.CoreRange()
-	switch o.Fn {
-	case Tan:
-		sinEval, sinM, sinMany, sinBytes, err := o.floatLUTFor(dpu, math.Sin, lo, hi)
+	if o.Fn != Tan {
+		core, coreMany, err := o.floatLUTFor(dpu, o.Fn.Ref(), lo, hi)
 		if err != nil {
 			return err
 		}
-		cosEval, cosM, cosMany, cosBytes, err := o.floatLUTFor(dpu, math.Cos, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = sinBytes + cosBytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			return ctx.FDiv(sinEval(ctx, x), cosEval(ctx, x))
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			return sinM(x) / cosM(x)
-		}, float32((lo+hi)/2))
-		o.mirror.kernel = divKernel(sinMany, cosMany)
-		return nil
-	case Exp:
-		eval, evalM, evalMany, bytes, err := o.floatLUTFor(dpu, math.Exp, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			r, k := rangered.SplitExp(ctx, x)
-			return rangered.JoinExp(ctx, eval(ctx, r), k)
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			r, k := rangered.SplitExpHost(x)
-			return rangered.JoinExpHost(evalM(r), k)
-		}, 0.7)
-		o.mirror.kernel = expSplitKernel(evalMany)
-		return nil
-	case Log:
-		eval, evalM, evalMany, bytes, err := o.floatLUTFor(dpu, math.Log, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			m, e := rangered.SplitLog(ctx, x)
-			return rangered.JoinLog(ctx, eval(ctx, m), e)
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			m, e := rangered.SplitLogHost(x)
-			return rangered.JoinLogHost(evalM(m), e)
-		}, 0.7)
-		o.mirror.kernel = logSplitKernel(evalMany)
-		return nil
-	case Sqrt:
-		eval, evalM, evalMany, bytes, err := o.floatLUTFor(dpu, math.Sqrt, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			m, h := rangered.SplitSqrt(ctx, x)
-			return rangered.JoinSqrt(ctx, eval(ctx, m), h)
-		}
-		o.mirror = sqrtParityMirror(evalM, evalMany)
-		return nil
-	default: // direct-domain functions
-		eval, evalM, evalMany, bytes, err := o.floatLUTFor(dpu, o.Fn.Ref(), lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = eval
-		o.mirror = mirror1(evalM, float32((lo+hi)/2))
-		o.mirror.kernel = plainKernel(evalMany)
+		o.compose(core, coreMany)
 		return nil
 	}
+	sinEval, sinMany, err := o.floatLUTFor(dpu, math.Sin, lo, hi)
+	if err != nil {
+		return err
+	}
+	cosEval, cosMany, err := o.floatLUTFor(dpu, math.Cos, lo, hi)
+	if err != nil {
+		return err
+	}
+	o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
+		return ctx.FDiv(sinEval(ctx, x), cosEval(ctx, x))
+	}
+	o.mirror = mirror1(divKernel(sinMany, cosMany), float32((lo+hi)/2))
+	return nil
 }
 
 // ---------- fixed-point L-LUT ----------
 
-func (o *Operator) fixedLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, hi float64) (*lut.DevFixedLLUT, int, error) {
-	n := densityExp(lo, hi, o.Par.SizeLog2)
-	if n < 0 {
-		n = 0
-	}
-	if n > 26 {
-		n = 26
-	}
+func (o *Operator) fixedLUTFor(dpu *pimsim.DPU, ref func(float64) float64, lo, hi float64) (*lut.DevFixedLLUT, error) {
+	n := clampInt(densityExp(lo, hi, o.Par.SizeLog2), 0, 26)
 	t, err := lut.BuildFixedLLUT(ref, lo, hi, n, o.Par.Interp)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	dev, err := t.Load(dpu, o.Par.Placement)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	o.hostCycles += tableCycles(len(t.Entries), o.Fn.refCycles())
-	return dev, t.Bytes(), nil
+	o.addTable(t.Bytes(), len(t.Entries))
+	return dev, nil
 }
 
 func (o *Operator) buildFixedLUT(dpu *pimsim.DPU) error {
@@ -533,11 +483,10 @@ func (o *Operator) buildFixedLUT(dpu *pimsim.DPU) error {
 		// negative side folds through symmetry: f(−x) = −f(x) for the
 		// odd functions (tanh, atan), GELU(−x) = GELU(x) − x, and
 		// σ(−x) = 1 − σ(x) — one integer fix-up each.
-		dev, bytes, err := o.fixedLUTFor(dpu, o.Fn.Ref(), 0, hi)
+		dev, err := o.fixedLUTFor(dpu, o.Fn.Ref(), 0, hi)
 		if err != nil {
 			return err
 		}
-		o.tableBytes = bytes
 		fn := o.Fn
 		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
 			xq := ctx.QFromF(x)
@@ -560,31 +509,10 @@ func (o *Operator) buildFixedLUT(dpu *pimsim.DPU) error {
 			}
 			return ctx.QToF(v)
 		}
-		o.mirror = &opMirror{n: 2, reps: [maxCostClasses]float32{1, -1}, eval: func(x float32) (float32, int) {
-			xq := fixed.FromFloat32(x)
-			neg := int32(xq) < 0
-			ax := xq
-			if neg {
-				ax = fixed.Q3_28(0).Sub(xq)
-			}
-			v := dev.Mirror(ax)
-			if neg {
-				switch fn {
-				case GELU:
-					v = v.Sub(ax)
-				case Sigmoid:
-					v = fixed.One.Sub(v)
-				default:
-					v = fixed.Q3_28(0).Sub(v)
-				}
-				return v.Float32(), 1
-			}
-			return v.Float32(), 0
-		}}
-		// Fused form: fold the sign into the QA lane tagging negatives,
-		// one fixed-point table pass, then the per-function fix-up
-		// scattered by tag.
-		o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+		// Kernel: fold the sign into the QA lane tagging negatives, one
+		// fixed-point table pass, then the per-function fix-up scattered
+		// by tag.
+		o.mirror = &opMirror{n: 2, reps: [maxCostClasses]float32{1, -1}, kernel: func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
 			n := len(xs)
 			sc.Grow(n)
 			sc.GrowQ(n)
@@ -631,85 +559,31 @@ func (o *Operator) buildFixedLUT(dpu *pimsim.DPU) error {
 			}
 			counts[0] += uint64(n) - negs
 			counts[1] += negs
-		}
+		}}
 		return nil
 	case Tan:
-		sinDev, sinBytes, err := o.fixedLUTFor(dpu, math.Sin, lo, hi)
+		sinDev, err := o.fixedLUTFor(dpu, math.Sin, lo, hi)
 		if err != nil {
 			return err
 		}
-		cosDev, cosBytes, err := o.fixedLUTFor(dpu, math.Cos, lo, hi)
+		cosDev, err := o.fixedLUTFor(dpu, math.Cos, lo, hi)
 		if err != nil {
 			return err
 		}
-		o.tableBytes = sinBytes + cosBytes
 		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
 			xq := ctx.QFromF(x)
 			s := ctx.QToF(sinDev.Eval(ctx, xq))
 			c := ctx.QToF(cosDev.Eval(ctx, xq))
 			return ctx.FDiv(s, c)
 		}
-		o.mirror = mirror1(func(x float32) float32 {
-			xq := fixed.FromFloat32(x)
-			s := sinDev.Mirror(xq).Float32()
-			c := cosDev.Mirror(xq).Float32()
-			return s / c
-		}, float32((lo+hi)/2))
-		o.mirror.kernel = divKernel(sinDev.MirrorFloatMany, cosDev.MirrorFloatMany)
-		return nil
-	case Exp:
-		dev, bytes, err := o.fixedLUTFor(dpu, math.Exp, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			r, k := rangered.SplitExp(ctx, x)
-			return rangered.JoinExp(ctx, dev.EvalFloat(ctx, r), k)
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			r, k := rangered.SplitExpHost(x)
-			return rangered.JoinExpHost(dev.MirrorFloat(r), k)
-		}, 0.7)
-		o.mirror.kernel = expSplitKernel(dev.MirrorFloatMany)
-		return nil
-	case Log:
-		dev, bytes, err := o.fixedLUTFor(dpu, math.Log, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			m, e := rangered.SplitLog(ctx, x)
-			return rangered.JoinLog(ctx, dev.EvalFloat(ctx, m), e)
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			m, e := rangered.SplitLogHost(x)
-			return rangered.JoinLogHost(dev.MirrorFloat(m), e)
-		}, 0.7)
-		o.mirror.kernel = logSplitKernel(dev.MirrorFloatMany)
-		return nil
-	case Sqrt:
-		dev, bytes, err := o.fixedLUTFor(dpu, math.Sqrt, lo, hi)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = bytes
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			m, h := rangered.SplitSqrt(ctx, x)
-			return rangered.JoinSqrt(ctx, dev.EvalFloat(ctx, m), h)
-		}
-		o.mirror = sqrtParityMirror(dev.MirrorFloat, dev.MirrorFloatMany)
+		o.mirror = mirror1(divKernel(sinDev.MirrorFloatMany, cosDev.MirrorFloatMany), float32((lo+hi)/2))
 		return nil
 	default:
-		dev, bytes, err := o.fixedLUTFor(dpu, o.Fn.Ref(), lo, hi)
+		dev, err := o.fixedLUTFor(dpu, o.Fn.Ref(), lo, hi)
 		if err != nil {
 			return err
 		}
-		o.tableBytes = bytes
-		o.eval = dev.EvalFloat
-		o.mirror = mirror1(dev.MirrorFloat, float32((lo+hi)/2))
-		o.mirror.kernel = plainKernel(dev.MirrorFloatMany)
+		o.compose(dev.EvalFloat, dev.MirrorFloatMany)
 		return nil
 	}
 }
@@ -729,11 +603,9 @@ func (o *Operator) buildDLUT(dpu *pimsim.DPU) error {
 		if err != nil {
 			return err
 		}
-		o.tableBytes = t.Bytes()
-		o.hostCycles = tableCycles(len(t.Pos)+len(t.Neg), o.Fn.refCycles())
+		o.addTable(t.Bytes(), len(t.Pos)+len(t.Neg))
 		o.eval = dev.Eval
-		o.mirror = mirror1(dev.Mirror, 1)
-		o.mirror.kernel = plainKernel(dev.MirrorMany)
+		o.mirror = mirror1(plainKernel(dev.MirrorMany), 1)
 		return nil
 	}
 	mant := clampInt(o.Par.SizeLog2-4, 1, 16)
@@ -745,23 +617,15 @@ func (o *Operator) buildDLUT(dpu *pimsim.DPU) error {
 	if err != nil {
 		return err
 	}
-	o.tableBytes = t.Bytes()
-	o.hostCycles = tableCycles(len(t.L.Entries)+len(t.D.Pos)+len(t.D.Neg), o.Fn.refCycles())
+	o.addTable(t.Bytes(), len(t.L.Entries)+len(t.D.Pos)+len(t.D.Neg))
 	o.eval = dev.Eval
 	// The L-LUT serves |x| below the split point (2⁻⁴ here), the D-LUT
 	// the rest — two distinct charge traces.
-	o.mirror = &opMirror{n: 2, reps: [maxCostClasses]float32{0.01, 1.5}, eval: func(x float32) (float32, int) {
-		v, l := dev.Mirror(x)
-		if l {
-			return v, 0
-		}
-		return v, 1
-	}}
-	o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+	o.mirror = &opMirror{n: 2, reps: [maxCostClasses]float32{0.01, 1.5}, kernel: func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
 		l := dev.MirrorMany(xs, ys, sc)
 		counts[0] += uint64(l)
 		counts[1] += uint64(len(xs) - l)
-	}
+	}}
 	return nil
 }
 
@@ -777,15 +641,61 @@ func clampInt(v, lo, hi int) int {
 
 // ---------- polynomial baseline ----------
 
-// fit is poly.FitChebyshev with its samples priced on the model host
-// at ref cycles per reference call.
+// fit is poly.FitChebyshev with the polynomial's bytes added to the
+// operator's and its samples priced on the model host at ref cycles
+// per reference call.
 func (o *Operator) fit(f func(float64) float64, ref float64, lo, hi float64, deg int) (*poly.Poly, error) {
 	p, err := poly.FitChebyshev(f, lo, hi, deg)
 	if err != nil {
 		return nil, err
 	}
+	o.tableBytes += p.Bytes()
 	o.hostCycles += fitCycles(len(p.Coeffs), ref)
 	return p, nil
+}
+
+// polyQuadKernel fuses the quadrant-folded polynomial pipeline: fold
+// and partition thetas by quadrant parity into the XA (even → evenP)
+// and XB (odd → oddP) lanes, run each polynomial once over its
+// gathered sub-batch, then scatter with the quadrant sign rule.
+func polyQuadKernel(evenP, oddP *poly.Poly, negQ func(q uint8) bool) batchKernel {
+	return func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+		n := len(xs)
+		sc.Grow(n)
+		cls := sc.Cls[:n]
+		xa := sc.XA[:0]
+		xb := sc.XB[:0]
+		for i, x := range xs {
+			theta, q := rangered.FoldQuadrantHost(x)
+			cls[i] = uint8(q)
+			counts[q]++
+			if q&1 == 0 {
+				xa = append(xa, theta)
+			} else {
+				xb = append(xb, theta)
+			}
+		}
+		ya := sc.YA[:len(xa)]
+		yb := sc.YB[:len(xb)]
+		evenP.EvalHostMany(xa, ya)
+		oddP.EvalHostMany(xb, yb)
+		j, k := 0, 0
+		for i := range ys {
+			q := cls[i]
+			var v float32
+			if q&1 == 0 {
+				v = ya[j]
+				j++
+			} else {
+				v = yb[k]
+				k++
+			}
+			if negQ(q) {
+				v = -v
+			}
+			ys[i] = v
+		}
+	}
 }
 
 func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
@@ -800,7 +710,6 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 		if err != nil {
 			return err
 		}
-		o.tableBytes = sinP.Bytes() + cosP.Bytes()
 		// Per quadrant only one of the two polynomials is needed:
 		// sin(qπ/2+θ) = {sin θ, cos θ, −sin θ, −cos θ}[q].
 		sinAt := func(ctx *pimsim.Ctx, x float32) float32 {
@@ -831,103 +740,20 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 			}
 			return v
 		}
-		sinAtH := func(x float32) (float32, rangered.Quadrant) {
-			theta, q := rangered.FoldQuadrantHost(x)
-			var v float32
-			if q&1 == 0 {
-				v = sinP.EvalHost(theta)
-			} else {
-				v = cosP.EvalHost(theta)
-			}
-			if q >= 2 {
-				v = -v
-			}
-			return v, q
-		}
-		cosAtH := func(x float32) (float32, rangered.Quadrant) {
-			theta, q := rangered.FoldQuadrantHost(x)
-			var v float32
-			if q&1 == 0 {
-				v = cosP.EvalHost(theta)
-			} else {
-				v = sinP.EvalHost(theta)
-			}
-			if q == 1 || q == 2 {
-				v = -v
-			}
-			return v, q
-		}
-		// polyQuadKernel fuses the quadrant-folded polynomial pipeline:
-		// fold and partition thetas by quadrant parity into the XA
-		// (even → evenP) and XB (odd → oddP) lanes, run each
-		// polynomial once over its gathered sub-batch, then scatter
-		// with the quadrant sign rule.
-		polyQuadKernel := func(evenP, oddP *poly.Poly, negQ func(q uint8) bool) batchKernel {
-			return func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
-				n := len(xs)
-				sc.Grow(n)
-				cls := sc.Cls[:n]
-				xa := sc.XA[:0]
-				xb := sc.XB[:0]
-				for i, x := range xs {
-					theta, q := rangered.FoldQuadrantHost(x)
-					cls[i] = uint8(q)
-					counts[q]++
-					if q&1 == 0 {
-						xa = append(xa, theta)
-					} else {
-						xb = append(xb, theta)
-					}
-				}
-				ya := sc.YA[:len(xa)]
-				yb := sc.YB[:len(xb)]
-				evenP.EvalHostMany(xa, ya)
-				oddP.EvalHostMany(xb, yb)
-				j, k := 0, 0
-				for i := range ys {
-					q := cls[i]
-					var v float32
-					if q&1 == 0 {
-						v = ya[j]
-						j++
-					} else {
-						v = yb[k]
-						k++
-					}
-					if negQ(q) {
-						v = -v
-					}
-					ys[i] = v
-				}
-			}
-		}
 		switch o.Fn {
 		case Sin:
 			o.eval = sinAt
-			o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-				v, q := sinAtH(x)
-				return v, int(q)
-			}}
-			o.mirror.kernel = polyQuadKernel(sinP, cosP, func(q uint8) bool { return q >= 2 })
+			o.mirror = quadMirror(polyQuadKernel(sinP, cosP, func(q uint8) bool { return q >= 2 }))
 		case Cos:
 			o.eval = cosAt
-			o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-				v, q := cosAtH(x)
-				return v, int(q)
-			}}
-			o.mirror.kernel = polyQuadKernel(cosP, sinP, func(q uint8) bool { return q == 1 || q == 2 })
+			o.mirror = quadMirror(polyQuadKernel(cosP, sinP, func(q uint8) bool { return q == 1 || q == 2 }))
 		default:
 			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
 				return ctx.FDiv(sinAt(ctx, x), cosAt(ctx, x))
 			}
-			o.mirror = &opMirror{n: 4, reps: quadrantReps(), eval: func(x float32) (float32, int) {
-				s, q := sinAtH(x)
-				c, _ := cosAtH(x)
-				return s / c, int(q)
-			}}
 			// Tan needs both polynomials per element: evaluate each over
 			// all folded thetas, then apply both quadrant rules and divide.
-			o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+			o.mirror = quadMirror(func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
 				n := len(xs)
 				sc.Grow(n)
 				cls := sc.Cls[:n]
@@ -956,7 +782,7 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 					}
 					ys[i] = s / c
 				}
-			}
+			})
 		}
 		return nil
 
@@ -968,7 +794,6 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 		if err != nil {
 			return err
 		}
-		o.tableBytes = p.Bytes()
 		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
 			ax := ctx.FAbs(x)
 			ctx.Branch()
@@ -985,26 +810,11 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 			return v
 		}
 		// Classes: (|x| ≤ 1 vs reciprocal-reduced) × (sign negation).
-		o.mirror = &opMirror{n: 4, reps: [maxCostClasses]float32{0.5, 2, -0.5, -2}, eval: func(x float32) (float32, int) {
-			ax := fpbits.FromBits(fpbits.Bits(x) &^ fpbits.SignMask)
-			var v float32
-			cls := 0
-			if !(ax > 1) { // FCmp(ax, 1) <= 0, NaN included
-				v = p.EvalHost(ax)
-			} else {
-				v = rangered.HalfPi - p.EvalHost(1/ax)
-				cls = 1
-			}
-			if x < 0 {
-				v = -v
-				cls += 2
-			}
-			return v, cls
-		}}
-		// Fused form: partition |x| ≤ 1 into the XA lane and the
-		// reciprocal-reduced arguments into XB, one polynomial pass per
-		// partition, then scatter with the reciprocal and sign fix-ups.
-		o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
+		// The kernel partitions |x| ≤ 1 (NaN included, as FCmp(ax, 1) <=
+		// 0 holds for it) into the XA lane and the reciprocal-reduced
+		// arguments into XB, one polynomial pass per partition, then
+		// scatters with the reciprocal and sign fix-ups.
+		o.mirror = &opMirror{n: 4, reps: [maxCostClasses]float32{0.5, 2, -0.5, -2}, kernel: func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
 			n := len(xs)
 			sc.Grow(n)
 			cls := sc.Cls[:n]
@@ -1045,150 +855,28 @@ func (o *Operator) buildPoly(dpu *pimsim.DPU) error {
 				}
 				ys[i] = v
 			}
-		}
-		return nil
-
-	case Exp, Sinh, Cosh, Tanh, Sigmoid:
-		lo, hi := Exp.CoreRange()
-		expP, err := o.fit(math.Exp, XeonExp, lo, hi, deg)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = expP.Bytes()
-		expCore := func(ctx *pimsim.Ctx, x float32) float32 {
-			r, k := rangered.SplitExp(ctx, x)
-			return rangered.JoinExp(ctx, expP.Eval(ctx, r), k)
-		}
-		expCoreM := func(x float32) float32 {
-			r, k := rangered.SplitExpHost(x)
-			return rangered.JoinExpHost(expP.EvalHost(r), k)
-		}
-		expKernel := expSplitKernel(expP.EvalHostMany)
-		switch o.Fn {
-		case Exp:
-			o.eval = expCore
-			o.mirror = mirror1(expCoreM, 0.5)
-			o.mirror.kernel = expKernel
-		case Sigmoid:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				e := expCore(ctx, ctx.FNeg(x))
-				return ctx.FDiv(1, ctx.FAdd(1, e))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				e := expCoreM(-x)
-				return 1 / (1 + e)
-			}, 0.5)
-			o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
-				n := len(xs)
-				sc.Grow(n)
-				nx := sc.XA[:n]
-				for i, x := range xs {
-					nx[i] = -x
-				}
-				expKernel(nx, ys, sc, counts)
-				for i := range ys {
-					ys[i] = 1 / (1 + ys[i])
-				}
-			}
-		case Sinh:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				ex := expCore(ctx, x)
-				return ctx.FMul(0.5, ctx.FSub(ex, ctx.FDiv(1, ex)))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				ex := expCoreM(x)
-				return 0.5 * (ex - 1/ex)
-			}, 0.5)
-			o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
-				expKernel(xs, ys, sc, counts)
-				for i := range ys {
-					ex := ys[i]
-					ys[i] = 0.5 * (ex - 1/ex)
-				}
-			}
-		case Cosh:
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				ex := expCore(ctx, x)
-				return ctx.FMul(0.5, ctx.FAdd(ex, ctx.FDiv(1, ex)))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				ex := expCoreM(x)
-				return 0.5 * (ex + 1/ex)
-			}, 0.5)
-			o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
-				expKernel(xs, ys, sc, counts)
-				for i := range ys {
-					ex := ys[i]
-					ys[i] = 0.5 * (ex + 1/ex)
-				}
-			}
-		default: // Tanh
-			o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-				e2 := expCore(ctx, ctx.FAdd(x, x))
-				return ctx.FSub(1, ctx.FDiv(2, ctx.FAdd(e2, 1)))
-			}
-			o.mirror = mirror1(func(x float32) float32 {
-				e2 := expCoreM(x + x)
-				return 1 - 2/(e2+1)
-			}, 0.5)
-			o.mirror.kernel = func(xs, ys []float32, sc *lut.Scratch, counts *[maxCostClasses]uint64) {
-				n := len(xs)
-				sc.Grow(n)
-				dx := sc.XA[:n]
-				for i, x := range xs {
-					dx[i] = x + x
-				}
-				expKernel(dx, ys, sc, counts)
-				for i := range ys {
-					ys[i] = 1 - 2/(ys[i]+1)
-				}
-			}
-		}
-		return nil
-
-	case Log:
-		lo, hi := Log.CoreRange()
-		p, err := o.fit(math.Log, XeonLog, lo, hi, deg)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = p.Bytes()
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			m, e := rangered.SplitLog(ctx, x)
-			return rangered.JoinLog(ctx, p.Eval(ctx, m), e)
-		}
-		o.mirror = mirror1(func(x float32) float32 {
-			m, e := rangered.SplitLogHost(x)
-			return rangered.JoinLogHost(p.EvalHost(m), e)
-		}, 0.7)
-		o.mirror.kernel = logSplitKernel(p.EvalHostMany)
-		return nil
-
-	case Sqrt:
-		lo, hi := Sqrt.CoreRange()
-		p, err := o.fit(math.Sqrt, XeonSqrt, lo, hi, deg)
-		if err != nil {
-			return err
-		}
-		o.tableBytes = p.Bytes()
-		o.eval = func(ctx *pimsim.Ctx, x float32) float32 {
-			m, h := rangered.SplitSqrt(ctx, x)
-			return rangered.JoinSqrt(ctx, p.Eval(ctx, m), h)
-		}
-		o.mirror = sqrtParityMirror(p.EvalHost, p.EvalHostMany)
-		return nil
-
-	case GELU:
-		lo, hi := GELU.CoreRange()
-		p, err := o.fit(geluRef, GELU.refCycles(), lo, hi, clampInt(deg*2, deg, 25))
-		if err != nil {
-			return err
-		}
-		o.tableBytes = p.Bytes()
-		o.eval = p.Eval
-		o.mirror = mirror1(p.EvalHost, float32((lo+hi)/2))
-		o.mirror.kernel = plainKernel(p.EvalHostMany)
+		}}
 		return nil
 	}
-	return fmt.Errorf("core: poly cannot compute %v", o.Fn)
+
+	// One polynomial over the core range: exp (and sinh, cosh, tanh and
+	// sigmoid over it), log, sqrt or GELU, which needs twice the degree.
+	fn := o.Fn
+	switch fn {
+	case Sinh, Cosh, Tanh, Sigmoid:
+		fn = Exp
+	case GELU:
+		deg = clampInt(deg*2, deg, 25)
+	}
+	lo, hi := fn.CoreRange()
+	p, err := o.fit(fn.Ref(), fn.refCycles(), lo, hi, deg)
+	if err != nil {
+		return err
+	}
+	if fn == Exp {
+		o.expFamily(p.Eval, p.EvalHostMany)
+	} else {
+		o.compose(p.Eval, p.EvalHostMany)
+	}
+	return nil
 }

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"transpimlib/internal/core"
 	"transpimlib/internal/faultsim"
+	"transpimlib/internal/fusion"
 	"transpimlib/internal/pimsim"
 	"transpimlib/internal/stats"
 )
@@ -275,6 +277,69 @@ func TestForcedDegrade(t *testing.T) {
 		runs[ri] = stX
 	}
 	sameKernelCycles(t, runs[0], runs[1])
+}
+
+// TestDegradedWideRangeTrig: an operator without a host kernel
+// (WideRange sin, cos and tan, under every method) degrades through
+// its interpreted path, which must read its own lane's tables. Under a
+// plan where every launch fails, each degraded output equals the clean
+// engine's bit for bit, as a batch and as a one-Func program 2·f(x).
+func TestDegradedWideRangeTrig(t *testing.T) {
+	xs := append(stats.RandomInputs(-20, 20, 40, 3), 1, 0, -1, 7, 1000, -100)
+	for _, fn := range []core.Function{core.Sin, core.Cos, core.Tan} {
+		for _, m := range core.Methods() {
+			if !m.Supports(fn) {
+				continue
+			}
+			par := core.Params{Method: m, WideRange: true}
+			t.Run(fmt.Sprintf("%v/%v", fn, m), func(t *testing.T) {
+				var engines [2]*Engine
+				for i, plan := range []*faultsim.Plan{nil, mustPlan(t, "seed=1,dpufail=1")} {
+					e, err := New(Config{DPUs: 1, Shards: 1, Faults: plan})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					engines[i] = e
+				}
+				clean, faulty := engines[0], engines[1]
+				want, _, err := clean.EvaluateBatch(fn, par, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, st, err := faulty.EvaluateBatch(fn, par, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Degraded {
+					t.Fatal("batch not degraded under total DPU failure")
+				}
+				mustBits(t, "degraded batch vs clean", got, want)
+
+				prog := func() *fusion.Program {
+					p := fusion.NewProgram("twice")
+					p.Return(p.Mul(p.Const(2), p.Func(fn, p.Input())))
+					return p
+				}
+				var outs [2][]float32
+				for i, e := range engines {
+					c, err := e.CompileProgram(prog(), par)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ys, pst, err := e.EvaluateProgram(c, [][]float32{xs}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pst.Degraded != (e == faulty) {
+						t.Fatalf("engine %d: program degraded = %v", i, pst.Degraded)
+					}
+					outs[i] = ys
+				}
+				mustBits(t, "degraded program vs clean", outs[1], outs[0])
+			})
+		}
+	}
 }
 
 // TestBitFlipScrubRepair: with flips on every batch, the scrubber must

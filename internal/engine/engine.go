@@ -63,9 +63,6 @@ type Config struct {
 	// QueueDepth bounds the submit queue; callers block (backpressure)
 	// when it is full. Default 64.
 	QueueDepth int
-	// Cost selects the machine profile (zero value: the UPMEM-like
-	// default).
-	Cost pimsim.CostModel
 	// TraceDepth retains the span trees of the last N completed
 	// requests (Engine.TraceLast, /debug/trace). Zero disables
 	// tracing: no stage timestamps are taken and no spans allocated.
@@ -142,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Cost == (pimsim.CostModel{}) {
-		c.Cost = pimsim.Default()
-	}
 	return c
 }
 
@@ -213,11 +207,12 @@ type shard struct {
 	medScratch   []uint64
 
 	// Fault-injection state, allocated only when injection is on (see
-	// reliability.go). rec is a throwaway recorder Ctx for host-mirror
-	// degraded evaluation; ioEnd[k] marks the end of lane k's
-	// pre-touched I/O region, so [ioEnd, MRAM.Used()) is the
-	// resident-table region that golden/goldenSum scrub against.
-	rec       *pimsim.Ctx
+	// reliability.go). shadow[k] is a Ctx on lane k's memories that
+	// charges a throwaway tally, for degraded host evaluation; ioEnd[k]
+	// marks the end of lane k's pre-touched I/O region, so [ioEnd,
+	// MRAM.Used()) is the resident-table region that golden/goldenSum
+	// scrub against.
+	shadow    []*pimsim.Ctx
 	ioEnd     []int
 	goldenEnd []int
 	golden    [][]byte
@@ -287,7 +282,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		sys:      pimsim.NewSystem(pimsim.Config{DPUs: cfg.DPUs, Cost: cfg.Cost}),
+		sys:      pimsim.NewSystem(pimsim.Config{DPUs: cfg.DPUs}),
 		charged:  make(map[Spec]struct{}),
 		submit:   make(chan *request, cfg.QueueDepth),
 		dispatch: make(chan *batch, cfg.Shards),
@@ -313,7 +308,7 @@ func New(cfg Config) (*Engine, error) {
 	// Record the per-element streaming overhead signature on a
 	// throwaway core: one WRAM load, one WRAM store, and the loop
 	// counter + branch the interpreted kernel charges per element.
-	rec := pimsim.NewSigRecorder(cfg.Cost)
+	rec := pimsim.NewSigRecorder(e.sys.Config().Cost)
 	rec.TakeSig()
 	v := rec.LoadStreamedF32(rec.DPU().MRAM, 0)
 	rec.StoreStreamedF32(rec.DPU().MRAM, 0, v)
@@ -383,7 +378,6 @@ func New(cfg Config) (*Engine, error) {
 		s.batchKernel = e.newBatchKernel(s)
 		s.programKernel = e.newProgramKernel(s)
 		if e.inj != nil {
-			s.rec = pimsim.NewSigRecorder(cfg.Cost)
 			s.ioEnd = make([]int, perShard)
 			s.goldenEnd = make([]int, perShard)
 			s.golden = make([][]byte, perShard)
@@ -393,6 +387,7 @@ func New(cfg Config) (*Engine, error) {
 				// region; tables built later live above it.
 				s.ioEnd[k] = d.MRAM.Used()
 				s.goldenEnd[k] = s.ioEnd[k]
+				s.shadow = append(s.shadow, d.ShadowCtx())
 			}
 		}
 		e.shards = append(e.shards, s)

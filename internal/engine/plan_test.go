@@ -229,6 +229,33 @@ func TestFailedBuildCachesNothing(t *testing.T) {
 	}
 }
 
+// TestFailedBuildFreesTables: on a 1-DPU engine, a spec that fails on
+// its second table leaves the WRAM its first table took free, so a
+// spec that needs the whole 64-KB WRAM still builds after it.
+func TestFailedBuildFreesTables(t *testing.T) {
+	for _, bad := range []Spec{
+		// The cosine table after a 64-KB sine table.
+		{Fn: core.Tan, Par: core.Params{Method: core.MLUT, SizeLog2: 14, Placement: pimsim.InWRAM}},
+		// The head table after the tail's constants.
+		{Fn: core.Sin, Par: core.Params{Method: core.CORDICLUT, HeadBits: 12, Placement: pimsim.InWRAM}},
+	} {
+		t.Run(bad.Par.Label(), func(t *testing.T) {
+			e, err := New(Config{DPUs: 1, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if _, _, err := e.EvaluateBatch(bad.Fn, bad.Par, make([]float32, 16)); err == nil {
+				t.Fatal("built, want WRAM exhaustion")
+			}
+			full := core.Params{Method: core.MLUT, SizeLog2: 14, Placement: pimsim.InWRAM}
+			if _, _, err := e.EvaluateBatch(core.Sin, full, make([]float32, 16)); err != nil {
+				t.Fatalf("a 64-KB WRAM table after the failed build: %v", err)
+			}
+		})
+	}
+}
+
 // TestProgramPlansBounded: each compiled program mints a new ID, so a
 // shard keeps only the newest progPlanLimit program plans, and an
 // evicted program rebuilds its plan and serves bit-identically.

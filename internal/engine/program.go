@@ -84,7 +84,7 @@ func (s *shard) storeProg(id uint64, ex *fusion.Exec) {
 // model under the given method parameters. The compiled program is
 // reusable across evaluations and engines sharing the same cost model.
 func (e *Engine) CompileProgram(p *fusion.Program, par core.Params) (*fusion.Compiled, error) {
-	return fusion.Compile(p, par, e.cfg.Cost)
+	return fusion.Compile(p, par, e.sys.Config().Cost)
 }
 
 // EvaluateProgram evaluates a compiled fused program over the given
@@ -322,16 +322,12 @@ func (e *Engine) newProgramKernel(s *shard) func(*pimsim.Ctx, int) error {
 	}
 }
 
-// degradeProgram completes a program batch on the host mirror: the
-// whole bound batch re-runs sequentially through the interpreted
-// reference against a throwaway recorder, bit-identical to a clean
-// device run (the PR 4 ladder's last rung, extended to programs).
+// degradeProgram completes a program batch on the host: the whole
+// bound batch re-runs sequentially on the lanes' shadow contexts,
+// which charge a throwaway tally, bit-identical to a clean device run
+// (the ladder's last rung, extended to programs).
 func (e *Engine) degradeProgram(s *shard, b *batch, ex *fusion.Exec) {
-	rec := s.rec
-	if rec == nil {
-		rec = pimsim.NewSigRecorder(e.cfg.Cost)
-	}
-	ex.HostEval(rec)
+	ex.HostEval(s.shadow, s.arena[0])
 	if b.prog.ScalarResult() {
 		b.segs[0].req.outputs[0] = ex.ScalarResult()
 	}

@@ -418,13 +418,14 @@ func medianCycles(lanes []pimsim.CoreProfile, scratch []uint64) uint64 {
 }
 
 // degradeBatch is the ladder's last rung: evaluate the batch on the
-// host-side mirrors (bit-exact with the device kernels by the PR-3
-// differential contract), charging a throwaway recorder so no device
-// cycles are accounted. Results land directly in the batch's host
-// output vector and the batch is marked degraded.
+// host through lane 0's operator — its host kernel, bit-exact with the
+// device by the differential contract, or without one (WideRange trig)
+// its interpreted path reading lane 0's tables — on lane 0's shadow
+// context, so no device cycles are accounted. Results land directly in
+// the batch's host output vector and the batch is marked degraded.
 func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
 	xs, ys := s.vectors(b)
-	ops[0].EvalBatch(s.rec, xs, ys)
+	ops[0].EvalBatchWith(s.shadow[0], xs, ys, s.arena[0])
 	b.degraded, b.hostEval = true, true
 	e.met.degraded.Inc()
 	if e.log != nil {

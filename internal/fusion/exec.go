@@ -177,7 +177,7 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 			xs := ex.vec[st.a][lo : lo+count]
 			ys := ex.vec[st.node][lo : lo+count]
 			op := ex.ops[st.fnIdx][lane]
-			if fast && op.HasFastPath() {
+			if fast {
 				op.EvalBatchWith(ctx, xs, ys, arena)
 			} else {
 				for i, x := range xs {
@@ -271,20 +271,20 @@ func (ex *Exec) Sync(phi int) (gatherBytes, bcastBytes int) {
 // program).
 func (ex *Exec) ScalarResult() float32 { return ex.scalars[ex.c.ret] }
 
-// HostEval re-runs the whole bound batch sequentially on the host
-// mirror — the bottom rung of the recovery ladder. Charges go to ctx
-// (the engine passes its discard recorder), state is reset first so a
-// partially-faulted run leaves no residue, and the outputs land in the
-// same bound slices, bit-identical to a clean device run. It runs the
-// fast path with a nil arena: Func nodes then evaluate through the
-// operators' unmetered host mirrors (the degradeBatch convention) —
-// the interpreted path would read LUT tables through ctx's DPU, and
-// the recorder's core holds none.
-func (ex *Exec) HostEval(ctx *pimsim.Ctx) {
+// HostEval re-runs the whole bound batch sequentially on the host —
+// the bottom rung of the recovery ladder — on the fast path, with
+// arena as every lane's scratch. lanes[k] is lane k's context: the
+// engine passes contexts that read each lane's memories but charge a
+// throwaway tally, so a Func node without a host kernel (WideRange
+// trig) reads its own lane's tables through the interpreted path.
+// State is reset first so a partially-faulted run leaves no residue,
+// and the outputs land in the same bound slices, bit-identical to a
+// clean device run.
+func (ex *Exec) HostEval(lanes []*pimsim.Ctx, arena *lut.Scratch) {
 	ex.resetScalars()
 	for phi := range ex.c.phases {
 		for lane := 0; lane < ex.lanes; lane++ {
-			ex.RunLane(ctx, phi, lane, nil, true)
+			ex.RunLane(lanes[lane], phi, lane, arena, true)
 		}
 		ex.Sync(phi)
 	}

@@ -38,7 +38,7 @@ func loadF32Array(dpu *pimsim.DPU, place pimsim.Placement, vals []float32) (devF
 	if err != nil {
 		return devF32{}, err
 	}
-	mem.WriteFloat32s(addr, vals)
+	mem.WriteF32s(addr, vals)
 	return devF32{place: place, addr: addr, n: len(vals)}, nil
 }
 

@@ -71,6 +71,19 @@ func (m *Mem) MustAlloc(n int) int {
 	return a
 }
 
+// Rollback frees every allocation made since Used returned mark and
+// zeroes the bytes they held, so a setup that fails part-way leaves
+// the memory as it found it.
+func (m *Mem) Rollback(mark int) {
+	if mark < 0 || mark > m.brk {
+		panic(fmt.Sprintf("pimsim: %s rollback to %d outside [0, %d]", m.name, mark, m.brk))
+	}
+	if end := min(m.brk, len(m.data)); mark < end {
+		clear(m.data[mark:end])
+	}
+	m.brk = mark
+}
+
 // Reset frees all allocations and zeroes the backing store. Only the
 // region up to the allocator high-water mark can hold allocated data,
 // but raw Write/Put calls may have touched bytes beyond it, so the
@@ -163,12 +176,6 @@ func (m *Mem) PutInt64(addr int, v int64) { m.PutUint64(addr, uint64(v)) }
 
 // Int64 loads a 64-bit signed integer.
 func (m *Mem) Int64(addr int) int64 { return int64(m.Uint64(addr)) }
-
-// WriteFloat32s bulk-stores a float32 slice starting at addr.
-func (m *Mem) WriteFloat32s(addr int, vs []float32) { m.WriteF32s(addr, vs) }
-
-// ReadFloat32s bulk-loads len(out) float32 values starting at addr.
-func (m *Mem) ReadFloat32s(addr int, out []float32) { m.ReadF32s(addr, out) }
 
 // WriteInt32s bulk-stores an int32 slice starting at addr.
 func (m *Mem) WriteInt32s(addr int, vs []int32) {

@@ -65,9 +65,9 @@ func TestMemRoundTrips(t *testing.T) {
 		t.Errorf("Int64 round trip: %v", got)
 	}
 	vs := []float32{1, 2, 3, -4.5}
-	m.WriteFloat32s(64, vs)
+	m.WriteF32s(64, vs)
 	out := make([]float32, 4)
-	m.ReadFloat32s(64, out)
+	m.ReadF32s(64, out)
 	for i := range vs {
 		if out[i] != vs[i] {
 			t.Errorf("bulk float32 round trip at %d: %v != %v", i, out[i], vs[i])
@@ -279,7 +279,7 @@ func TestCtxBulkDMA(t *testing.T) {
 	ctx := d.NewCtx()
 	maddr := d.MRAM.MustAlloc(16)
 	waddr := d.WRAM.MustAlloc(16)
-	d.MRAM.WriteFloat32s(maddr, []float32{1, 2, 3, 4})
+	d.MRAM.WriteF32s(maddr, []float32{1, 2, 3, 4})
 	ctx.MramRead(maddr, waddr, 16)
 	if got := d.WRAM.Float32(waddr + 8); got != 3 {
 		t.Fatalf("bulk read landed wrong: %v", got)

@@ -20,6 +20,14 @@ func NewSigRecorder(model CostModel) *Ctx {
 	return NewDPU(-1, model, DefaultTasklets).NewCtx()
 }
 
+// ShadowCtx returns a Ctx that reads and writes d's memories but
+// charges a throwaway core's accounting: a host-side replay of a
+// kernel built on d (the recovery ladder's degraded path) reads d's
+// tables without charging d. Its charges are never read.
+func (d *DPU) ShadowCtx() *Ctx {
+	return (&DPU{ID: d.ID, MRAM: d.MRAM, WRAM: d.WRAM, model: d.model, tasklets: d.tasklets}).NewCtx()
+}
+
 // TakeSig snapshots everything charged on the context's core since the
 // last TakeSig (or creation) as a CostSig and resets the accounting.
 func (c *Ctx) TakeSig() CostSig {

@@ -53,20 +53,8 @@ func ApplyCosQuadrantHost(sin, cos float32, q Quadrant) float32 {
 	}
 }
 
-// SplitExpHost mirrors SplitExp.
-func SplitExpHost(x float32) (r float32, k int32) {
-	k = pimsim.RoundToEven32(x * Log2E)
-	kf := float32(k)
-	r = x - float32(kf*Ln2Hi)
-	r = r - float32(kf*Ln2Lo)
-	return r, k
-}
-
-// JoinExpHost mirrors JoinExp.
-func JoinExpHost(expR float32, k int32) float32 { return fpbits.Ldexp(expR, int(k)) }
-
-// SplitExpHostMany runs SplitExpHost over a slice, filling the reduced
-// arguments and scale exponents; bit-identical to per-element calls.
+// SplitExpHostMany mirrors SplitExp over a slice, filling the reduced
+// arguments and scale exponents. JoinExp is fpbits.LdexpMany.
 func SplitExpHostMany(xs []float32, rs []float32, ks []int32) {
 	rs = rs[:len(xs)]
 	ks = ks[:len(xs)]
@@ -79,16 +67,11 @@ func SplitExpHostMany(xs []float32, rs []float32, ks []int32) {
 	}
 }
 
-// SplitLogHost mirrors SplitLog.
-func SplitLogHost(x float32) (m float32, e int32) {
-	mf, ei := fpbits.Frexp(x)
-	return mf, int32(ei)
-}
-
 // JoinLogHost mirrors JoinLog.
 func JoinLogHost(logM float32, e int32) float32 { return logM + float32(float32(e)*Ln2) }
 
-// SplitLogHostMany runs SplitLogHost over a slice.
+// SplitLogHostMany mirrors SplitLog over a slice, filling the
+// mantissas and exponents.
 func SplitLogHostMany(xs []float32, ms []float32, es []int32) {
 	ms = ms[:len(xs)]
 	es = es[:len(xs)]
@@ -110,6 +93,3 @@ func SplitSqrtHost(x float32) (m float32, h int32, odd bool) {
 	}
 	return mf, int32(e / 2), odd
 }
-
-// JoinSqrtHost mirrors JoinSqrt.
-func JoinSqrtHost(sqrtM float32, h int32) float32 { return fpbits.Ldexp(sqrtM, int(h)) }
