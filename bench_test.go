@@ -433,6 +433,38 @@ func BenchmarkClusterObservers(b *testing.B) {
 	}
 }
 
+// --- the interpreted reference path ---
+
+// BenchmarkInterpretedEval reports the host ns per element of Lib.Eval,
+// the per-element interpreted path that the differential tests and the
+// engine's Reference mode take as ground truth, for the CORDIC,
+// CORDIC+LUT and L-LUT(i) sine. It cycles through 2^16 random inputs
+// so that the branch predictor cannot learn them.
+func BenchmarkInterpretedEval(b *testing.B) {
+	lo, hi := core.Sin.Domain()
+	inputs := stats.RandomInputs(lo, hi, 1<<16, 7)
+	for _, cfg := range []Config{
+		{Method: CORDIC, Iterations: 30},
+		{Method: CORDICLUT, Iterations: 22, HeadBits: 10},
+		{Method: LLUT, Interpolated: true, SizeLog2: 12},
+	} {
+		b.Run(cfg.params().Label(), func(b *testing.B) {
+			lib, err := New(cfg, Sin)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				evalSink = lib.Eval(Sin, inputs[i%len(inputs)])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/elem")
+		})
+	}
+}
+
+// evalSink keeps the compiler from dropping a measured call.
+var evalSink float32
+
 // --- §4.2.4: per-function microbenchmarks through the public API ---
 
 func BenchmarkPublicAPI(b *testing.B) {

@@ -180,25 +180,83 @@ func TestDeviceSinCos(t *testing.T) {
 	}
 }
 
+// TestDeviceMatchesHost: Rotate and Vector equal RotateHost, VectorHost
+// and the textbook branching iteration (refRun) bit for bit in every
+// mode and placement. The starts include the sign boundaries the
+// direction masks must reproduce exactly (z = 0 steers rotation like
+// z > 0, y = 0 steers vectoring like y > 0), ±1, and magnitudes at which
+// the adds wrap, besides random ones.
 func TestDeviceMatchesHost(t *testing.T) {
-	c := ctx(t)
-	tb := NewTables(Circular, 24)
-	dev, err := tb.Load(c.DPU(), InWRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(raw int32) bool {
-		theta := int64(raw) % thetaMax
-		if theta < 0 {
-			theta = -theta
+	edges := []int64{0, 1, -1, One, -One, 1 << 62, -1 << 62, math.MaxInt64, math.MinInt64}
+	for _, mode := range []Mode{Circular, Hyperbolic, Linear} {
+		for _, place := range []Placement{InWRAM, InMRAM} {
+			d := pimsim.NewDPU(0, pimsim.Default(), 16)
+			tb := NewTables(mode, 24)
+			dev, err := tb.Load(d, place)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := d.NewCtx()
+			agree := func(x0, y0, z0 int64) bool {
+				for _, vector := range []bool{false, true} {
+					dv, host, ref := devRun(dev, c, x0, y0, z0, vector), hostRun(tb, x0, y0, z0, vector), refRun(tb, x0, y0, z0, vector)
+					if dv != host || dv != ref {
+						t.Errorf("%v/%v vector=%v from (%d, %d, %d): device %v, host %v, reference %v",
+							mode, place, vector, x0, y0, z0, dv, host, ref)
+						return false
+					}
+				}
+				return true
+			}
+			for _, x0 := range edges {
+				for _, y0 := range edges {
+					for _, z0 := range edges {
+						agree(x0, y0, z0)
+					}
+				}
+			}
+			if err := quick.Check(agree, &quick.Config{MaxCount: 300}); err != nil {
+				t.Error(err)
+			}
 		}
-		hx, hy, _ := tb.RotateHost(tb.InvGain, 0, theta)
-		dsin, dcos := dev.SinCos(c, theta)
-		return hx == dcos && hy == dsin
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+}
+
+// devRun, hostRun and refRun run one rotation (vector false) or
+// vectoring loop on the device, on the host mirror, and as refRun's
+// textbook iteration, returning the final (x, y, z).
+func devRun(dev *Device, c *pimsim.Ctx, x0, y0, z0 int64, vector bool) [3]int64 {
+	run := dev.Rotate
+	if vector {
+		run = dev.Vector
 	}
+	x, y, z := run(c, x0, y0, z0)
+	return [3]int64{x, y, z}
+}
+
+func hostRun(tb *Tables, x0, y0, z0 int64, vector bool) [3]int64 {
+	run := tb.RotateHost
+	if vector {
+		run = tb.VectorHost
+	}
+	x, y, z := run(x0, y0, z0)
+	return [3]int64{x, y, z}
+}
+
+// refRun is Table 1's iteration with the direction taken by a branch,
+// written independently of the kernels' masks: d = +1 when z ≥ 0
+// (rotation) or y < 0 (vectoring), else −1, and x moves by −μ·d·2⁻ˢy
+// with μ = 1, −1, 0 for circular, hyperbolic, linear.
+func refRun(tb *Tables, x, y, z int64, vector bool) [3]int64 {
+	mu := map[Mode]int64{Circular: 1, Hyperbolic: -1, Linear: 0}[tb.Mode]
+	for i, s := range tb.Shifts {
+		d := int64(-1)
+		if (!vector && z >= 0) || (vector && y < 0) {
+			d = 1
+		}
+		x, y, z = x-mu*d*(y>>s), y+d*(x>>s), z-d*tb.Angles[i]
+	}
+	return [3]int64{x, y, z}
 }
 
 func TestDeviceCyclesGrowLinearly(t *testing.T) {

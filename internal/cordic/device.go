@@ -1,6 +1,7 @@
 package cordic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -21,123 +22,99 @@ const (
 type Device struct {
 	t       *Tables
 	place   Placement
-	dpu     *pimsim.DPU
 	addr    int // base of the packed (angle int64, shift int64) entries
 	invGain int64
+	// iter is one loop iteration's charge under the core's cost model,
+	// recorded at Load; Rotate and Vector charge it once per call,
+	// times the iteration count.
+	iter pimsim.CostSig
 }
 
 // Load allocates and writes the iteration constants into the chosen
 // memory of the PIM core. It returns an error when the memory cannot
 // hold them (e.g. the 64-KB scratchpad).
 func (t *Tables) Load(dpu *pimsim.DPU, place Placement) (*Device, error) {
-	n := len(t.Angles)
-	size := 16 * n // angle + shift per entry, 8 bytes each
-	var addr int
-	var err error
-	switch place {
-	case InWRAM:
-		addr, err = dpu.WRAM.Alloc(size)
-	case InMRAM:
-		addr, err = dpu.MRAM.Alloc(size)
-	default:
+	if place != InWRAM && place != InMRAM {
 		return nil, fmt.Errorf("cordic: bad placement %d", place)
 	}
+	mem := dpu.MemFor(place)
+	n := len(t.Angles)
+	addr, err := mem.Alloc(16 * n) // angle + shift per entry, 8 bytes each
 	if err != nil {
 		return nil, err
-	}
-	mem := dpu.WRAM
-	if place == InMRAM {
-		mem = dpu.MRAM
 	}
 	for i := 0; i < n; i++ {
 		mem.PutInt64(addr+16*i, t.Angles[i])
 		mem.PutInt64(addr+16*i+8, int64(t.Shifts[i]))
 	}
-	return &Device{t: t, place: place, dpu: dpu, addr: addr, invGain: t.InvGain}, nil
+	return &Device{t: t, place: place, addr: addr, invGain: t.InvGain,
+		iter: recordIteration(dpu.Model(), place, t.Mode)}, nil
 }
 
-// Tables returns the host-side tables backing the device.
-func (d *Device) Tables() *Tables { return d.t }
+// recordIteration records what one loop iteration is charged under
+// model: the (angle, shift) fetch as two 64-bit loads (two word-pair
+// scratchpad loads, or two 8-byte DMAs from the DRAM bank), two 64-bit
+// shifts, the sign test, the 64-bit add/subtracts of y and z and, in
+// the circular and hyperbolic modes, of x, plus the loop overhead. The
+// charge does not depend on the data, so the loops charge it n times
+// per call instead of op by op.
+func recordIteration(model pimsim.CostModel, place Placement, mode Mode) pimsim.CostSig {
+	rec := pimsim.NewSigRecorder(model)
+	for range 2 {
+		if place == InWRAM {
+			rec.WramLoadI64(0)
+		} else {
+			rec.MramLoadI64(0)
+		}
+	}
+	rec.I64Shr(0, 0)
+	rec.I64Shr(0, 0)
+	rec.I64Cmp(0, 0)
+	if mode != Linear {
+		rec.I64Sub(0, 0)
+	}
+	rec.I64Add(0, 0)
+	rec.I64Sub(0, 0)
+	rec.Charge(2) // loop counter + branch
+	return rec.TakeSig()
+}
 
 // Placement returns where the constants live.
 func (d *Device) Placement() Placement { return d.place }
 
-// loadEntry fetches (angle, shift) for iteration i, charging the
-// appropriate memory cost: two word-pair scratchpad loads, or one
-// 16-byte DMA from the DRAM bank.
-func (d *Device) loadEntry(ctx *pimsim.Ctx, i int) (phi int64, s uint) {
-	base := d.addr + 16*i
-	if d.place == InWRAM {
-		phi = ctx.WramLoadI64(base)
-		s = uint(ctx.WramLoadI64(base + 8))
-		return phi, s
-	}
-	phi = ctx.MramLoadI64(base)
-	s = uint(ctx.MramLoadI64(base + 8))
-	return phi, s
+// entries returns the packed (angle, shift) words as one view of the
+// calling context's memory, so each kernel reads the tables of the core
+// it runs on: a lane its own, a shadow context the lane's, and a
+// recorder its empty memory.
+func (d *Device) entries(ctx *pimsim.Ctx) []byte {
+	return ctx.DPU().MemFor(d.place).View(d.addr, 16*len(d.t.Shifts))
 }
 
 // Rotate runs rotation-mode CORDIC on the PIM core starting from
-// (x0, y0) with target angle theta, charging every per-iteration
-// operation: the table fetch, the sign test, two 64-bit shifts and
-// three 64-bit add/subtracts, plus loop overhead.
+// (x0, y0) with target angle theta, steering each iteration by the
+// sign of z, and charges the recorded iteration once per iteration.
 func (d *Device) Rotate(ctx *pimsim.Ctx, x0, y0, theta int64) (x, y, z int64) {
+	flip, keep := d.t.Mode.masks()
 	x, y, z = x0, y0, theta
-	for i := range d.t.Shifts {
-		phi, s := d.loadEntry(ctx, i)
-		xs := ctx.I64Shr(x, s)
-		ys := ctx.I64Shr(y, s)
-		if ctx.I64Cmp(z, 0) >= 0 {
-			x = d.stepX(ctx, x, ys, true)
-			y = ctx.I64Add(y, xs)
-			z = ctx.I64Sub(z, phi)
-		} else {
-			x = d.stepX(ctx, x, ys, false)
-			y = ctx.I64Sub(y, xs)
-			z = ctx.I64Add(z, phi)
-		}
-		ctx.Charge(2) // loop counter + branch
+	for e := d.entries(ctx); len(e) >= 16; e = e[16:] {
+		phi, s := int64(binary.LittleEndian.Uint64(e)), uint(binary.LittleEndian.Uint64(e[8:]))
+		x, y, z = step(x, y, z, phi, s, z>>63, flip, keep)
 	}
+	ctx.ChargeSig(&d.iter, uint64(len(d.t.Shifts)))
 	return x, y, z
 }
 
 // Vector runs vectoring-mode CORDIC on the PIM core, driving y toward
-// zero and accumulating the rotation angle into z.
+// zero and accumulating the rotation angle into z; charged like Rotate.
 func (d *Device) Vector(ctx *pimsim.Ctx, x0, y0, z0 int64) (x, y, z int64) {
+	flip, keep := d.t.Mode.masks()
 	x, y, z = x0, y0, z0
-	for i := range d.t.Shifts {
-		phi, s := d.loadEntry(ctx, i)
-		xs := ctx.I64Shr(x, s)
-		ys := ctx.I64Shr(y, s)
-		if ctx.I64Cmp(y, 0) < 0 {
-			x = d.stepX(ctx, x, ys, true)
-			y = ctx.I64Add(y, xs)
-			z = ctx.I64Sub(z, phi)
-		} else {
-			x = d.stepX(ctx, x, ys, false)
-			y = ctx.I64Sub(y, xs)
-			z = ctx.I64Add(z, phi)
-		}
-		ctx.Charge(2)
+	for e := d.entries(ctx); len(e) >= 16; e = e[16:] {
+		phi, s := int64(binary.LittleEndian.Uint64(e)), uint(binary.LittleEndian.Uint64(e[8:]))
+		x, y, z = step(x, y, z, phi, s, ^(y >> 63), flip, keep)
 	}
+	ctx.ChargeSig(&d.iter, uint64(len(d.t.Shifts)))
 	return x, y, z
-}
-
-func (d *Device) stepX(ctx *pimsim.Ctx, x, ys int64, positive bool) int64 {
-	switch d.t.Mode {
-	case Circular:
-		if positive {
-			return ctx.I64Sub(x, ys)
-		}
-		return ctx.I64Add(x, ys)
-	case Hyperbolic:
-		if positive {
-			return ctx.I64Add(x, ys)
-		}
-		return ctx.I64Sub(x, ys)
-	default: // Linear: x is invariant
-		return x
-	}
 }
 
 // SinCos computes (sin θ, cos θ) for θ ∈ [-π/2, π/2] in Q23.40 using
@@ -228,37 +205,19 @@ func mulFix(ctx *pimsim.Ctx, a, b int64) int64 {
 // are bit-identical to Rotate/Vector), for the batch-evaluation fast
 // path and tests.
 
-// SinCosHost mirrors Device.SinCos.
-func (t *Tables) SinCosHost(theta int64) (sin, cos int64) {
-	x, y, _ := t.RotateHost(t.InvGain, 0, theta)
-	return y, x
-}
-
-// SinCosHostMany runs SinCosHost over Q23.40 slices with the iteration
-// tables and the mode's step rule hoisted out of the per-element loop;
-// bit-identical to per-element calls.
+// SinCosHostMany mirrors Device.SinCos over Q23.40 slices, with the
+// iteration tables and the mode's step masks hoisted out of the
+// per-element loop.
 func (t *Tables) SinCosHostMany(thetas, sins, coss []int64) {
 	sins = sins[:len(thetas)]
 	coss = coss[:len(thetas)]
-	if t.Mode != Circular {
-		for i, theta := range thetas {
-			sins[i], coss[i] = t.SinCosHost(theta)
-		}
-		return
-	}
 	shifts := t.Shifts
 	angles := t.Angles[:len(shifts)]
-	inv := t.InvGain
+	flip, keep := t.Mode.masks()
 	for i, theta := range thetas {
-		x, y, z := inv, int64(0), theta
+		x, y, z := t.InvGain, int64(0), theta
 		for j, s := range shifts {
-			phi := angles[j]
-			xs, ys := x>>s, y>>s
-			if z >= 0 {
-				x, y, z = x-ys, y+xs, z-phi
-			} else {
-				x, y, z = x+ys, y-xs, z+phi
-			}
+			x, y, z = step(x, y, z, angles[j], s, z>>63, flip, keep)
 		}
 		sins[i] = y
 		coss[i] = x

@@ -18,12 +18,11 @@ type LUTAssist struct {
 	shiftAmt uint
 	entries  int
 	place    Placement
-	dpu      *pimsim.DPU
 	addr     int // base of packed (x, y, φ) int64 triples
 	tail     *Device
 
 	// Host-side copies of the head-table triples, for the unmetered
-	// SinCosHost mirror.
+	// SinCosHostMany mirror.
 	hx, hy, hphi []int64
 }
 
@@ -59,16 +58,11 @@ func NewLUTAssist(dpu *pimsim.DPU, place Placement, lutBits, tailIters int) (*LU
 		shiftAmt: shiftAmt,
 		entries:  entries,
 		place:    place,
-		dpu:      dpu,
 		tail:     tail,
 	}
 
-	size := entries * lutAssistEntryBytes
-	mem := dpu.WRAM
-	if place == InMRAM {
-		mem = dpu.MRAM
-	}
-	la.addr, err = mem.Alloc(size)
+	mem := dpu.MemFor(place)
+	la.addr, err = mem.Alloc(entries * lutAssistEntryBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -130,30 +124,16 @@ func (la *LUTAssist) SinCos(ctx *pimsim.Ctx, theta int64) (sin, cos int64) {
 	return y, x
 }
 
-// SinCosHost is the unmetered host twin of SinCos, bit-identical in
-// value.
-func (la *LUTAssist) SinCosHost(theta int64) (sin, cos int64) {
-	idx := theta >> la.shiftAmt
-	if idx < 0 {
-		idx = 0
-	}
-	if int(idx) >= la.entries {
-		idx = int64(la.entries - 1)
-	}
-	x0, y0, phi := la.hx[idx], la.hy[idx], la.hphi[idx]
-	x, y, _ := la.tail.t.RotateHost(x0, y0, theta-phi)
-	return y, x
-}
-
-// SinCosHostMany runs SinCosHost over Q23.40 slices with the head
-// table and tail iteration tables hoisted out of the per-element loop;
-// bit-identical to per-element calls.
+// SinCosHostMany is the unmetered host twin of SinCos over Q23.40
+// slices, bit-identical in value, with the head table and tail
+// iteration tables hoisted out of the per-element loop.
 func (la *LUTAssist) SinCosHostMany(thetas, sins, coss []int64) {
 	sins = sins[:len(thetas)]
 	coss = coss[:len(thetas)]
 	hx, hy, hphi := la.hx, la.hy, la.hphi
 	shifts := la.tail.t.Shifts
 	angles := la.tail.t.Angles[:len(shifts)]
+	flip, keep := Circular.masks()
 	for i, theta := range thetas {
 		idx := theta >> la.shiftAmt
 		if idx < 0 {
@@ -164,13 +144,7 @@ func (la *LUTAssist) SinCosHostMany(thetas, sins, coss []int64) {
 		}
 		x, y, z := hx[idx], hy[idx], theta-hphi[idx]
 		for j, s := range shifts {
-			phi := angles[j]
-			xs, ys := x>>s, y>>s
-			if z >= 0 {
-				x, y, z = x-ys, y+xs, z-phi
-			} else {
-				x, y, z = x+ys, y-xs, z+phi
-			}
+			x, y, z = step(x, y, z, angles[j], s, z>>63, flip, keep)
 		}
 		sins[i] = y
 		coss[i] = x

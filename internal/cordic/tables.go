@@ -192,15 +192,10 @@ func (t *Tables) MaxAngle() float64 {
 // RotateHost runs rotation-mode CORDIC from (x0, y0, theta) and returns
 // the final vector and residual angle, all in Q23.40.
 func (t *Tables) RotateHost(x0, y0, theta int64) (x, y, z int64) {
+	flip, keep := t.Mode.masks()
 	x, y, z = x0, y0, theta
 	for i, s := range t.Shifts {
-		phi := t.Angles[i]
-		xs, ys := x>>s, y>>s
-		if z >= 0 {
-			x, y, z = t.stepPos(x, y, xs, ys), y+xs, z-phi
-		} else {
-			x, y, z = t.stepNeg(x, y, xs, ys), y-xs, z+phi
-		}
+		x, y, z = step(x, y, z, t.Angles[i], s, z>>63, flip, keep)
 	}
 	return x, y, z
 }
@@ -208,40 +203,41 @@ func (t *Tables) RotateHost(x0, y0, theta int64) (x, y, z int64) {
 // VectorHost runs vectoring-mode CORDIC from (x0, y0, z0), driving y to
 // zero, and returns the final vector and accumulated angle.
 func (t *Tables) VectorHost(x0, y0, z0 int64) (x, y, z int64) {
+	flip, keep := t.Mode.masks()
 	x, y, z = x0, y0, z0
 	for i, s := range t.Shifts {
-		phi := t.Angles[i]
-		xs, ys := x>>s, y>>s
-		if y < 0 {
-			x, y, z = t.stepPos(x, y, xs, ys), y+xs, z-phi
-		} else {
-			x, y, z = t.stepNeg(x, y, xs, ys), y-xs, z+phi
-		}
+		x, y, z = step(x, y, z, t.Angles[i], s, ^(y >> 63), flip, keep)
 	}
 	return x, y, z
 }
 
-// stepPos/stepNeg give the x update for d=+1 / d=-1 in the mode's
-// coordinate system (Table 1): circular x∓2⁻ⁱy, hyperbolic x±2⁻ⁱy,
-// linear x unchanged.
-func (t *Tables) stepPos(x, _ int64, _, ys int64) int64 {
-	switch t.Mode {
-	case Circular:
-		return x - ys
-	case Hyperbolic:
-		return x + ys
-	default:
-		return x
-	}
+// step is one CORDIC iteration (Table 1), the rule every device and
+// host loop runs. The direction is d = +1 when neg is 0 and d = −1 when
+// neg is −1 (all ones): rotation passes z's sign (d = +1 for z ≥ 0),
+// vectoring the complement of y's (d = +1 for y < 0). It returns
+//
+//	x − μ·d·2⁻ˢy,  y + d·2⁻ˢx,  z − d·φ
+//
+// with μ = 1 (circular), −1 (hyperbolic) or 0 (linear) given by the
+// mode's masks. The direction is a coin flip per iteration, so step
+// negates through the masks instead of branching on it.
+func step(x, y, z, phi int64, s uint, neg, flip, keep int64) (int64, int64, int64) {
+	xs, ys := x>>s, y>>s
+	return x + (negIf(ys, neg^flip) & keep), y + negIf(xs, neg), z - negIf(phi, neg)
 }
 
-func (t *Tables) stepNeg(x, _ int64, _, ys int64) int64 {
-	switch t.Mode {
+// negIf returns −v when m is −1 and v when m is 0.
+func negIf(v, m int64) int64 { return (v ^ m) - m }
+
+// masks returns step's x-update masks for the mode: flip inverts the
+// direction for the circular x − d·2⁻ˢy, and keep zeroes the update of
+// the linear mode, whose x is invariant.
+func (m Mode) masks() (flip, keep int64) {
+	switch m {
 	case Circular:
-		return x + ys
+		return -1, -1
 	case Hyperbolic:
-		return x - ys
-	default:
-		return x
+		return 0, -1
 	}
+	return 0, 0
 }

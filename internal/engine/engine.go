@@ -60,9 +60,6 @@ type Config struct {
 	// round to let more arrive and coalesce. Zero (the default) only
 	// coalesces requests that are already queued.
 	BatchWindow time.Duration
-	// QueueDepth bounds the submit queue; callers block (backpressure)
-	// when it is full. Default 64.
-	QueueDepth int
 	// TraceDepth retains the span trees of the last N completed
 	// requests (Engine.TraceLast, /debug/trace). Zero disables
 	// tracing: no stage timestamps are taken and no spans allocated.
@@ -135,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4096
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	return c
 }
@@ -284,7 +278,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		sys:      pimsim.NewSystem(pimsim.Config{DPUs: cfg.DPUs}),
 		charged:  make(map[Spec]struct{}),
-		submit:   make(chan *request, cfg.QueueDepth),
+		submit:   make(chan *request, queueDepth),
 		dispatch: make(chan *batch, cfg.Shards),
 	}
 	reg := telemetry.NewRegistry()

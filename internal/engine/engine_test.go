@@ -134,11 +134,12 @@ func TestWarmCheaperThanCold(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedRequests drives many goroutines with a mixed
-// sigmoid/GELU/exp workload across 2 shards — the -race regression
-// for the serving pipeline.
+// TestConcurrentMixedRequests drives a mixed sigmoid/GELU/exp workload
+// across 2 shards from more goroutines than the submit queue holds, so
+// submitters can block on a full queue — the -race regression for the
+// serving pipeline and its backpressure.
 func TestConcurrentMixedRequests(t *testing.T) {
-	e, err := New(Config{DPUs: 4, Shards: 2, MaxBatch: 128, QueueDepth: 8})
+	e, err := New(Config{DPUs: 4, Shards: 2, MaxBatch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		{core.GELU, core.Params{Method: core.DLLUT, Interp: true, SizeLog2: 12}, -7.9, 7.9, 1e-2},
 		{core.Exp, core.Params{Method: core.LLUTFixed, Interp: true, SizeLog2: 12}, -2.5, 2.5, 1e-2},
 	}
-	const goroutines = 12
+	const goroutines = queueDepth + 8
 	const rounds = 6
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -213,7 +214,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 // same-spec requests arrive; they must ride in fewer batches than
 // requests.
 func TestCoalescing(t *testing.T) {
-	e, err := New(Config{DPUs: 2, Shards: 1, MaxBatch: 4096, BatchWindow: 50 * time.Millisecond, QueueDepth: 32})
+	e, err := New(Config{DPUs: 2, Shards: 1, MaxBatch: 4096, BatchWindow: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,12 @@ const (
 	laneProbation = 16
 )
 
+// queueDepth bounds the submit queue: callers block (backpressure)
+// while it is full. The cluster router reads the backlog as a
+// replica's load (Engine.QueueDepth), so the bound is also the range
+// of that signal.
+const queueDepth = 64
+
 // backoff returns the modeled pause before retry attempt n (1-based):
 // retryBackoff doubling per attempt.
 func backoff(attempt uint64) float64 {

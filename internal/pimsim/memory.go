@@ -135,6 +135,15 @@ func (m *Mem) Read(addr int, p []byte) {
 	copy(p, m.data[addr:])
 }
 
+// View returns the n bytes at addr as a slice of the backing store, for
+// a kernel that reads a resident table many times in one call. The
+// slice aliases the memory only until its next growth, so take one per
+// call rather than keeping it.
+func (m *Mem) View(addr, n int) []byte {
+	m.ensure(addr + n)
+	return m.data[addr : addr+n : addr+n]
+}
+
 // PutUint32 stores a 32-bit word.
 func (m *Mem) PutUint32(addr int, v uint32) {
 	m.ensure(addr + 4)
