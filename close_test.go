@@ -1,10 +1,13 @@
 package transpimlib
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -13,12 +16,25 @@ import (
 // every observer on and a fault plan that fires serve concurrent
 // requests and programs; after Close the goroutine count must return
 // to what it was before they were built — pipeline stages, launch
-// workers, and the timeline tickers all exit.
+// workers, and the timeline tickers all exit. It runs without a batch
+// window, where lone requests run on their callers, and with one,
+// where every request is queued. A second wave of traffic is still
+// running when Close starts, so Close meets callers holding shards:
+// it must neither panic nor hang, and those requests either complete
+// or fail as closed.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			closeLeaksNoGoroutines(t, window)
+		})
+	}
+}
+
+func closeLeaksNoGoroutines(t *testing.T, window time.Duration) {
 	baseline := runtime.NumGoroutine()
 
 	tmpl := EngineConfig{
-		DPUs: 4, Shards: 2, MaxBatch: 256, BatchWindow: time.Millisecond,
+		DPUs: 4, Shards: 2, MaxBatch: 256, BatchWindow: window,
 		TraceDepth:  16,
 		Ledger:      true,
 		Timeline:    TimelineConfig{Enabled: true, BucketWidth: 5 * time.Millisecond},
@@ -63,36 +79,54 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		return xs
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tenant := []string{"acme", "globex"}[w%2]
-			for i := 0; i < 12; i++ {
-				xs := inputs(1+(w*97+i*31)%256, w*100+i)
-				var err error
-				switch w {
-				case 0:
-					_, _, err = eng.EvaluateBatchAs(tenant, Sigmoid, spec, xs)
-				case 1:
-					_, _, err = eng.EvaluateProgramAs(tenant, prog, [][]float32{xs}, nil)
-				default:
-					_, _, err = cl.EvaluateBatchAs(tenant, Sigmoid, spec, xs)
+	// wave runs four workers, each sending up to rounds requests (-1:
+	// until the engine or cluster closes), and reports the requests
+	// served. closing tolerates the errors of a closed engine or cluster.
+	wave := func(rounds int, closing bool) (served *atomic.Int64, wait func()) {
+		served = new(atomic.Int64)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				tenant := []string{"acme", "globex"}[w%2]
+				for i := 0; i != rounds; i++ {
+					xs := inputs(1+(w*97+i*31)%256, w*100+i)
+					var err error
+					switch w {
+					case 0:
+						_, _, err = eng.EvaluateBatchAs(tenant, Sigmoid, spec, xs)
+					case 1:
+						_, _, err = eng.EvaluateProgramAs(tenant, prog, [][]float32{xs}, nil)
+					default:
+						_, _, err = cl.EvaluateBatchAs(tenant, Sigmoid, spec, xs)
+					}
+					if closing && (errors.Is(err, ErrEngineClosed) || errors.Is(err, ErrClusterClosed)) {
+						return
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					served.Add(1)
 				}
-				if err != nil {
-					t.Error(err)
-				}
-			}
-		}(w)
+			}(w)
+		}
+		return served, wg.Wait
 	}
-	wg.Wait()
+	_, wait := wave(12, false)
+	wait()
 	fired := eng.Stats().FaultsInjected
 	for _, st := range cl.ReplicaStats() {
 		fired += st.FaultsInjected
 	}
+	served, wait := wave(-1, true)
+	for start := time.Now(); served.Load() < 8 && time.Since(start) < 10*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
 	cl.Close()
 	eng.Close()
+	wait()
 	if fired == 0 {
 		t.Fatal("the fault plan never fired")
 	}

@@ -28,7 +28,9 @@ type EngineConfig struct {
 	// 4096); larger requests split, smaller concurrent ones coalesce.
 	MaxBatch int
 	// BatchWindow is how long the batcher holds a request to let more
-	// arrive and coalesce (default 0: coalesce only what is queued).
+	// arrive and coalesce. The default 0 coalesces only what is queued,
+	// and a request that fits in one batch runs on its caller when a
+	// shard is idle and nothing waits for one.
 	BatchWindow time.Duration
 	// TraceDepth retains the span trees of the last N completed
 	// requests, readable via TraceLast/Traces and servable at

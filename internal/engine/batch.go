@@ -20,7 +20,9 @@ type request struct {
 	inputs   []float32
 	outputs  []float32
 	enqueued time.Time
-	done     chan struct{}
+	// done is closed when a queued request completes; nil for a
+	// request its caller runs (Engine.run).
+	done chan struct{}
 
 	// Fused-program request fields (program.go): prog is the compiled
 	// program and pinputs/pscalars its bound arguments; spec/inputs are
@@ -47,9 +49,18 @@ type request struct {
 	extID uint64
 }
 
+// size is the request's element count: its input length, or a fused
+// program's batch size.
+func (r *request) size() int {
+	if r.prog != nil {
+		return len(r.pinputs[0])
+	}
+	return len(r.inputs)
+}
+
 // complete records one drained batch against the request. It reports
 // whether this was the request's last outstanding segment; the caller
-// (the shard that drained it) finishes the request — latency
+// (the shard's owner that drained it) finishes the request — latency
 // observation, trace assembly, closing done — outside the lock.
 func (r *request) complete(b *batch, shardID int) (last bool) {
 	r.mu.Lock()
@@ -105,8 +116,8 @@ type batch struct {
 	segs []seg
 	n    int // total elements
 
-	// seq is the batch's dispatch sequence number — the deterministic
-	// clock fault-injection decisions key on. Assigned by the batcher.
+	// seq is the batch's sequence number — the deterministic clock
+	// fault-injection decisions key on (see Engine.number).
 	seq uint64
 
 	// Set by the serving shard.
@@ -160,6 +171,17 @@ func newBatch(spec Spec) *batch {
 
 // releaseBatch returns a fully drained batch to the pool.
 func releaseBatch(b *batch) { batchPool.Put(b) }
+
+// soloBatch puts request r whole into one batch: a fused program,
+// which is never split or coalesced, or a request its caller runs.
+func soloBatch(r *request) *batch {
+	b := newBatch(r.spec)
+	b.prog = r.prog
+	b.n = r.size()
+	b.segs = append(b.segs, seg{req: r, n: b.n})
+	r.remaining = 1
+	return b
+}
 
 // planBatches packs same-spec requests into batches of at most
 // maxBatch elements, splitting oversized requests across several

@@ -23,8 +23,8 @@ func makeSpec(fn core.Function, p core.Params) Spec {
 // memories use a bump allocator, so eviction could not reclaim the
 // bank anyway. A failed build (say, tables outgrowing the selected
 // memory) memoizes nothing and is reported to the batch that needed
-// it. Only the shard's goroutine calls specOps, since it owns the
-// cores' memories and the map.
+// it. Only the holder of the shard's lock calls specOps, since it owns
+// the cores' memories and the map.
 //
 // The charge rule follows the paper's setup model (Fig. 6, §2.1): a
 // spec's tables are generated once on the host and broadcast in

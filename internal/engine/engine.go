@@ -12,14 +12,17 @@
 // semantics of §2.1. Like the paper's host program, each shard runs a
 // batch to completion — transfer-in, compute, transfer-out — before it
 // takes the next; the shards run in parallel, and a full submit queue
-// blocks the caller. Every request reports its wall-clock latency plus
-// the modeled per-stage costs; the engine accumulates fleet-wide
-// counters.
+// blocks the caller. A lone request on an idle engine skips the queue:
+// its caller takes an idle shard and runs the batch itself, as the
+// paper's host program does (see Engine.run). Every request reports its
+// wall-clock latency plus the modeled per-stage costs; the engine
+// accumulates fleet-wide counters.
 //
-// Concurrency discipline (see pimsim.System): each shard's goroutine
-// owns the shard's cores, all their MRAM access (table builds,
+// Concurrency discipline (see pimsim.System): whoever holds a shard's
+// lock owns the shard's cores, all their MRAM access (table builds,
 // scrubbing, the interpreted lanes' I/O buffers) and the crew of lane
-// workers its launches run on; the transfer clock is shared and
+// workers its launches run on — the shard's goroutine for a dispatched
+// batch, or a caller running its own; the transfer clock is shared and
 // internally locked.
 package engine
 
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"transpimlib/internal/accwatch"
@@ -58,7 +62,9 @@ type Config struct {
 	MaxBatch int
 	// BatchWindow is how long the batcher holds the first request of a
 	// round to let more arrive and coalesce. Zero (the default) only
-	// coalesces requests that are already queued.
+	// coalesces requests that are already queued, and lets a request
+	// that fits in one batch run on its caller when a shard is idle and
+	// nothing waits for one.
 	BatchWindow time.Duration
 	// TraceDepth retains the span trees of the last N completed
 	// requests (Engine.TraceLast, /debug/trace). Zero disables
@@ -136,9 +142,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is one group of cores: a contiguous range served by one
-// goroutine (serveShard), which runs one batch at a time.
+// shard is one group of cores: a contiguous range that runs one batch
+// at a time, for whoever holds mu — its goroutine (serveShard) for a
+// dispatched batch, or a caller running its own (Engine.run). The
+// fields below mu belong to the holder.
 type shard struct {
+	mu   sync.Mutex
 	id   int
 	ids  []int // global core ids (contiguous)
 	dpus []*pimsim.DPU
@@ -173,7 +182,7 @@ type shard struct {
 	// built once so that a launch allocates nothing (see newBatchKernel
 	// and newProgramKernel). They read the batch in flight from cur, ops
 	// and per, or ex and phase, which the compute path sets before each
-	// launch and serveShard clears after the batch.
+	// launch and runBatch clears after the batch.
 	batchKernel, programKernel func(*pimsim.Ctx, int) error
 	cur                        *batch
 	ops                        []*core.Operator
@@ -186,8 +195,8 @@ type shard struct {
 	// progs holds each fused program's execution plan, keyed by program
 	// ID; progRing lists its keys oldest first, so the map keeps at most
 	// progPlanLimit plans (see storeProg). A plan carries per-batch
-	// state, but a shard runs one batch at a time. Only the shard's
-	// goroutine touches these maps, so they need no lock.
+	// state, but a shard runs one batch at a time. Only the holder of
+	// the shard's lock touches these maps.
 	plans    map[Spec][]*core.Operator
 	progs    map[uint64]*fusion.Exec
 	progRing [progPlanLimit]uint64
@@ -228,8 +237,12 @@ type Engine struct {
 
 	submit   chan *request
 	dispatch chan *batch
+	// waiting counts the requests and batches on the queued path that
+	// no shard has taken yet: a caller runs its own request only while
+	// it is zero, so a queued batch never waits behind a later caller.
+	waiting atomic.Int64
 
-	mu     sync.RWMutex // guards closed / submit send
+	mu     sync.RWMutex // guards closed / submit send / a caller taking a shard
 	closed bool
 	wg     sync.WaitGroup
 
@@ -243,12 +256,13 @@ type Engine struct {
 	streamSig pimsim.CostSig
 
 	// Reliability subsystem, nil unless Config.Faults enables
-	// injection. seq is the batcher-owned batch sequence counter — the
-	// deterministic clock every injection decision keys on.
+	// injection. seq is the batch sequence counter, shared by the
+	// batcher and the callers that run their own batch (see number) —
+	// the deterministic clock every injection decision keys on.
 	inj    *faultsim.Injector
 	rel    ReliabilityConfig
 	health *HealthTracker
-	seq    uint64
+	seq    atomic.Uint64
 
 	// acc is the accuracy watcher, nil unless Config.Accuracy.Enabled
 	// — the disabled serving path pays one nil check per request.
@@ -504,28 +518,77 @@ func (e *Engine) evaluate(tenant string, extID uint64, fn core.Function, p core.
 		outputs:  make([]float32, len(xs)),
 		extID:    extID,
 		enqueued: time.Now(),
-		done:     make(chan struct{}),
 	}
 	r.stats.CacheHit = true // cleared by the first miss
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, RequestStats{}, nil, ErrEngineClosed
+	if err := e.run(r); err != nil {
+		return nil, RequestStats{}, nil, err
 	}
-	e.met.requests.Inc()
-	e.submit <- r
-	e.met.queueDepth.Set(int64(len(e.submit)))
-	e.mu.RUnlock()
-
-	<-r.done
 	if r.rec == nil {
 		return r.outputs, r.stats, nil, r.err
 	}
 	return r.outputs, r.stats, r.rec, r.err
 }
 
-// Close drains in-flight work and stops the shards. Subsequent
+// run serves request r and returns once it has completed. When the
+// engine has no batch window, the request fits in one batch and a shard
+// is idle with nothing waiting for one, the caller runs the batch
+// itself on that shard, as the paper's host program copies, launches
+// and reads back on the thread that asked. Otherwise r takes the queued
+// path: the submit queue, the batcher and a shard's goroutine. Both
+// paths number the batch from one counter and run it through runBatch.
+func (e *Engine) run(r *request) error {
+	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return ErrEngineClosed
+	}
+	e.met.requests.Inc()
+	if s := e.idleShard(r.size()); s != nil {
+		// The shard's lock, taken before Close could start, keeps its
+		// crew running until the batch has drained (see serveShard).
+		e.mu.RUnlock()
+		b := soloBatch(r)
+		e.number(b)
+		e.runBatch(s, b)
+		s.mu.Unlock()
+		return nil
+	}
+	r.done = make(chan struct{})
+	e.waiting.Add(1)
+	e.submit <- r
+	e.met.queueDepth.Set(int64(len(e.submit)))
+	e.mu.RUnlock()
+	<-r.done
+	return nil
+}
+
+// idleShard returns a shard, locked, on which the caller may run an
+// n-element request itself, or nil when the request must queue: a batch
+// window is set, the request spans several batches, a queued request or
+// batch waits for a shard, or every shard is busy.
+func (e *Engine) idleShard(n int) *shard {
+	if e.cfg.BatchWindow > 0 || n > e.cfg.MaxBatch || e.waiting.Load() != 0 {
+		return nil
+	}
+	for _, s := range e.shards {
+		if s.mu.TryLock() {
+			return s
+		}
+	}
+	return nil
+}
+
+// number gives b the next batch sequence number and, when tracing is
+// on, its stage stamps.
+func (e *Engine) number(b *batch) {
+	b.seq = e.seq.Add(1)
+	if e.tracer != nil {
+		b.tr = &b.trace
+	}
+}
+
+// Close drains in-flight work and stops the shards, each once any
+// caller running its own batch there has finished. Subsequent
 // EvaluateBatch calls fail.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -558,7 +621,11 @@ func (e *Engine) batcher() {
 	// planned holds one spec's batches from planning to dispatch; like
 	// bySpec's slices it persists, nil'd once its batches are sent.
 	var planned []*batch
+	// taken counts the round's requests, which leave e.waiting once
+	// their batches are dispatched.
+	var taken int64
 	add := func(r *request) {
+		taken++
 		if r.prog != nil {
 			progs = append(progs, r)
 			return
@@ -568,6 +635,11 @@ func (e *Engine) batcher() {
 			order = append(order, r.spec)
 		}
 		bySpec[r.spec] = append(lst, r)
+	}
+	dispatch := func(b *batch) {
+		e.number(b)
+		e.waiting.Add(1)
+		e.dispatch <- b
 	}
 	for {
 		r, ok := <-e.submit
@@ -586,6 +658,7 @@ func (e *Engine) batcher() {
 			progs[i] = nil
 		}
 		progs = progs[:0]
+		taken = 0
 		add(r)
 		closed := false
 		if e.cfg.BatchWindow > 0 {
@@ -622,31 +695,14 @@ func (e *Engine) batcher() {
 		for _, spec := range order {
 			planned = planBatches(planned[:0], spec, bySpec[spec], e.cfg.MaxBatch)
 			for i, b := range planned {
-				e.seq++
-				b.seq = e.seq
-				if e.tracer != nil {
-					b.tr = &b.trace
-				}
-				e.dispatch <- b
+				dispatch(b)
 				planned[i] = nil
 			}
 		}
 		for _, pr := range progs {
-			b := newBatch(Spec{})
-			b.prog = pr.prog
-			n := len(pr.pinputs[0])
-			b.segs = append(b.segs, seg{req: pr, off: 0, n: n})
-			b.n = n
-			pr.mu.Lock()
-			pr.remaining++
-			pr.mu.Unlock()
-			e.seq++
-			b.seq = e.seq
-			if e.tracer != nil {
-				b.tr = &b.trace
-			}
-			e.dispatch <- b
+			dispatch(soloBatch(pr))
 		}
+		e.waiting.Add(-taken)
 		if closed {
 			return
 		}
@@ -654,24 +710,36 @@ func (e *Engine) batcher() {
 }
 
 // serveShard is a shard's goroutine. It takes batches from the shared
-// dispatch channel, so any idle shard takes the next one, and runs each
-// to completion: transfer-in, compute, transfer-out. When the batcher
-// closes the channel it stops the shard's lane workers.
+// dispatch channel, so any idle shard goroutine takes the next one, and
+// runs each under the shard's lock. When the batcher closes the channel
+// it stops the shard's lane workers, once a caller that took the shard
+// before Close has released it.
 func (e *Engine) serveShard(s *shard) {
 	defer e.wg.Done()
-	defer s.crew.Close()
 	for b := range e.dispatch {
-		e.transferIn(s, b)
-		if b.prog != nil {
-			e.computeProgram(s, b)
-		} else {
-			e.computeBatch(s, b)
-		}
-		// Drop the kernels' view of the batch, so the shard does not pin
-		// it after it drains.
-		s.cur, s.ops, s.ex = nil, nil, nil
-		e.transferOut(s, b)
+		s.mu.Lock()
+		e.waiting.Add(-1)
+		e.runBatch(s, b)
+		s.mu.Unlock()
 	}
+	s.mu.Lock()
+	s.crew.Close()
+	s.mu.Unlock()
+}
+
+// runBatch runs batch b to completion on shard s, whose lock the
+// calling goroutine holds: transfer-in, compute, transfer-out.
+func (e *Engine) runBatch(s *shard, b *batch) {
+	e.transferIn(s, b)
+	if b.prog != nil {
+		e.computeProgram(s, b)
+	} else {
+		e.computeBatch(s, b)
+	}
+	// Drop the kernels' view of the batch, so the shard does not pin it
+	// after it drains.
+	s.cur, s.ops, s.ex = nil, nil, nil
+	e.transferOut(s, b)
 }
 
 // transferIn packs a coalesced batch's segments into the shard's flat
@@ -811,14 +879,15 @@ func (e *Engine) transferOut(s *shard, b *batch) {
 	releaseBatch(b)
 }
 
-// finishRequest runs on the shard's goroutine after a request's last
+// finishRequest runs on the shard's owner after a request's last
 // segment completed and before its caller is released: observe the
 // latency, count request-level errors (the per-request view the batch
 // counter can't give), shadow-sample the outputs for accuracy
-// monitoring, complete and publish the trace record, then close done.
-// The request is quiescent here — every batch that carried it has
-// drained and the caller is still parked on done — so the reads and
-// the TraceID write need no lock.
+// monitoring, complete and publish the trace record, then close done
+// (a queued request's; a caller running its own batch has none). The
+// request is quiescent here — every batch that carried it has drained
+// and the caller is parked on done or is this goroutine — so the reads
+// and the TraceID write need no lock.
 func (e *Engine) finishRequest(r *request) {
 	rec := r.rec // nil unless tracing is on
 	if rec != nil {
@@ -880,16 +949,15 @@ func (e *Engine) finishRequest(r *request) {
 		rec.start = r.enqueued
 		rec.shard = r.stats.ShardID
 		rec.spec, rec.prog, rec.tenant = r.spec, r.prog, r.tenant
-		rec.elements = len(r.inputs)
-		if r.prog != nil {
-			rec.elements = len(r.pinputs[0])
-		}
+		rec.elements = r.size()
 		rec.cacheHit = r.stats.CacheHit
 		rec.sloBreached = breached
 		rec.err = r.err
 		e.tracer.Push(rec)
 	}
-	close(r.done)
+	if r.done != nil {
+		close(r.done)
+	}
 }
 
 // interpLabels holds each method's interpolated label, built once so

@@ -22,8 +22,8 @@ func (e *Engine) Ledger() telemetry.LedgerSnapshot { return e.led.Snapshot() }
 // simulator's attributed cycles. Transfer bytes are split by the same
 // prefix rule, once per batch:
 // segment i takes total·cum_i/n − total·cum_{i−1}/n, so the shares
-// always sum to the batch total. Runs on the shard's goroutine after
-// the batch's compute, where every batch field is quiescent.
+// always sum to the batch total. Runs on the shard's owner after the
+// batch's compute, where every batch field is quiescent.
 func (e *Engine) chargeLedger(b *batch, bytesIn, bytesOut int) {
 	fn := b.spec.Fn.String()
 	method := methodLabel(b.spec.Par)

@@ -11,8 +11,9 @@ import (
 )
 
 // This file is the engine's fused-program path: a compiled
-// fusion.Program rides the same submit → batcher → transfer-in →
-// compute → transfer-out path as ordinary requests, but one batch
+// fusion.Program takes the same paths as ordinary requests — run on its
+// caller when a shard is idle, or submit → batcher → shard — and the
+// same transfer-in → compute → transfer-out stages, but one batch
 // carries the whole program. Its intermediate vectors never cross the
 // host boundary — transfer-in ships the input vectors (plus the initial
 // scalar broadcasts) once, each phase is one fused kernel launch, the
@@ -119,21 +120,11 @@ func (e *Engine) EvaluateProgramTenant(tenant string, c *fusion.Compiled, inputs
 		tenant:   tenant,
 		outputs:  make([]float32, outLen),
 		enqueued: time.Now(),
-		done:     make(chan struct{}),
 	}
 	r.stats.CacheHit = true
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		return nil, ProgramStats{}, ErrEngineClosed
+	if err := e.run(r); err != nil {
+		return nil, ProgramStats{}, err
 	}
-	e.met.requests.Inc()
-	e.submit <- r
-	e.met.queueDepth.Set(int64(len(e.submit)))
-	e.mu.RUnlock()
-
-	<-r.done
 	k := e.cfg.DPUs / e.cfg.Shards
 	st := ProgramStats{RequestStats: r.stats}
 	st.FusedBytes = c.FusedBytes(n, k)

@@ -11,9 +11,9 @@ import (
 // batchTrace carries the wall-clock stage stamps of one batch while
 // its shard runs it. It lives inline in the batch, and batch.tr points
 // at it only when tracing is enabled (nil otherwise, so the disabled
-// path never calls time.Now). The shard's goroutine stamps every
-// field in program order, before transferOut copies them into the
-// requests' records.
+// path never calls time.Now). The shard's owner stamps every field in
+// program order, before transferOut copies them into the requests'
+// records.
 type batchTrace struct {
 	shard int
 

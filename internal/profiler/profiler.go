@@ -127,7 +127,7 @@ func New(dpus int) *Collector {
 
 // Observe attributes one launch's per-lane records, as the simulator
 // measured them, to the context's frames. It runs synchronously on the
-// launching goroutine (one engine shard's goroutine), so distinct shards
+// launching goroutine (the owner of one engine shard), so distinct shards
 // contend only on the frame map's read lock and the cells' atomics.
 func (c *Collector) Observe(lc *LaunchContext, cores []pimsim.CoreProfile) {
 	if c == nil || len(cores) == 0 {
