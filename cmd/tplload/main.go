@@ -32,6 +32,12 @@
 // Chrome trace_event file (about:tracing, ui.perfetto.dev) and prints
 // a per-stage summary.
 //
+// Batching. -window is the engine's coalescing window. At 0 (the
+// engine default) the batcher coalesces only requests already queued,
+// and a request that fits in one batch runs on its caller when a shard
+// is idle and nothing waits for one; a positive window (say 200us)
+// queues every request and holds each batching round open that long.
+//
 // Exit codes: 0 success; 1 a failed check or request error (incorrect
 // bits, a diverged replay, a violated -max-shed, -acc-gate or golden
 // check, or an achieved rate below 95% of -rate); 2 bad usage; 3 the
@@ -39,7 +45,7 @@
 //
 // Usage:
 //
-//	tplload [-replicas 1] [-replication 2] [-dpus 8] [-shards 2] [-window 200us]
+//	tplload [-replicas 1] [-replication 2] [-dpus 8] [-shards 2] [-window 0]
 //	        [-clients 6] [-requests 24] | [-rate 2000] [-arrivals poisson|bursty]
 //	        [-burst-factor 8] [-burst-period 100ms] [-warmup 500ms] [-duration 2s]
 //	        [-elems 1024] [-tenants 4] [-quota 0] [-quota-burst 0] [-max-queue 0]
@@ -161,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replication := fs.Int("replication", 2, "candidate-set size K per key")
 	dpus := fs.Int("dpus", 8, "simulated PIM cores per replica")
 	shards := fs.Int("shards", 2, "shards per replica (dpus must divide evenly)")
-	window := fs.Duration("window", 200*time.Microsecond, "batcher coalescing window")
+	window := fs.Duration("window", 0, "batcher coalescing window (0: coalesce only queued requests, and run a lone request on its caller when a shard is idle)")
 	clients := fs.Int("clients", 6, "closed loop: concurrent clients")
 	requests := fs.Int("requests", 24, "closed loop: requests per client")
 	rate := fs.Float64("rate", 0, "open loop: mean offered load in requests/s (0: closed loop)")

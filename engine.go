@@ -64,9 +64,10 @@ type EngineConfig struct {
 	// collector.
 	Profiler ProfilerConfig
 	// Reference forces the per-element interpreted compute kernel
-	// instead of the fused batch fast path. Outputs and modeled cycles
-	// are bit-identical either way; only host wall time differs.
-	// Default off (fast path).
+	// instead of the fused batch fast path, on every lane, retry, hedge
+	// and degrade rung, for batches and fused programs alike. Outputs
+	// and modeled cycles are bit-identical either way; only host wall
+	// time differs. Default off (fast path).
 	Reference bool
 	// Faults, when non-empty, enables deterministic fault injection
 	// with the engine's recovery ladder (retry → remap → hedge →

@@ -212,9 +212,11 @@ func TestReduceApplyManyMirrorsReduceApply(t *testing.T) {
 }
 
 // TestRecordStreamSigMatchesEngineRecipe pins the (1 load, 1 store)
-// stream signature to the engine's per-op recording — the property
-// that makes a single-Func fused program charge exactly the cycles of
-// the per-op batch path.
+// stream signature — which every engine lane and every single-Func
+// fused program bulk-charges per element — to the per-element loop it
+// stands for: one streamed load, one streamed store and the loop
+// control of Fig. 3(a)'s kernel, written out here by hand since the
+// engine records its signature with RecordStreamSig itself.
 func TestRecordStreamSigMatchesEngineRecipe(t *testing.T) {
 	model := pimsim.Default()
 	rec := pimsim.NewSigRecorder(model)

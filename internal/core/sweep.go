@@ -35,9 +35,10 @@ func (p Point) String() string {
 }
 
 // MeasureOperator builds fn(params) on a fresh single-core PIM system,
-// streams the inputs through it the way the microbenchmarks do
-// (operands DMAed from the DRAM bank in chunks, then evaluated
-// element-wise), and returns accuracy plus per-element cycle cost.
+// evaluates every input through the operator's Eval, and returns
+// accuracy plus per-element cycle cost. Only Eval is charged: no
+// operand DMA, scratchpad streaming or loop control, so the
+// cycles/elem (Fig. 5's cost axis) are the function's own.
 func MeasureOperator(fn Function, p Params, inputs []float32) (Point, error) {
 	return MeasureOperatorCost(fn, p, inputs, pimsim.Default())
 }

@@ -19,12 +19,14 @@ func makeSpec(fn core.Function, p core.Params) Spec {
 // specOps returns the spec's operators on shard s, one per core. A
 // plan hit returns the shard's memo (shard.plans), the only record of
 // which tables are resident on its cores; a miss builds the spec on
-// every core of the shard and memoizes it. Plans are never evicted: PIM
-// memories use a bump allocator, so eviction could not reclaim the
-// bank anyway. A failed build (say, tables outgrowing the selected
-// memory) memoizes nothing and is reported to the batch that needed
-// it. Only the holder of the shard's lock calls specOps, since it owns
-// the cores' memories and the map.
+// every core of the shard and memoizes it. A Reference engine drops
+// each operator's host kernel here, once, so every lane and recovery
+// rung that evaluates the plan walks the interpreted kernel. Plans are
+// never evicted: PIM memories use a bump allocator, so eviction could
+// not reclaim the bank anyway. A failed build (say, tables outgrowing
+// the selected memory) memoizes nothing and is reported to the batch
+// that needed it. Only the holder of the shard's lock calls specOps,
+// since it owns the cores' memories and the map.
 //
 // The charge rule follows the paper's setup model (Fig. 6, §2.1): a
 // spec's tables are generated once on the host and broadcast in
@@ -45,6 +47,9 @@ func (e *Engine) specOps(s *shard, spec Spec) (ops []*core.Operator, hit bool, s
 	for i, d := range s.dpus {
 		if ops[i], err = core.Build(spec.Fn, spec.Par, d); err != nil {
 			return nil, false, 0, err
+		}
+		if e.cfg.Reference {
+			ops[i].DisableFastPath()
 		}
 	}
 	s.plans[spec] = ops

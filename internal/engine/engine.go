@@ -19,11 +19,10 @@
 // accumulates fleet-wide counters.
 //
 // Concurrency discipline (see pimsim.System): whoever holds a shard's
-// lock owns the shard's cores, all their MRAM access (table builds,
-// scrubbing, the interpreted lanes' I/O buffers) and the crew of lane
-// workers its launches run on — the shard's goroutine for a dispatched
-// batch, or a caller running its own; the transfer clock is shared and
-// internally locked.
+// lock owns the shard's cores, all their MRAM access (table builds and
+// scrubbing) and the crew of lane workers its launches run on — the
+// shard's goroutine for a dispatched batch, or a caller running its
+// own; the transfer clock is shared and internally locked.
 package engine
 
 import (
@@ -78,11 +77,13 @@ type Config struct {
 	// every launch once either way; the profiler reads those records.
 	// Disabled (the zero value), no collector is built.
 	Profiler profiler.Config
-	// Reference forces the compute stage through the per-element
-	// interpreted kernel instead of the fused batch fast path — the
-	// escape hatch for differential debugging. Cycle accounting and
-	// outputs are bit-identical either way (the contract the
-	// differential tests enforce); only host-side wall time differs.
+	// Reference builds every operator without its host kernel
+	// (core.Operator.DisableFastPath) and every fused-program plan in
+	// reference mode, so each lane, retry, hedge and degrade rung
+	// evaluates through the per-element interpreted kernel — the escape
+	// hatch for differential debugging. Cycle accounting and outputs are
+	// bit-identical either way (the contract the differential tests
+	// enforce); only host-side wall time differs.
 	Reference bool
 	// Faults, when non-nil and enabled, installs a deterministic fault
 	// injector (see internal/faultsim) and activates the engine's
@@ -155,10 +156,6 @@ type shard struct {
 	crew *pimsim.Crew
 
 	capPerDPU int // elements per core
-	// inAddr/outAddr are the per-core MRAM addresses of the interpreted
-	// lanes' I/O buffers, allocated and pre-touched at construction.
-	inAddr  []int
-	outAddr []int
 
 	// inBuf/outBuf are flat host staging buffers in chunk-major order
 	// (chunk j owns [j·per, (j+1)·per)), sized capPerDPU·cores: a
@@ -211,12 +208,10 @@ type shard struct {
 
 	// Fault-injection state, allocated only when injection is on (see
 	// reliability.go). shadow[k] is a Ctx on lane k's memories that
-	// charges a throwaway tally, for degraded host evaluation; ioEnd[k]
-	// marks the end of lane k's pre-touched I/O region, so [ioEnd,
-	// MRAM.Used()) is the resident-table region that golden/goldenSum
-	// scrub against.
+	// charges a throwaway tally, for degraded host evaluation; lane k's
+	// tables fill its MRAM from address 0, so [0, MRAM.Used()) is the
+	// resident-table region that golden/goldenSum scrub against.
 	shadow    []*pimsim.Ctx
-	ioEnd     []int
 	goldenEnd []int
 	golden    [][]byte
 	goldenSum []uint64
@@ -252,7 +247,7 @@ type Engine struct {
 
 	// streamSig is the per-element streaming overhead of the kernel
 	// loop (WRAM load + store + loop control), recorded once at
-	// construction and bulk-charged by the batch fast path.
+	// construction and bulk-charged by every lane.
 	streamSig pimsim.CostSig
 
 	// Reliability subsystem, nil unless Config.Faults enables
@@ -280,9 +275,9 @@ type Engine struct {
 	prof *profiler.Collector
 }
 
-// New builds and starts an engine: the PIM system, the per-shard I/O
-// buffers (pre-touched) and lane workers, the batcher, and one
-// goroutine per shard.
+// New builds and starts an engine: the PIM system, the per-shard
+// staging buffers and lane workers, the batcher, and one goroutine per
+// shard.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DPUs%cfg.Shards != 0 {
@@ -313,15 +308,8 @@ func New(cfg Config) (*Engine, error) {
 		e.tel.ProfileHandler = profiler.ProfileHandler(sources)
 		e.tel.HeatmapHandler = profiler.HeatmapHandler(sources)
 	}
-	// Record the per-element streaming overhead signature on a
-	// throwaway core: one WRAM load, one WRAM store, and the loop
-	// counter + branch the interpreted kernel charges per element.
-	rec := pimsim.NewSigRecorder(e.sys.Config().Cost)
-	rec.TakeSig()
-	v := rec.LoadStreamedF32(rec.DPU().MRAM, 0)
-	rec.StoreStreamedF32(rec.DPU().MRAM, 0, v)
-	rec.Charge(2)
-	e.streamSig = rec.TakeSig()
+	// One streamed input and one output per element, as in Fig. 3(a).
+	e.streamSig = core.RecordStreamSig(e.sys.Config().Cost, 1, 1)
 
 	e.log = cfg.Log
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
@@ -346,13 +334,10 @@ func New(cfg Config) (*Engine, error) {
 
 	perShard := cfg.DPUs / cfg.Shards
 	capPerDPU := (cfg.MaxBatch + perShard - 1) / perShard
-	zero := make([]byte, capPerDPU*4)
 	for sID := 0; sID < cfg.Shards; sID++ {
 		s := &shard{
 			id:        sID,
 			capPerDPU: capPerDPU,
-			inAddr:    make([]int, perShard),
-			outAddr:   make([]int, perShard),
 			inBuf:     make([]float32, capPerDPU*perShard),
 			outBuf:    make([]float32, capPerDPU*perShard),
 			lanes:     make([]pimsim.CoreProfile, perShard),
@@ -367,34 +352,22 @@ func New(cfg Config) (*Engine, error) {
 		}
 		for k := 0; k < perShard; k++ {
 			id := sID*perShard + k
-			d := e.sys.DPU(id)
 			s.ids = append(s.ids, id)
-			s.dpus = append(s.dpus, d)
+			s.dpus = append(s.dpus, e.sys.DPU(id))
 			sc := new(lut.Scratch)
 			sc.Grow(capPerDPU)
 			sc.GrowQ(capPerDPU)
 			sc.GrowT(capPerDPU)
 			s.arena = append(s.arena, sc)
-			s.inAddr[k] = d.MRAM.MustAlloc(capPerDPU * 4)
-			s.outAddr[k] = d.MRAM.MustAlloc(capPerDPU * 4)
-			// Pre-touch so serving a batch never grows the backing
-			// store.
-			d.MRAM.Write(s.inAddr[k], zero)
-			d.MRAM.Write(s.outAddr[k], zero)
 		}
 		s.crew = e.sys.NewCrew(perShard)
 		s.batchKernel = e.newBatchKernel(s)
 		s.programKernel = e.newProgramKernel(s)
 		if e.inj != nil {
-			s.ioEnd = make([]int, perShard)
 			s.goldenEnd = make([]int, perShard)
 			s.golden = make([][]byte, perShard)
 			s.goldenSum = make([]uint64, perShard)
-			for k, d := range s.dpus {
-				// Everything below this brk is the pre-touched I/O
-				// region; tables built later live above it.
-				s.ioEnd[k] = d.MRAM.Used()
-				s.goldenEnd[k] = s.ioEnd[k]
+			for _, d := range s.dpus {
 				s.shadow = append(s.shadow, d.ShadowCtx())
 			}
 		}

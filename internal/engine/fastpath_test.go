@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"transpimlib/internal/core"
+	"transpimlib/internal/fusion"
 	"transpimlib/internal/stats"
 )
 
@@ -70,8 +71,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 // compute stage: once the engine is warm (tables resident, staging and
 // scratch buffers constructed), evaluating a lane's share of a batch
 // allocates nothing — through the fast path, and through the
-// interpreted lane of a Reference engine, which also stages its chunk
-// through its MRAM buffers.
+// interpreted lane of a Reference engine.
 func TestComputeCoreZeroAlloc(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		e, err := New(Config{DPUs: 1, Shards: 1, MaxBatch: 256, Reference: reference})
@@ -94,8 +94,8 @@ func TestComputeCoreZeroAlloc(t *testing.T) {
 			t.Fatal("warmup did not build the shard's plan")
 		}
 		op := ops[0]
-		if !op.HasFastPath() {
-			t.Fatal("LLUT operator has no batch fast path")
+		if op.HasFastPath() != !reference {
+			t.Fatalf("reference=%v: LLUT operator HasFastPath = %v", reference, op.HasFastPath())
 		}
 
 		// The shard is idle (the warmup request completed), so driving
@@ -110,5 +110,88 @@ func TestComputeCoreZeroAlloc(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("reference=%v: computeLane allocates %.1f objects per batch, want 0", reference, avg)
 		}
+	}
+}
+
+// TestReferenceEngineIsInterpreted pins that a Reference engine decides
+// once, when a shard builds its plans: after a batch and a one-Func
+// program 2·f(x), no operator in any shard's plans keeps its host
+// kernel, while on a default engine every one does except WideRange
+// trig's. Under a plan where every launch fails, the Reference engine's
+// degraded batch and program, which run on the host, still match a
+// clean default engine bit for bit.
+func TestReferenceEngineIsInterpreted(t *testing.T) {
+	fn, par := llutSpec()
+	wide := core.Params{Method: core.LLUT, Interp: true, WideRange: true}
+	xs := stats.RandomInputs(-7.9, 7.9, 300, 5)
+	type served struct {
+		batch, program []float32
+		degraded       [2]bool
+	}
+	serve := func(e *Engine) served {
+		t.Helper()
+		ys, st, err := e.EvaluateBatch(fn, par, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := fusion.NewProgram("twice")
+		p.Return(p.Mul(p.Const(2), p.Func(fn, p.Input())))
+		c, err := e.CompileProgram(p, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, pst, err := e.EvaluateProgram(c, [][]float32{xs}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.EvaluateBatch(core.Sin, wide, xs); err != nil {
+			t.Fatal(err)
+		}
+		return served{ys, ps, [2]bool{st.Degraded, pst.Degraded}}
+	}
+	checkPlans := func(label string, e *Engine, reference bool) {
+		t.Helper()
+		checked := 0
+		for _, s := range e.shards {
+			for spec, ops := range s.plans {
+				want := !reference && !spec.Par.WideRange
+				for k, op := range ops {
+					if op.HasFastPath() != want {
+						t.Errorf("%s: shard %d lane %d %v/%v: HasFastPath = %v, want %v",
+							label, s.id, k, spec.Fn, methodLabel(spec.Par), op.HasFastPath(), want)
+					}
+					checked++
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no plans built", label)
+		}
+	}
+
+	var runs []served
+	for _, c := range []struct {
+		label string
+		cfg   Config
+	}{
+		{"default", Config{}},
+		{"reference", Config{Reference: true}},
+		{"reference, every launch failing", Config{Reference: true, Faults: mustPlan(t, "seed=1,dpufail=1")}},
+	} {
+		e, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		r := serve(e)
+		checkPlans(c.label, e, c.cfg.Reference)
+		if want := c.cfg.Faults != nil; r.degraded != [2]bool{want, want} {
+			t.Fatalf("%s: degraded (batch, program) = %v", c.label, r.degraded)
+		}
+		runs = append(runs, r)
+	}
+	for _, r := range runs[1:] {
+		mustBits(t, "batch vs clean default", r.batch, runs[0].batch)
+		mustBits(t, "program 2·f(x) vs clean default", r.program, runs[0].program)
 	}
 }

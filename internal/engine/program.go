@@ -186,13 +186,14 @@ func (e *Engine) stageProgramIn(s *shard, b *batch) {
 }
 
 // computeProgram is the compute step for a program batch: look up the
-// shard's execution plan for the program, or build one on a miss by
-// resolving every Func node through the shard's plans (specOps), then
-// run each phase as one shard-wide fused kernel launch with a
-// reduction sync between phases. Under fault injection a failed launch retries the whole phase — RunLane is
-// idempotent over its bound state — and exhaustion (or a failed
-// transfer-in) degrades to the bit-exact host mirror, the same last
-// rung as the per-op ladder.
+// shard's execution plan for the program, or build one on a miss — in
+// reference mode on a Reference engine — by resolving every Func node
+// through the shard's plans (specOps), then run each phase as one
+// shard-wide fused kernel launch with a reduction sync between phases.
+// Under fault injection a failed launch retries the whole phase —
+// RunLane is idempotent over its bound state — and exhaustion (or a
+// failed transfer-in) degrades to the bit-exact host mirror, the same
+// last rung as the per-op ladder.
 func (e *Engine) computeProgram(s *shard, b *batch) {
 	c := b.prog
 	r := b.segs[0].req
@@ -205,7 +206,7 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 		e.met.planHits.Inc()
 	} else {
 		e.met.planMisses.Inc()
-		ex = c.NewExec(len(s.dpus))
+		ex = c.NewExec(len(s.dpus), e.cfg.Reference)
 		for i, fn := range c.FuncNodes() {
 			ops, hit, setup, err := e.specOps(s, Spec{Fn: fn, Par: c.Params()})
 			if err != nil {
@@ -305,10 +306,10 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 // (shard.programKernel): the lane on core id runs phase s.phase of the
 // bound execution plan s.ex on its own slice of the batch.
 func (e *Engine) newProgramKernel(s *shard) func(*pimsim.Ctx, int) error {
-	base, fast := s.ids[0], !e.cfg.Reference
+	base := s.ids[0]
 	return func(ctx *pimsim.Ctx, id int) error {
 		ln := id - base
-		s.ex.RunLane(ctx, s.phase, ln, s.arena[ln], fast)
+		s.ex.RunLane(ctx, s.phase, ln, s.arena[ln])
 		return nil
 	}
 }

@@ -109,21 +109,20 @@ func fnv1a(p []byte) uint64 {
 }
 
 // captureGolden refreshes each lane's golden table image — the MRAM
-// region between the pre-touched I/O buffers and the allocation brk,
-// i.e. every table resident on the core — whenever a build grew it.
-// The golden copy plus its checksum are the scrub reference.
+// region below the allocation brk, i.e. every table resident on the
+// core — whenever a build grew it. The golden copy plus its checksum
+// are the scrub reference.
 func (e *Engine) captureGolden(s *shard) {
 	for k, d := range s.dpus {
 		end := d.MRAM.Used()
 		if end == s.goldenEnd[k] {
 			continue
 		}
-		n := end - s.ioEnd[k]
-		if cap(s.golden[k]) < n {
-			s.golden[k] = make([]byte, n)
+		if cap(s.golden[k]) < end {
+			s.golden[k] = make([]byte, end)
 		}
-		s.golden[k] = s.golden[k][:n]
-		d.MRAM.Read(s.ioEnd[k], s.golden[k])
+		s.golden[k] = s.golden[k][:end]
+		d.MRAM.Read(0, s.golden[k])
 		s.goldenSum[k] = fnv1a(s.golden[k])
 		s.goldenEnd[k] = end
 	}
@@ -141,11 +140,10 @@ func (e *Engine) flipAndRepair(s *shard, b *batch) {
 		region := s.golden[k]
 		if off, bit, ok := e.inj.FlipBit(b.seq, uint64(k), len(region)); ok {
 			e.met.faults[faultsim.BitFlip].Inc()
-			addr := s.ioEnd[k] + off
 			var one [1]byte
-			d.MRAM.Read(addr, one[:])
+			d.MRAM.Read(off, one[:])
 			one[0] ^= 1 << bit
-			d.MRAM.Write(addr, one[:])
+			d.MRAM.Write(off, one[:])
 		}
 		if len(region) == 0 {
 			continue
@@ -154,12 +152,12 @@ func (e *Engine) flipAndRepair(s *shard, b *batch) {
 			s.scratch = make([]byte, len(region))
 		}
 		cur := s.scratch[:len(region)]
-		d.MRAM.Read(s.ioEnd[k], cur)
+		d.MRAM.Read(0, cur)
 		if fnv1a(cur) == s.goldenSum[k] {
 			continue
 		}
 		e.met.corruptions.Inc()
-		d.MRAM.Write(s.ioEnd[k], region)
+		d.MRAM.Write(0, region)
 		e.sys.ChargeHostToPIM(len(region), false)
 		b.setup += float64(len(region)) / bw
 		e.met.repairs.Inc()
@@ -419,10 +417,11 @@ func medianCycles(lanes []pimsim.CoreProfile, scratch []uint64) uint64 {
 
 // degradeBatch is the ladder's last rung: evaluate the batch on the
 // host through lane 0's operator — its host kernel, bit-exact with the
-// device by the differential contract, or without one (WideRange trig)
-// its interpreted path reading lane 0's tables — on lane 0's shadow
-// context, so no device cycles are accounted. Results land directly in
-// the batch's host output vector and the batch is marked degraded.
+// device by the differential contract, or without one (WideRange trig,
+// and every operator of a Reference engine) its interpreted path
+// reading lane 0's tables — on lane 0's shadow context, so no device
+// cycles are accounted. Results land directly in the batch's host
+// output vector and the batch is marked degraded.
 func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
 	xs, ys := s.vectors(b)
 	ops[0].EvalBatchWith(s.shadow[0], xs, ys, s.arena[0])
@@ -438,38 +437,22 @@ func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
 
 // computeLane runs one lane's share of a batch: the streamed kernel of
 // Fig. 3(a) — input DMA, per-element evaluation, output DMA — on
-// serving lane ln (its operator, scratch and MRAM buffers) over batch
-// chunk j, the count elements from j·per. An ordinary launch has
-// ln == j; remapped and hedged launches decouple them. With the
-// operator's batch fast path the lane evaluates the batch's host
-// vectors through the fused mirror and bulk-charges the per-element
-// streaming overhead. Otherwise (Config.Reference, or no fast path) it
-// copies its chunk into its MRAM input buffer, streams it through the
-// per-element interpreted loop, and copies the results back out; the
-// copies are uncharged because transferIn and transferOut charge those
-// transfers. Accounting is bit-identical either way. Allocation-free in
-// steady state.
+// serving lane ln (its operator and scratch) over batch chunk j, the
+// count elements from j·per. An ordinary launch has ln == j; remapped
+// and hedged launches decouple them. The lane evaluates the batch's
+// host vectors through its operator's EvalBatchWith — the host kernel,
+// or the per-element interpreted loop for an operator without one
+// (WideRange trig, and every operator of a Reference engine) — and
+// bulk-charges the per-element streaming overhead; a recorded signature
+// charged count times equals count per-element charges, so accounting
+// is identical either way. Allocation-free in steady state.
 func (e *Engine) computeLane(ctx *pimsim.Ctx, s *shard, b *batch, op *core.Operator, ln, j, per, count int) {
 	xs, ys := s.vectors(b)
 	lo := j * per
-	xs, ys = xs[lo:lo+count], ys[lo:lo+count]
 	ctx.Charge(4)
 	ctx.ChargeDMA(count * 4)
-	if !e.cfg.Reference && op.HasFastPath() {
-		op.EvalBatchWith(ctx, xs, ys, s.arena[ln])
-		ctx.ChargeSig(&e.streamSig, uint64(count))
-	} else {
-		m := ctx.DPU().MRAM
-		in, out := s.inAddr[ln], s.outAddr[ln]
-		m.WriteF32s(in, xs)
-		for i := 0; i < count; i++ {
-			x := ctx.LoadStreamedF32(m, in+4*i)
-			y := op.Eval(ctx, x)
-			ctx.StoreStreamedF32(m, out+4*i, y)
-			ctx.Charge(2)
-		}
-		m.ReadF32s(out, ys)
-	}
+	op.EvalBatchWith(ctx, xs[lo:lo+count], ys[lo:lo+count], s.arena[ln])
+	ctx.ChargeSig(&e.streamSig, uint64(count))
 	ctx.ChargeDMA(count * 4)
 }
 

@@ -33,18 +33,24 @@ type Exec struct {
 	partials [][]float32 // [redIdx][lane] in-flight reduction partials
 
 	ops [][]*core.Operator // [fnIdx][lane] resolved transcendental tables
+
+	reference bool // interpreted element-wise and reduction steps (see NewExec)
 }
 
 // NewExec builds execution state for a shard with the given lane count.
-func (c *Compiled) NewExec(lanes int) *Exec {
+// A reference Exec runs every element-wise and reduction step through
+// the interpreted per-element ops; its Func nodes follow their
+// operators, which a reference engine builds without host kernels.
+func (c *Compiled) NewExec(lanes int, reference bool) *Exec {
 	ex := &Exec{
-		c:       c,
-		lanes:   lanes,
-		vec:     make([][]float32, len(c.nodes)),
-		owned:   make([][]float32, len(c.nodes)),
-		scalars: make([]float32, len(c.nodes)),
-		ready:   make([]bool, len(c.nodes)),
-		ops:     make([][]*core.Operator, len(c.funcs)),
+		c:         c,
+		lanes:     lanes,
+		reference: reference,
+		vec:       make([][]float32, len(c.nodes)),
+		owned:     make([][]float32, len(c.nodes)),
+		scalars:   make([]float32, len(c.nodes)),
+		ready:     make([]bool, len(c.nodes)),
+		ops:       make([][]*core.Operator, len(c.funcs)),
 	}
 	ex.partials = make([][]float32, len(c.reduces))
 	for i := range ex.partials {
@@ -148,12 +154,12 @@ func (ex *Exec) evalScalars() {
 // vector operand, the per-element op work, the per-element streaming
 // overhead, and one MRAM stream-out per materialized vector. Lanes own
 // disjoint element windows and disjoint partial slots, so concurrent
-// RunLane calls for different lanes are safe. fast selects the
-// bulk-signature path, whose element-wise and reduction steps run the
-// core.ElemApplyMany/ReduceApplyMany slice kernels; false walks the
-// interpreted per-element reference — outputs and cycle totals are
-// bit-identical either way.
-func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast bool) {
+// RunLane calls for different lanes are safe. A Func step evaluates
+// through its operator's EvalBatchWith; element-wise and reduction
+// steps run the core.ElemApplyMany/ReduceApplyMany slice kernels with
+// bulk charges, or on a reference Exec the interpreted per-element ops
+// — outputs and cycle totals are bit-identical either way.
+func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch) {
 	lo := lane * ex.per
 	if lo >= ex.n {
 		return
@@ -175,15 +181,7 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 		switch st.kind {
 		case nFunc:
 			xs := ex.vec[st.a][lo : lo+count]
-			ys := ex.vec[st.node][lo : lo+count]
-			op := ex.ops[st.fnIdx][lane]
-			if fast {
-				op.EvalBatchWith(ctx, xs, ys, arena)
-			} else {
-				for i, x := range xs {
-					ys[i] = op.Eval(ctx, x)
-				}
-			}
+			ex.ops[st.fnIdx][lane].EvalBatchWith(ctx, xs, ex.vec[st.node][lo:lo+count], arena)
 		case nElem:
 			ys := ex.vec[st.node][lo : lo+count]
 			var as, bs []float32
@@ -198,7 +196,7 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 			} else {
 				bs = ex.vec[st.b][lo : lo+count]
 			}
-			if fast {
+			if !ex.reference {
 				core.ElemApplyMany(st.eop, ys, as, bs, sa, sb)
 				fop.ChargeElem(ctx, st.eop, uint64(count))
 			} else {
@@ -221,7 +219,7 @@ func (ex *Exec) RunLane(ctx *pimsim.Ctx, phi, lane int, arena *lut.Scratch, fast
 		case nReduce:
 			xs := ex.vec[st.a][lo : lo+count]
 			acc := core.ReduceInit(st.rop)
-			if fast {
+			if !ex.reference {
 				acc = core.ReduceApplyMany(st.rop, acc, xs)
 				fop.ChargeReduce(ctx, st.rop, uint64(count))
 			} else {
@@ -272,11 +270,12 @@ func (ex *Exec) Sync(phi int) (gatherBytes, bcastBytes int) {
 func (ex *Exec) ScalarResult() float32 { return ex.scalars[ex.c.ret] }
 
 // HostEval re-runs the whole bound batch sequentially on the host —
-// the bottom rung of the recovery ladder — on the fast path, with
-// arena as every lane's scratch. lanes[k] is lane k's context: the
-// engine passes contexts that read each lane's memories but charge a
-// throwaway tally, so a Func node without a host kernel (WideRange
-// trig) reads its own lane's tables through the interpreted path.
+// the bottom rung of the recovery ladder — through the same RunLane as
+// a device launch, with arena as every lane's scratch. lanes[k] is lane
+// k's context: the engine passes contexts that read each lane's
+// memories but charge a throwaway tally, so a Func node without a host
+// kernel (WideRange trig, or any on a reference Exec) reads its own
+// lane's tables through the interpreted path.
 // State is reset first so a partially-faulted run leaves no residue,
 // and the outputs land in the same bound slices, bit-identical to a
 // clean device run.
@@ -284,7 +283,7 @@ func (ex *Exec) HostEval(lanes []*pimsim.Ctx, arena *lut.Scratch) {
 	ex.resetScalars()
 	for phi := range ex.c.phases {
 		for lane := 0; lane < ex.lanes; lane++ {
-			ex.RunLane(lanes[lane], phi, lane, arena, true)
+			ex.RunLane(lanes[lane], phi, lane, arena)
 		}
 		ex.Sync(phi)
 	}

@@ -185,20 +185,13 @@ func (l *Lib) op(fn Function) *core.Operator {
 func (l *Lib) EvalSlice(fn Function, xs, out []float32) {
 	op := l.op(fn)
 	l.ctx.ChargeDMA(4 * len(xs))
-	if op.HasFastPath() {
-		op.EvalBatch(l.ctx, xs, out)
-		// Bulk-charge the loop control the per-element path pays: one
-		// Charge(2) — one OpCtrl op, two cycles — per element.
-		var ops pimsim.Counters
-		ops.Ops[pimsim.OpCtrl] = uint64(len(xs))
-		ops.Cycles[pimsim.OpCtrl] = 2 * uint64(len(xs))
-		l.ctx.ChargeOps(ops)
-	} else {
-		for i, x := range xs {
-			out[i] = op.Eval(l.ctx, x)
-			l.ctx.Charge(2)
-		}
-	}
+	op.EvalBatch(l.ctx, xs, out)
+	// Bulk-charge the loop control of the element loop: one Charge(2) —
+	// one OpCtrl op, two cycles — per element.
+	var ops pimsim.Counters
+	ops.Ops[pimsim.OpCtrl] = uint64(len(xs))
+	ops.Cycles[pimsim.OpCtrl] = 2 * uint64(len(xs))
+	l.ctx.ChargeOps(ops)
 	l.ctx.ChargeDMA(4 * len(xs))
 }
 
