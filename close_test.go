@@ -16,7 +16,7 @@ import (
 // every observer on and a fault plan that fires serve concurrent
 // requests and programs; after Close the goroutine count must return
 // to what it was before they were built — pipeline stages, launch
-// workers, and the timeline tickers all exit. It runs without a batch
+// workers, and the cluster's timeline ticker all exit. It runs without a batch
 // window, where lone requests run on their callers, and with one,
 // where every request is queued. A second wave of traffic is still
 // running when Close starts, so Close meets callers holding shards:
@@ -37,7 +37,6 @@ func closeLeaksNoGoroutines(t *testing.T, window time.Duration) {
 		DPUs: 4, Shards: 2, MaxBatch: 256, BatchWindow: window,
 		TraceDepth:  16,
 		Ledger:      true,
-		Timeline:    TimelineConfig{Enabled: true, BucketWidth: 5 * time.Millisecond},
 		Profiler:    ProfilerConfig{Enabled: true},
 		Accuracy:    AccuracyConfig{Enabled: true, SampleRate: 0.25},
 		Faults:      "seed=3,dpufail=0.2,dpuslow=0.2x4,transfer=0.05",

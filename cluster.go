@@ -2,7 +2,6 @@ package transpimlib
 
 import (
 	"fmt"
-	"log/slog"
 
 	"transpimlib/internal/cluster"
 	"transpimlib/internal/engine"
@@ -79,9 +78,8 @@ type ClusterConfig struct {
 	Ledger bool
 	// Timeline enables the cluster registry's windowed metrics store,
 	// served at the cluster handler's /debug/timeline. It covers the
-	// cluster_* and tenant_* series; per-replica engines keep their own
-	// stores if their template enables one. Timeline.Enabled false (the
-	// default) disables it.
+	// cluster_* and tenant_* series; replica engines keep no timeline.
+	// Timeline.Enabled false (the default) disables it.
 	Timeline TimelineConfig
 	// Profiler enables the modeled-cycle profiler on every replica
 	// (all-or-nothing, like Ledger). The cluster handler serves the
@@ -89,9 +87,6 @@ type ClusterConfig struct {
 	// Cluster.ProfileSnapshot merges the replica profiles. Off by
 	// default.
 	Profiler ProfilerConfig
-	// Log receives replica quarantine and failover events (and is also
-	// passed to each replica engine unless Engine.Log is set).
-	Log *slog.Logger
 }
 
 // Cluster is a replicated serving front end: N engine replicas behind
@@ -108,13 +103,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if n <= 0 {
 		n = 1
 	}
-	ecfg := cfg.Engine
-	if ecfg.Log == nil {
-		ecfg.Log = cfg.Log
-	}
 	engines := make([]engine.Config, n)
 	for i := range engines {
-		per := ecfg
+		per := cfg.Engine
 		if plan, ok := cfg.ReplicaFaults[i]; ok {
 			per.Faults = plan
 		}
@@ -135,7 +126,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Quotas:       cfg.Quotas,
 		DefaultQuota: cfg.DefaultQuota,
 		MaxQueue:     cfg.MaxQueue,
-		Log:          cfg.Log,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("transpimlib: %w", err)
@@ -157,9 +147,6 @@ func (c *Cluster) EvaluateBatch(fn Function, spec Config, xs []float32) ([]float
 // survivors. Results are bit-identical regardless of which replica
 // serves (the engine differential contract).
 func (c *Cluster) EvaluateBatchAs(tenant string, fn Function, spec Config, xs []float32) ([]float32, RequestStats, error) {
-	if spec.PIM != nil {
-		return nil, RequestStats{}, fmt.Errorf("transpimlib: a Cluster owns its PIM systems; Config.PIM must be nil")
-	}
 	return c.c.EvaluateBatchTenant(tenant, fn, spec.params(), xs)
 }
 
@@ -168,9 +155,6 @@ func (c *Cluster) EvaluateBatchAs(tenant string, fn Function, spec Config, xs []
 // request for the key is a setup-cache hit wherever the router places
 // it, on any of the replica's shards.
 func (c *Cluster) Prewarm(fn Function, spec Config, tenant string) error {
-	if spec.PIM != nil {
-		return fmt.Errorf("transpimlib: a Cluster owns its PIM systems; Config.PIM must be nil")
-	}
 	return c.c.Prewarm(fn, spec.params(), tenant)
 }
 

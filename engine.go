@@ -2,7 +2,6 @@ package transpimlib
 
 import (
 	"fmt"
-	"log/slog"
 	"time"
 
 	"transpimlib/internal/accwatch"
@@ -46,12 +45,6 @@ type EngineConfig struct {
 	// Off (the default) the serving path is bit-identical to an
 	// unledgered engine.
 	Ledger bool
-	// Timeline enables the windowed metrics store: a background
-	// sampler snapshots the registry's series into a ring of aligned
-	// windows, served at /debug/timeline with per-window rates and
-	// histogram quantiles. Timeline.Enabled false (the default)
-	// disables it entirely.
-	Timeline TimelineConfig
 	// Profiler enables the continuous modeled-cycle profiler: every
 	// launch's cycles are attributed to a (tenant, function, method,
 	// stage, instruction class) stack in a lock-cheap aggregation
@@ -89,10 +82,6 @@ type EngineConfig struct {
 	// modeled cycles, and allocation behavior are bit-identical to an
 	// engine without the watcher.
 	Accuracy AccuracyConfig
-	// Log receives structured recovery and accuracy events (quarantine
-	// transitions, host-mirror degrades, table repairs, SLO breaches,
-	// drift). Nil disables event logging; metrics are unaffected.
-	Log *slog.Logger
 }
 
 // ReliabilityConfig tunes the engine's recovery ladder under fault
@@ -100,11 +89,13 @@ type EngineConfig struct {
 // counts, backoff and quarantine thresholds are fixed.
 type ReliabilityConfig = engine.ReliabilityConfig
 
-// AccuracyConfig tunes the online accuracy watcher: shadow-sampling
-// rate and seed, rolling-window size, drift sensitivity, and the
-// accuracy SLOs to enforce. The watcher keeps at most 64 series;
-// further (function, method, tenant) triples share one overflow
-// series.
+// AccuracyConfig tunes the online accuracy watcher: whether it runs,
+// its shadow-sampling rate, and the accuracy SLOs to enforce. Each
+// series checks its SLOs, and drift beyond 8× its cumulative MAE, once
+// per window of 4096 samples; the stride phase hashes a fixed seed
+// with the request sequence, so a sequential replay samples the same
+// elements. The watcher keeps at most 64 series; further (function,
+// method, tenant) triples share one overflow series.
 type AccuracyConfig = accwatch.Config
 
 // AccuracySLO is one accuracy service-level objective: bounds on mean
@@ -236,13 +227,11 @@ func (cfg EngineConfig) internal() (engine.Config, error) {
 		BatchWindow: cfg.BatchWindow,
 		TraceDepth:  cfg.TraceDepth,
 		Ledger:      cfg.Ledger,
-		Timeline:    cfg.Timeline,
 		Profiler:    cfg.Profiler,
 		Reference:   cfg.Reference,
 		Faults:      plan,
 		Reliability: cfg.Reliability,
 		Accuracy:    cfg.Accuracy,
-		Log:         cfg.Log,
 	}, nil
 }
 
@@ -260,15 +249,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 }
 
 // EvaluateBatch evaluates fn over xs with the method configuration in
-// spec (spec.PIM must be nil: the engine owns its own cores) and
-// returns the outputs plus the request's cost report. The first
-// request for a configuration pays one table generation plus one
+// spec and returns the outputs plus the request's cost report. The
+// first request for a configuration pays one table generation plus one
 // broadcast to every core of the engine; later ones, on any shard, are
 // setup-cache hits. Safe for concurrent use.
 func (e *Engine) EvaluateBatch(fn Function, spec Config, xs []float32) ([]float32, RequestStats, error) {
-	if spec.PIM != nil {
-		return nil, RequestStats{}, fmt.Errorf("transpimlib: EngineConfig owns its PIM system; Config.PIM must be nil")
-	}
 	return e.e.EvaluateBatch(fn, spec.params(), xs)
 }
 
@@ -278,9 +263,6 @@ func (e *Engine) EvaluateBatch(fn Function, spec Config, xs []float32) ([]float3
 // separable in /debug/accuracy. The tag does not affect batching,
 // coalescing, or results; an empty tenant is the anonymous series.
 func (e *Engine) EvaluateBatchAs(tenant string, fn Function, spec Config, xs []float32) ([]float32, RequestStats, error) {
-	if spec.PIM != nil {
-		return nil, RequestStats{}, fmt.Errorf("transpimlib: EngineConfig owns its PIM system; Config.PIM must be nil")
-	}
 	return e.e.EvaluateBatchTenant(tenant, fn, spec.params(), xs)
 }
 

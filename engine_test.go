@@ -58,23 +58,6 @@ func TestEngineEvaluateBatch(t *testing.T) {
 	}
 }
 
-func TestEngineRejectsForeignPIM(t *testing.T) {
-	eng, err := NewEngine(EngineConfig{DPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	lib, err := New(Config{Method: LLUT, Interpolated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = eng.EvaluateBatch(Sin, Config{Method: LLUT, Interpolated: true, PIM: lib.PIM()}, nil)
-	if err == nil {
-		t.Fatal("EvaluateBatch must reject Config.PIM")
-	}
-}
-
 func TestEngineConcurrentPublicAPI(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{DPUs: 4, Shards: 2})
 	if err != nil {

@@ -21,8 +21,8 @@
 //     tenant's traffic leaves the table's dense region, the coverage
 //     histogram shifts before the error does;
 //   - rolling-window drift detection with configurable accuracy SLOs
-//     trips engine_accuracy_slo_breached_total, emits a structured
-//     log/slog event, and lets the engine annotate traces.
+//     trips engine_accuracy_slo_breached_total (drift moves
+//     engine_accuracy_drift_total) and lets the engine annotate traces.
 //
 // Cost discipline: a disabled watcher is a nil pointer in the engine
 // (one nil check per request, zero allocation); an enabled watcher is
@@ -31,7 +31,6 @@
 package accwatch
 
 import (
-	"log/slog"
 	"math"
 	"sort"
 	"strconv"
@@ -43,8 +42,18 @@ import (
 	"transpimlib/internal/telemetry"
 )
 
-// Config configures the watcher. The zero value is disabled; see
-// withDefaults for the enabled-path defaults.
+// The sampler's fixed parameters. seed drives the deterministic stride
+// phase, so identical sequential request streams sample identical
+// elements. SLO and drift checks run once per window of window samples
+// per series, and a completed window whose MAE exceeds driftFactor ×
+// the series' cumulative MAE counts as drift.
+const (
+	seed        = 0xACC0B5
+	window      = 4096
+	driftFactor = 8
+)
+
+// Config configures the watcher. The zero value is disabled.
 type Config struct {
 	// Enabled turns shadow sampling on. Off, the engine holds a nil
 	// watcher and the serving path is bit-identical to an engine
@@ -54,16 +63,6 @@ type Config struct {
 	// against the float64 host reference (default 0.01; clamped to
 	// [0, 1]). At 1.0 every element is shadow-checked.
 	SampleRate float64
-	// Seed drives the deterministic stride phase; identical seeds over
-	// identical sequential request streams sample identical elements.
-	Seed uint64
-	// Window is the rolling-window length in samples per series; SLO
-	// and drift checks run once per completed window (default 4096).
-	Window int
-	// DriftFactor flags a completed window whose MAE exceeds
-	// DriftFactor × the series' cumulative MAE (default 8; ≤ 0
-	// disables drift detection).
-	DriftFactor float64
 	// SLOs are the accuracy objectives checked per completed window.
 	SLOs []SLO
 }
@@ -91,15 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleRate > 1 {
 		c.SampleRate = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xACC0B5
-	}
-	if c.Window <= 0 {
-		c.Window = 4096
-	}
-	if c.DriftFactor == 0 {
-		c.DriftFactor = 8
 	}
 	return c
 }
@@ -234,7 +224,6 @@ type Exemplar struct {
 // safe for concurrent use from the engine's shard goroutines.
 type Watcher struct {
 	cfg Config
-	log *slog.Logger
 
 	samplesTotal  *telemetry.Counter
 	breachesTotal *telemetry.Counter
@@ -253,18 +242,15 @@ type Watcher struct {
 	series map[Key]*series
 }
 
-// New builds a watcher over the given registry. log may be nil
-// (breach/drift events are then counted and snapshotted but not
-// logged).
-func New(cfg Config, reg *telemetry.Registry, log *slog.Logger) *Watcher {
+// New builds a watcher over the given registry.
+func New(cfg Config, reg *telemetry.Registry) *Watcher {
 	cfg = cfg.withDefaults()
 	return &Watcher{
 		cfg:           cfg,
-		log:           log,
 		reg:           reg,
 		samplesTotal:  reg.Counter("engine_accuracy_samples_total", "elements shadow-evaluated against the float64 host reference"),
 		breachesTotal: reg.Counter("engine_accuracy_slo_breached_total", "accuracy SLO window checks that failed"),
-		driftsTotal:   reg.Counter("engine_accuracy_drift_total", "windows whose MAE drifted beyond DriftFactor x the cumulative baseline"),
+		driftsTotal:   reg.Counter("engine_accuracy_drift_total", "windows whose MAE drifted beyond 8x the cumulative baseline"),
 		oorTotal:      reg.Counter("engine_accuracy_out_of_range_total", "sampled inputs outside the function's dense table domain"),
 		seriesGauge:   reg.Gauge("engine_accuracy_series", "monitored (function, method, tenant) series"),
 		series:        make(map[Key]*series),
@@ -352,7 +338,7 @@ func (w *Watcher) Sample(req Request, xs, ys []float32) Outcome {
 		stride = 1
 	}
 	seq := w.reqSeq.Add(1)
-	phase := int(splitmix64(w.cfg.Seed^seq) % uint64(stride))
+	phase := int(splitmix64(seed^seq) % uint64(stride))
 
 	s := w.getSeries(req.Key)
 	var out Outcome
@@ -386,7 +372,7 @@ func (w *Watcher) Sample(req Request, xs, ys []float32) Outcome {
 			s.worstULP = makeExemplar(x, y, want, abs, ulps, i, req)
 		}
 
-		if s.winN >= w.cfg.Window {
+		if s.winN >= window {
 			breached, drifted := w.closeWindow(s)
 			out.Breached = out.Breached || breached
 			out.Drifted = out.Drifted || drifted
@@ -459,26 +445,13 @@ func (w *Watcher) closeWindow(s *series) (breached, drifted bool) {
 		breached = true
 		s.breaches++
 		w.breachesTotal.Inc()
-		if w.log != nil {
-			w.log.Warn("accuracy SLO breached",
-				"fn", s.key.Function, "method", s.key.Method, "tenant", s.key.Tenant,
-				"window_mae", e.MeanAbs, "window_max_ulp", e.MaxULP,
-				"slo_max_mae", o.MaxMAE, "slo_max_ulp", o.MaxULP,
-				"out_of_range", s.outOfRange, "samples", s.samples)
-		}
 	}
 
 	cum := s.cum.Result()
-	if w.cfg.DriftFactor > 0 && cum.MeanAbs > 0 && e.MeanAbs > w.cfg.DriftFactor*cum.MeanAbs {
+	if cum.MeanAbs > 0 && e.MeanAbs > driftFactor*cum.MeanAbs {
 		drifted = true
 		s.drifts++
 		w.driftsTotal.Inc()
-		if w.log != nil {
-			w.log.Warn("accuracy drift detected",
-				"fn", s.key.Function, "method", s.key.Method, "tenant", s.key.Tenant,
-				"window_mae", e.MeanAbs, "baseline_mae", cum.MeanAbs,
-				"factor", e.MeanAbs/cum.MeanAbs)
-		}
 	}
 	return breached, drifted
 }

@@ -3,7 +3,6 @@ package accwatch
 import (
 	"encoding/json"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -36,32 +35,23 @@ func feed(w *Watcher, req Request, n, reqs int, seed uint64) {
 	}
 }
 
-// TestSamplerDeterminism pins that two watchers with the same seed and
-// the same sequential feed produce byte-identical snapshots.
+// TestSamplerDeterminism pins that two watchers given the same
+// sequential feed, long enough to close a window, produce byte-identical
+// snapshots.
 func TestSamplerDeterminism(t *testing.T) {
 	mk := func() Snapshot {
-		w := New(Config{Enabled: true, SampleRate: 0.1, Seed: 99, Window: 64}, telemetry.NewRegistry(), nil)
-		feed(w, sinReq("a"), 512, 10, 42)
+		w := New(Config{Enabled: true, SampleRate: 0.1}, telemetry.NewRegistry())
+		feed(w, sinReq("a"), 512, 100, 42)
 		return w.Snapshot()
 	}
 	a, b := mk(), mk()
 	ja, _ := json.Marshal(a)
 	jb, _ := json.Marshal(b)
 	if string(ja) != string(jb) {
-		t.Fatalf("same seed, same feed, different snapshots:\n%s\n%s", ja, jb)
+		t.Fatalf("same feed, different snapshots:\n%s\n%s", ja, jb)
 	}
-	if a.Samples == 0 {
-		t.Fatal("sampler took no samples")
-	}
-
-	// A different seed must change the sampled subset phase for at
-	// least some request (the inputs differ per element, so the
-	// cumulative sums differ).
-	w2 := New(Config{Enabled: true, SampleRate: 0.1, Seed: 100, Window: 64}, telemetry.NewRegistry(), nil)
-	feed(w2, sinReq("a"), 512, 10, 42)
-	c := w2.Snapshot()
-	if reflect.DeepEqual(a.Series[0].Cumulative, c.Series[0].Cumulative) {
-		t.Fatal("different seeds sampled identical subsets (phase not seed-driven)")
+	if a.Samples == 0 || a.Series[0].Windows == 0 {
+		t.Fatalf("sampler took %d samples and closed %d windows, want both > 0", a.Samples, a.Series[0].Windows)
 	}
 }
 
@@ -70,7 +60,7 @@ func TestSamplerDeterminism(t *testing.T) {
 // stats.Collector fed the same (output, reference) pairs in order —
 // the exact math cmd/tplrepro's accuracy table uses.
 func TestFullRateMatchesCollector(t *testing.T) {
-	w := New(Config{Enabled: true, SampleRate: 1.0, Window: 1 << 20}, telemetry.NewRegistry(), nil)
+	w := New(Config{Enabled: true, SampleRate: 1.0}, telemetry.NewRegistry())
 	xs := stats.RandomInputs(0, 2*math.Pi, 1000, 7)
 	ys := approxSin(xs)
 	w.Sample(sinReq(""), xs, ys)
@@ -90,7 +80,7 @@ func TestFullRateMatchesCollector(t *testing.T) {
 // count tracks rate × n within rounding.
 func TestSampleRateScaling(t *testing.T) {
 	for _, rate := range []float64{0.01, 0.1, 0.5, 1.0} {
-		w := New(Config{Enabled: true, SampleRate: rate}, telemetry.NewRegistry(), nil)
+		w := New(Config{Enabled: true, SampleRate: rate}, telemetry.NewRegistry())
 		xs := stats.RandomInputs(0, 1, 1000, 3)
 		out := w.Sample(sinReq(""), xs, approxSin(xs))
 		k := int(math.Ceil(rate * 1000))
@@ -110,21 +100,21 @@ func TestSampleRateScaling(t *testing.T) {
 func TestSLOTripAndCoverageShift(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	w := New(Config{
-		Enabled: true, SampleRate: 1.0, Window: 256,
+		Enabled: true, SampleRate: 1.0,
 		SLOs: []SLO{{Function: "sin", MaxMAE: 1e-4}},
-	}, reg, nil)
+	}, reg)
 
-	// In-domain traffic with tiny error: no breach.
+	// A window of in-domain traffic with tiny error: no breach.
 	req := sinReq("t0")
-	xs := stats.RandomInputs(0, 2*math.Pi, 512, 5)
+	xs := stats.RandomInputs(0, 2*math.Pi, window, 5)
 	w.Sample(req, xs, approxSin(xs))
-	if got := w.Snapshot(); got.Breaches != 0 {
-		t.Fatalf("clean traffic breached: %+v", got)
+	if got := w.Snapshot(); got.Breaches != 0 || got.Series[0].Windows != 1 {
+		t.Fatalf("clean window breached or did not close: %+v", got)
 	}
 
-	// Out-of-range traffic with gross error: coverage moves and the
-	// SLO trips.
-	far := stats.RandomInputs(800, 1000, 512, 6)
+	// A window of out-of-range traffic with gross error: coverage moves
+	// and the SLO trips.
+	far := stats.RandomInputs(800, 1000, window, 6)
 	bad := make([]float32, len(far))
 	for i := range far {
 		bad[i] = float32(math.Sin(float64(far[i]))) + 0.25
@@ -138,8 +128,8 @@ func TestSLOTripAndCoverageShift(t *testing.T) {
 		t.Fatalf("breach not counted: %+v", snap)
 	}
 	s := snap.Series[0]
-	if s.OutOfRange != 512 {
-		t.Fatalf("out-of-range count %d, want 512", s.OutOfRange)
+	if s.OutOfRange != window {
+		t.Fatalf("out-of-range count %d, want %d", s.OutOfRange, window)
 	}
 	// Coverage must show mass in the high-exponent buckets (800..1000
 	// has exponent 9).
@@ -149,7 +139,7 @@ func TestSLOTripAndCoverageShift(t *testing.T) {
 			high = cb.Count
 		}
 	}
-	if high != 512 {
+	if high != window {
 		t.Fatalf("coverage histogram did not shift: %+v", s.Coverage)
 	}
 	if s.WorstAbs == nil || s.WorstAbs.AbsErr < 0.2 {
@@ -166,22 +156,26 @@ func TestSLOTripAndCoverageShift(t *testing.T) {
 }
 
 // TestDriftDetection pins the rolling-window drift signal: a stable
-// baseline followed by a much worse window fires the drift counter.
+// baseline of 10 windows followed by a much worse window fires the
+// drift counter, and the baseline windows do not.
 func TestDriftDetection(t *testing.T) {
-	w := New(Config{Enabled: true, SampleRate: 1.0, Window: 256, DriftFactor: 4}, telemetry.NewRegistry(), nil)
+	w := New(Config{Enabled: true, SampleRate: 1.0}, telemetry.NewRegistry())
 	req := sinReq("")
-	for r := 0; r < 8; r++ {
-		xs := stats.RandomInputs(0, 2*math.Pi, 256, uint64(r))
+	for r := 0; r < 10; r++ {
+		xs := stats.RandomInputs(0, 2*math.Pi, window, uint64(r))
 		w.Sample(req, xs, approxSin(xs))
 	}
-	xs := stats.RandomInputs(0, 2*math.Pi, 256, 99)
+	if d := w.Snapshot().Drifts; d != 0 {
+		t.Fatalf("stable baseline drifted %d times", d)
+	}
+	xs := stats.RandomInputs(0, 2*math.Pi, window, 99)
 	bad := make([]float32, len(xs))
 	for i := range xs {
 		bad[i] = float32(math.Sin(float64(xs[i]))) + 0.1
 	}
 	out := w.Sample(req, xs, bad)
 	if !out.Drifted {
-		t.Fatal("40x error inflation did not register as drift")
+		t.Fatal("10^4x error inflation did not register as drift")
 	}
 	if w.Snapshot().Drifts == 0 {
 		t.Fatal("drift not counted in snapshot")
@@ -191,9 +185,11 @@ func TestDriftDetection(t *testing.T) {
 // TestConcurrentSampling exercises Sample from many goroutines under
 // -race: per-series mutexes must fully serialize the collectors.
 func TestConcurrentSampling(t *testing.T) {
-	w := New(Config{Enabled: true, SampleRate: 1.0, Window: 128}, telemetry.NewRegistry(), nil)
+	w := New(Config{Enabled: true, SampleRate: 1.0}, telemetry.NewRegistry())
 	var wg sync.WaitGroup
-	const G, N = 8, 400
+	// Every tenant series takes at least 2·5·N samples, so each closes
+	// windows while the goroutines race.
+	const G, N = 8, 1000
 	for g := 0; g < G; g++ {
 		g := g
 		wg.Add(1)
@@ -214,6 +210,9 @@ func TestConcurrentSampling(t *testing.T) {
 	var per uint64
 	for _, s := range snap.Series {
 		per += s.Samples
+		if s.Windows == 0 {
+			t.Errorf("series %+v closed no window", s.Key)
+		}
 	}
 	if per != snap.Samples {
 		t.Fatalf("per-series samples %d != total %d", per, snap.Samples)
@@ -226,7 +225,7 @@ func TestConcurrentSampling(t *testing.T) {
 // TestSeriesCardinalityGuard pins bounded state under unbounded tenant
 // names.
 func TestSeriesCardinalityGuard(t *testing.T) {
-	w := New(Config{Enabled: true, SampleRate: 1.0}, telemetry.NewRegistry(), nil)
+	w := New(Config{Enabled: true, SampleRate: 1.0}, telemetry.NewRegistry())
 	xs := stats.RandomInputs(0, 1, 16, 1)
 	ys := approxSin(xs)
 	const tenants = maxSeries + 4
@@ -254,7 +253,7 @@ func TestCheckSLOs(t *testing.T) {
 	w := New(Config{
 		Enabled: true, SampleRate: 1.0,
 		SLOs: []SLO{{Method: "l-lut(i)", MaxMAE: 1e-9}},
-	}, telemetry.NewRegistry(), nil)
+	}, telemetry.NewRegistry())
 	xs := stats.RandomInputs(0, 2*math.Pi, 100, 2)
 	w.Sample(sinReq("x"), xs, approxSin(xs))
 	v := w.CheckSLOs()

@@ -58,7 +58,7 @@ func (w *Watcher) Snapshot() Snapshot {
 
 	snap := Snapshot{
 		SampleRate: w.cfg.SampleRate,
-		Window:     w.cfg.Window,
+		Window:     window,
 		Samples:    w.samplesTotal.Load(),
 		Breaches:   w.breachesTotal.Load(),
 		Drifts:     w.driftsTotal.Load(),

@@ -22,7 +22,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync/atomic"
 	"time"
 
@@ -40,6 +39,10 @@ var ErrClusterClosed = errors.New("cluster: closed")
 // and the other thresholds are the engine health tracker's.
 const replicaProbation = 64
 
+// virtualNodes is the number of ring points per replica; more points
+// smooth the key distribution.
+const virtualNodes = 64
+
 // Config describes a cluster.
 type Config struct {
 	// Engines configures one engine replica each; len(Engines) is the
@@ -51,9 +54,6 @@ type Config struct {
 	// fallback targets for least-loaded placement. Default min(2, N),
 	// capped at 16.
 	Replication int
-	// VirtualNodes is the number of ring points per replica (default
-	// 64); more points smooth the key distribution.
-	VirtualNodes int
 	// Seed perturbs the ring and key hashes (default 1). Identical
 	// seeds and request sequences yield identical placements.
 	Seed uint64
@@ -93,8 +93,6 @@ type Config struct {
 	// Clock supplies the token buckets' notion of now (default
 	// time.Now); tests inject a deterministic clock.
 	Clock func() time.Time
-	// Log, when non-nil, receives replica quarantine/failover events.
-	Log *slog.Logger
 	// OnPlace, when non-nil, observes every routing decision (including
 	// sheds) — the hook the determinism tests record through. It is
 	// called on the request goroutine; keep it cheap.
@@ -110,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replication > maxReplication {
 		c.Replication = maxReplication
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -144,7 +139,6 @@ type Cluster struct {
 	health  *engine.HealthTracker
 	met     *metrics
 	tel     *telemetry.Telemetry
-	log     *slog.Logger
 
 	// tracer mints cluster-boundary trace IDs and retains the routed
 	// span trees; nil when TraceDepth is 0. led is the router's own
@@ -266,10 +260,9 @@ func NewWithExecutors(cfg Config, execs []engine.Executor) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		execs:  execs,
-		ring:   newRing(len(execs), cfg.VirtualNodes, cfg.Seed),
+		ring:   newRing(len(execs), virtualNodes, cfg.Seed),
 		health: engine.NewHealthTracker(len(execs), replicaProbation),
 		met:    newMetrics(reg, len(execs)),
-		log:    cfg.Log,
 	}
 	if cfg.Quotas != nil || cfg.DefaultQuota != nil {
 		c.adm = newAdmission(cfg.Quotas, cfg.DefaultQuota)
@@ -366,7 +359,7 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 			c.met.routed[pl.Replica].Inc()
 			if st.Degraded {
 				c.met.degraded.Inc()
-				c.noteFailure(pl.Replica, seq, "degraded")
+				c.noteFailure(pl.Replica, seq)
 			} else {
 				c.health.RecordSuccess(pl.Replica)
 			}
@@ -378,7 +371,7 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 			return out, st, nil
 		case errors.Is(err, engine.ErrEngineClosed):
 			// Infrastructure failure: penalize, mark tried, re-place.
-			c.noteFailure(pl.Replica, seq, "replica_error")
+			c.noteFailure(pl.Replica, seq)
 			c.met.failovers.Inc()
 			c.chargeRoute(tenant, fn, p, telemetry.LedgerEntry{Failovers: 1})
 			if at != nil {
@@ -386,10 +379,6 @@ func (c *Cluster) EvaluateBatchTenant(tenant string, fn core.Function, p core.Pa
 			}
 			tried |= 1 << uint(pl.Replica)
 			lastErr = err
-			if c.log != nil {
-				c.log.Warn("replica failed, re-routing",
-					"replica", pl.Replica, "seq", seq, "err", err)
-			}
 		default:
 			// Deterministic request error (unsupported method, table too
 			// large): every replica would answer the same — no failover,
@@ -441,14 +430,10 @@ func (c *Cluster) chargeRoute(tenant string, fn core.Function, p core.Params, d 
 	}, d)
 }
 
-// noteFailure records a replica-level failure, logging and gauging a
-// quarantine transition.
-func (c *Cluster) noteFailure(replica int, seq uint64, cause string) {
+// noteFailure records a replica-level failure, gauging a quarantine
+// transition.
+func (c *Cluster) noteFailure(replica int, seq uint64) {
 	if c.health.RecordFailure(replica, seq) {
-		if c.log != nil {
-			c.log.Warn("replica quarantined",
-				"replica", replica, "seq", seq, "cause", cause)
-		}
 		c.met.quarantined.Set(int64(c.health.QuarantinedCount()))
 		c.updateHealthGauges()
 	}

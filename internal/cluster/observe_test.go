@@ -149,12 +149,11 @@ func TestClusterTraceLadder(t *testing.T) {
 	fakes, execs := newFakes(2)
 	rate := 100.0
 	cl, err := NewWithExecutors(Config{
-		TraceDepth:   8,
-		Ledger:       true,
-		MaxQueue:     4,
-		Quotas:       map[string]Quota{"capped": {Rate: rate, Burst: 8}},
-		Clock:        func() time.Time { return time.Unix(0, 0) },
-		VirtualNodes: 16,
+		TraceDepth: 8,
+		Ledger:     true,
+		MaxQueue:   4,
+		Quotas:     map[string]Quota{"capped": {Rate: rate, Burst: 8}},
+		Clock:      func() time.Time { return time.Unix(0, 0) },
 	}, execs)
 	if err != nil {
 		t.Fatal(err)

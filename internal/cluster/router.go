@@ -7,7 +7,7 @@ import (
 )
 
 // The router places (function, method, tenant) keys on replicas with
-// consistent hashing: each replica owns VirtualNodes points on a
+// consistent hashing: each replica owns virtualNodes points on a
 // 64-bit ring, a key hashes to a point, and the key's candidate set
 // is the next Replication distinct replicas clockwise. Placement then
 // prefers the primary (first candidate) and falls back to the

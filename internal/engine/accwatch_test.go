@@ -132,7 +132,6 @@ func TestAccuracySLOTripAndCoverage(t *testing.T) {
 		Accuracy: accwatch.Config{
 			Enabled:    true,
 			SampleRate: 1.0,
-			Window:     256,
 			SLOs:       []accwatch.SLO{{Function: "sigmoid", MaxMAE: 1e-15}},
 		},
 	})
@@ -143,9 +142,12 @@ func TestAccuracySLOTripAndCoverage(t *testing.T) {
 
 	fn, par := llutSpec()
 	// In-domain traffic first, then a shift far outside the table's
-	// dense region (sigmoid's domain is about [-8, 8]).
-	in := stats.RandomInputs(-7.9, 7.9, 256, 7)
-	out := stats.RandomInputs(600, 1000, 256, 8)
+	// dense region (sigmoid's domain is about [-8, 8]). Each request
+	// fills one of the watcher's 4096-sample windows, so each closes
+	// one window.
+	const n = 4096
+	in := stats.RandomInputs(-7.9, 7.9, n, 7)
+	out := stats.RandomInputs(600, 1000, n, 8)
 	if _, _, err := e.EvaluateBatch(fn, par, in); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +164,8 @@ func TestAccuracySLOTripAndCoverage(t *testing.T) {
 	if snap.Breaches == 0 {
 		t.Fatalf("no SLO breach recorded: %+v", snap)
 	}
-	if snap.OutOfRange != 256 {
-		t.Fatalf("out-of-range samples = %d, want 256", snap.OutOfRange)
+	if snap.OutOfRange != n {
+		t.Fatalf("out-of-range samples = %d, want %d", snap.OutOfRange, n)
 	}
 	// The shift must occupy high-exponent coverage buckets (600..1000
 	// spans 2^9..2^9 exponents) absent from the in-domain phase.
@@ -173,8 +175,8 @@ func TestAccuracySLOTripAndCoverage(t *testing.T) {
 			high = cb.Count
 		}
 	}
-	if high != 256 {
-		t.Fatalf("coverage bucket 2^9 = %d, want 256 (coverage: %+v)", high, snap.Series[0].Coverage)
+	if high != n {
+		t.Fatalf("coverage bucket 2^9 = %d, want %d (coverage: %+v)", high, n, snap.Series[0].Coverage)
 	}
 
 	// The breach shows up in the Prometheus exposition…
@@ -243,7 +245,7 @@ func TestDebugAccuracyEndpoint(t *testing.T) {
 	serve := func() string {
 		e, err := New(Config{
 			DPUs: 1, Shards: 1,
-			Accuracy: accwatch.Config{Enabled: true, SampleRate: 0.25, Seed: 99},
+			Accuracy: accwatch.Config{Enabled: true, SampleRate: 0.25},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -377,6 +378,90 @@ func TestBitFlipScrubRepair(t *testing.T) {
 	if st.TableCorruptions == 0 || st.TableRepairs == 0 {
 		t.Fatalf("scrubber found %d corruptions / %d repairs, want > 0",
 			st.TableCorruptions, st.TableRepairs)
+	}
+
+	// A repair rewrites one bank's table region, which is not
+	// rank-parallel (§2.1): a warm request's setup is exactly its
+	// repaired regions at the serial bandwidth. Both lanes hold the same
+	// tables, so every repaired region has the same size.
+	sys := e.System()
+	region := sys.DPU(0).MRAM.Used()
+	if r1 := sys.DPU(1).MRAM.Used(); r1 != region || region == 0 {
+		t.Fatalf("lane table regions %d and %d bytes, want equal and nonzero", region, r1)
+	}
+	for i, xs := range inputs {
+		before := e.Stats().TableRepairs
+		_, st, err := e.EvaluateBatch(fn, par, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want float64
+		for r := before; r < e.Stats().TableRepairs; r++ {
+			want += float64(region) / sys.Config().SerialBandwidth
+		}
+		if want == 0 || st.SetupSeconds != want {
+			t.Fatalf("warm request %d: setup %g s, want %g s (its repairs of %d-byte regions at the serial bandwidth)",
+				i, st.SetupSeconds, want, region)
+		}
+	}
+}
+
+// TestTransferFaultLadder: when every attempt of a batch's transfer-in
+// (or transfer-out) fails, the batch retries maxRetries times, then
+// degrades with correct outputs. Every failed attempt is charged at
+// the rank-parallel bandwidth and every retry adds its modeled backoff
+// (1, 2 and 4 µs), so the request's transfer seconds count all four
+// attempts. The engine books the time itself; the simulator's transfer
+// clock stays untouched.
+func TestTransferFaultLadder(t *testing.T) {
+	fn, par := llutSpec()
+	inputs := chaosInputs(4, 200)
+	clean, err := New(Config{DPUs: 2, Shards: 1, MaxBatch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	outC, _ := runSequential(t, clean, fn, par, inputs)
+
+	const attempts = maxRetries + 1
+	const backoffs = 1e-6 + 2e-6 + 4e-6
+	for _, plan := range []string{"seed=1,tin=1", "seed=1,tout=1"} {
+		e, err := New(Config{DPUs: 2, Shards: 1, MaxBatch: 256, Faults: mustPlan(t, plan)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		outX, stX := runSequential(t, e, fn, par, inputs)
+		sc := e.System().Config()
+		_, pb := shardPlan(200, 2)
+		padded := float64(pb)
+		for i := range inputs {
+			if !stX[i].Degraded || !reflect.DeepEqual(outC[i], outX[i]) {
+				t.Fatalf("%s: request %d degraded=%v, outputs equal the clean engine's: %v",
+					plan, i, stX[i].Degraded, reflect.DeepEqual(outC[i], outX[i]))
+			}
+			gotIn, gotOut := stX[i].TransferInSeconds, stX[i].TransferOutSeconds
+			wantIn, wantOut := padded/sc.HostToPIMBandwidth, padded/sc.PIMToHostBandwidth
+			if plan == "seed=1,tin=1" {
+				// The inputs never reached the cores: the host mirror
+				// evaluates them, and nothing transfers back.
+				wantIn, wantOut = attempts*wantIn+backoffs, 0
+			} else {
+				wantOut = attempts*wantOut + backoffs
+			}
+			if math.Abs(gotIn-wantIn) > 1e-12*wantIn || math.Abs(gotOut-wantOut) > 1e-12*wantOut {
+				t.Fatalf("%s: request %d transfer in/out %g/%g s, want %g/%g s",
+					plan, i, gotIn, gotOut, wantIn, wantOut)
+			}
+		}
+		st := e.Stats()
+		if want := uint64(attempts * st.Batches); st.FaultsInjected != want || st.TransferRetries != want {
+			t.Fatalf("%s: %d batches recorded %d faults and %d transfer retries, want %d each",
+				plan, st.Batches, st.FaultsInjected, st.TransferRetries, want)
+		}
+		if got := e.System().TransferSeconds(); got != 0 {
+			t.Fatalf("%s: the simulator's transfer clock holds %g s; the engine books transfers itself", plan, got)
+		}
 	}
 }
 

@@ -22,13 +22,13 @@
 // lock owns the shard's cores, all their MRAM access (table builds and
 // scrubbing) and the crew of lane workers its launches run on — the
 // shard's goroutine for a dispatched batch, or a caller running its
-// own; the transfer clock is shared and internally locked.
+// own. Each batch books its own modeled transfer seconds, so shards
+// share no transfer clock.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,19 +111,10 @@ type Config struct {
 	// (the default), the drain path pays one nil check per batch and
 	// the serving path is bit-identical.
 	Ledger bool
-	// Timeline enables the windowed metrics store: a background ticker
-	// snapshots the registry into fixed-width buckets served at
-	// /debug/timeline. Zero value (disabled) adds nothing.
-	Timeline telemetry.TimelineConfig
 	// ProcName, when set, names this engine's process lane on every
 	// exported trace span tree ("replica/2" under a cluster). Empty,
 	// each trace renders in its own per-trace lane.
 	ProcName string
-	// Log, when non-nil, receives structured events from the recovery
-	// ladder (degrades, quarantines, table repairs) and the accuracy
-	// watcher (SLO breaches, drift). Nil disables logging; counters
-	// and snapshots still move.
-	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -261,14 +252,10 @@ type Engine struct {
 
 	// acc is the accuracy watcher, nil unless Config.Accuracy.Enabled
 	// — the disabled serving path pays one nil check per request.
-	// log is the structured event sink (nil = no logging).
 	acc *accwatch.Watcher
-	log *slog.Logger
 
-	// led is the per-tenant cost ledger, nil unless Config.Ledger;
-	// timeline is the windowed metrics store, nil unless enabled.
-	led      *telemetry.Ledger
-	timeline *telemetry.Timeline
+	// led is the per-tenant cost ledger, nil unless Config.Ledger.
+	led *telemetry.Ledger
 
 	// prof is the modeled-cycle profiler's collector, nil unless
 	// Config.Profiler.Enabled.
@@ -311,7 +298,6 @@ func New(cfg Config) (*Engine, error) {
 	// One streamed input and one output per element, as in Fig. 3(a).
 	e.streamSig = core.RecordStreamSig(e.sys.Config().Cost, 1, 1)
 
-	e.log = cfg.Log
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		e.inj = faultsim.NewInjector(*cfg.Faults)
 		e.rel = cfg.Reliability
@@ -319,17 +305,12 @@ func New(cfg Config) (*Engine, error) {
 		e.sys.SetFaultAgent(&engineFaultAgent{inj: e.inj, met: e.met})
 	}
 	if cfg.Accuracy.Enabled {
-		e.acc = accwatch.New(cfg.Accuracy, reg, cfg.Log)
+		e.acc = accwatch.New(cfg.Accuracy, reg)
 		e.tel.AccuracyJSON = func() any { return e.acc.Snapshot() }
 	}
 	if cfg.Ledger {
 		e.led = telemetry.NewLedger(reg)
 		e.tel.LedgerJSON = func() any { return e.led.Snapshot() }
-	}
-	if cfg.Timeline.Enabled {
-		e.timeline = telemetry.NewTimeline(reg, cfg.Timeline)
-		e.timeline.Start()
-		e.tel.Timeline = e.timeline
 	}
 
 	perShard := cfg.DPUs / cfg.Shards
@@ -573,7 +554,6 @@ func (e *Engine) Close() {
 	close(e.submit)
 	e.mu.Unlock()
 	e.wg.Wait()
-	e.timeline.Close()
 }
 
 // batcher collects queued requests, groups them by spec, and emits
@@ -736,7 +716,7 @@ func (e *Engine) transferIn(s *shard, b *batch) {
 				idx += sg.n
 			}
 		}
-		e.chargeTransferIn(s, b, padded)
+		e.chargeTransferIn(b, padded)
 	}
 	if b.tr != nil {
 		b.tr.inEnd = time.Now()
@@ -833,7 +813,7 @@ func (e *Engine) transferOut(s *shard, b *batch) {
 			if b.remapped {
 				padded = b.perDPU * 4 * b.lanes
 			}
-			e.chargeTransferOut(s, b, padded)
+			e.chargeTransferOut(b, padded)
 			bytesOut = padded
 		}
 	}

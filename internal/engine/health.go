@@ -98,7 +98,8 @@ func NewHealthTracker(n int, probation uint64) *HealthTracker {
 // DPU at batch seq. Reaching the consecutive threshold — or any
 // failure while on probation — quarantines the core, doubling the
 // penalty on every re-entry. It reports whether this call moved the
-// core into quarantine, so the engine can log the transition.
+// core into quarantine, so a caller can refresh its gauges on the
+// transition.
 func (h *HealthTracker) RecordFailure(dpu int, seq uint64) (quarantined bool) {
 	h.mu.Lock()
 	st := &h.lanes[dpu]

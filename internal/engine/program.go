@@ -181,7 +181,7 @@ func (e *Engine) EvaluateProgramPerOp(tenant string, c *fusion.Compiled, inputs 
 // host memory while the simulator charges the exact modeled costs.
 func (e *Engine) stageProgramIn(s *shard, b *batch) {
 	inBytes := b.prog.InBytes(b.n, len(s.dpus))
-	e.chargeTransferIn(s, b, inBytes)
+	e.chargeTransferIn(b, inBytes)
 	b.pIn = inBytes
 }
 
@@ -279,17 +279,14 @@ func (e *Engine) computeProgram(s *shard, b *batch) {
 		}
 		// Phase sync: gather the reduction partials, combine on the
 		// host, broadcast the scalars the next phases read. These small
-		// transfers ride the plain charge paths even under injection —
-		// the ladder's retry/degrade rungs guard the bulk transfers and
-		// the launches.
+		// transfers are never injected with faults — the ladder's
+		// retry/degrade rungs guard the bulk transfers and the launches.
 		gather, bcast := ex.Sync(phi)
 		if gather > 0 {
-			e.sys.ChargePIMToHost(gather, true)
 			b.tout += float64(gather) / e.sys.Config().PIMToHostBandwidth
 			b.pOut += gather
 		}
 		if bcast > 0 {
-			e.sys.ChargeHostToPIM(bcast, true)
 			b.tin += float64(bcast) / e.sys.Config().HostToPIMBandwidth
 			b.pIn += bcast
 		}
@@ -325,11 +322,6 @@ func (e *Engine) degradeProgram(s *shard, b *batch, ex *fusion.Exec) {
 	}
 	b.degraded, b.hostEval = true, true
 	e.met.degraded.Inc()
-	if e.log != nil {
-		e.log.Warn("program degraded to host mirror",
-			"shard", s.id, "seq", b.seq, "elements", b.n,
-			"program", b.prog.Name(), "retries", b.retries)
-	}
 }
 
 // drainProgramOut is transfer-out for a program batch: only the result
@@ -340,7 +332,7 @@ func (e *Engine) drainProgramOut(s *shard, b *batch) (bytesIn, bytesOut int) {
 	if b.err == nil && !b.hostEval {
 		ob := b.prog.OutBytes(b.n, len(s.dpus))
 		if ob > 0 {
-			e.chargeTransferOut(s, b, ob)
+			e.chargeTransferOut(b, ob)
 			b.pOut += ob
 		}
 	}

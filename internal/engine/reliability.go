@@ -19,8 +19,8 @@ import (
 // rung past the first launch runs.
 
 // engineFaultAgent adapts the faultsim injector to the simulator's
-// FaultAgent hook, counting injected faults into the engine metrics.
-// It keeps faultsim free of pimsim imports.
+// launch-time FaultAgent hook, counting injected faults into the engine
+// metrics. It keeps faultsim free of pimsim imports.
 type engineFaultAgent struct {
 	inj *faultsim.Injector
 	met *metrics
@@ -39,29 +39,28 @@ func (a *engineFaultAgent) Launch(seq, attempt uint64, lane int) pimsim.LaunchVe
 	return pimsim.LaunchVerdict{}
 }
 
-func (a *engineFaultAgent) Transfer(seq, attempt uint64, out bool) bool {
-	c := faultsim.TransferIn
-	if out {
-		c = faultsim.TransferOut
+// transferFault reports whether the injector fails attempt of batch
+// seq's transfer in direction c (TransferIn or TransferOut), counting
+// the fault. Without a fault plan no transfer fails.
+func (e *Engine) transferFault(c faultsim.Class, seq, attempt uint64) bool {
+	if e.inj == nil || !e.inj.TransferDecision(c, seq, attempt) {
+		return false
 	}
-	if a.inj.TransferDecision(c, seq, attempt) {
-		a.met.faults[c].Inc()
-		return true
-	}
-	return false
+	e.met.faults[c].Inc()
+	return true
 }
 
-// chargeTransferIn is the checked host→PIM charge with bounded retry:
-// every attempt (failed ones included) costs the transfer time, each
-// retry adds the modeled backoff. Exhaustion marks the batch so the
-// compute path degrades it to the host mirror — the inputs are still
-// in host staging, so no result is lost.
-func (e *Engine) chargeTransferIn(s *shard, b *batch, padded int) {
+// chargeTransferIn books a rank-parallel host→PIM transfer of padded
+// bytes into the batch's transfer-in seconds, with bounded retry under
+// injected transfer faults: every attempt (failed ones included) costs
+// the transfer time, each retry adds the modeled backoff. Exhaustion
+// marks the batch so the compute path degrades it to the host mirror —
+// the inputs are still in host staging, so no result is lost.
+func (e *Engine) chargeTransferIn(b *batch, padded int) {
 	bw := e.sys.Config().HostToPIMBandwidth
 	for attempt := uint64(0); ; attempt++ {
-		err := e.sys.TryChargeHostToPIM(b.seq, attempt, padded, true)
 		b.tin += float64(padded) / bw
-		if err == nil {
+		if !e.transferFault(faultsim.TransferIn, b.seq, attempt) {
 			return
 		}
 		e.met.transferRetries.Inc()
@@ -78,12 +77,11 @@ func (e *Engine) chargeTransferIn(s *shard, b *batch, padded int) {
 // exhaustion the results — already gathered into host staging and
 // bit-exact by construction — stand in for a host-mirror re-evaluation
 // and the batch is marked degraded.
-func (e *Engine) chargeTransferOut(s *shard, b *batch, padded int) {
+func (e *Engine) chargeTransferOut(b *batch, padded int) {
 	bw := e.sys.Config().PIMToHostBandwidth
 	for attempt := uint64(0); ; attempt++ {
-		err := e.sys.TryChargePIMToHost(b.seq, attempt, padded, true)
 		b.tout += float64(padded) / bw
-		if err == nil {
+		if !e.transferFault(faultsim.TransferOut, b.seq, attempt) {
 			return
 		}
 		e.met.transferRetries.Inc()
@@ -130,12 +128,12 @@ func (e *Engine) captureGolden(s *shard) {
 
 // flipAndRepair injects this batch's scheduled MRAM bit-flips into the
 // lanes' table regions, then scrubs every lane: a checksum mismatch
-// rewrites the golden image (charged as a serial host→PIM re-stage
-// into the batch's setup time). Tables are verified-clean when it
-// returns, so kernels and mirror-nil fallbacks never read corrupted
-// entries.
+// rewrites the golden image, charged into the batch's setup time as a
+// serial host→PIM re-stage — one bank's rewrite is not rank-parallel
+// (§2.1). Tables are verified-clean when it returns, so kernels and
+// mirror-nil fallbacks never read corrupted entries.
 func (e *Engine) flipAndRepair(s *shard, b *batch) {
-	bw := e.sys.Config().HostToPIMBandwidth
+	bw := e.sys.Config().SerialBandwidth
 	for k, d := range s.dpus {
 		region := s.golden[k]
 		if off, bit, ok := e.inj.FlipBit(b.seq, uint64(k), len(region)); ok {
@@ -158,14 +156,8 @@ func (e *Engine) flipAndRepair(s *shard, b *batch) {
 		}
 		e.met.corruptions.Inc()
 		d.MRAM.Write(0, region)
-		e.sys.ChargeHostToPIM(len(region), false)
 		b.setup += float64(len(region)) / bw
 		e.met.repairs.Inc()
-		if e.log != nil {
-			e.log.Warn("table corruption repaired",
-				"shard", s.id, "dpu", s.ids[k], "seq", b.seq,
-				"region_bytes", len(region))
-		}
 	}
 }
 
@@ -233,7 +225,6 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 			// Re-send the inputs to the healthy lanes under the
 			// remapped ceil(n/len(lanes)) layout.
 			padded := per * 4 * len(lanes)
-			e.sys.ChargeHostToPIM(padded, true)
 			b.tin += float64(padded) / e.sys.Config().HostToPIMBandwidth
 			staged = len(lanes)
 			if !b.remapped {
@@ -283,27 +274,13 @@ func (e *Engine) computeBatch(s *shard, b *batch) {
 			}
 			for _, p := range le.Lanes {
 				s.failedLane[lanes[p]] = true
-				if e.health.RecordFailure(s.ids[lanes[p]], b.seq) && e.log != nil {
-					e.log.Warn("dpu quarantined",
-						"dpu", s.ids[lanes[p]], "shard", s.id, "seq", b.seq,
-						"cause", "launch_failure")
-				}
+				e.health.RecordFailure(s.ids[lanes[p]], b.seq)
 			}
 			retry = true
 		case e.rel.LaunchTimeout > 0 && float64(mx)/e.sys.Config().ClockHz > e.rel.LaunchTimeout:
 			e.met.timeouts.Inc()
 			s.failedLane[lanes[slowest]] = true
-			if e.log != nil {
-				e.log.Warn("launch timeout",
-					"dpu", s.ids[lanes[slowest]], "shard", s.id, "seq", b.seq,
-					"modeled_s", float64(mx)/e.sys.Config().ClockHz,
-					"cutoff_s", e.rel.LaunchTimeout)
-			}
-			if e.health.RecordFailure(s.ids[lanes[slowest]], b.seq) && e.log != nil {
-				e.log.Warn("dpu quarantined",
-					"dpu", s.ids[lanes[slowest]], "shard", s.id, "seq", b.seq,
-					"cause", "timeout")
-			}
+			e.health.RecordFailure(s.ids[lanes[slowest]], b.seq)
 			retry = true
 		}
 
@@ -427,12 +404,6 @@ func (e *Engine) degradeBatch(s *shard, b *batch, ops []*core.Operator) {
 	ops[0].EvalBatchWith(s.shadow[0], xs, ys, s.arena[0])
 	b.degraded, b.hostEval = true, true
 	e.met.degraded.Inc()
-	if e.log != nil {
-		e.log.Warn("batch degraded to host mirror",
-			"shard", s.id, "seq", b.seq, "elements", b.n,
-			"fn", b.spec.Fn.String(), "method", b.spec.Par.Method.String(),
-			"retries", b.retries)
-	}
 }
 
 // computeLane runs one lane's share of a batch: the streamed kernel of

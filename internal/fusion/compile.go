@@ -456,8 +456,8 @@ func (c *Compiled) SyncBytes(k int) (gather, bcast int) {
 
 // FusedBytes is the total host↔PIM bytes one fused evaluation moves.
 func (c *Compiled) FusedBytes(n, k int) int {
-	g, b := c.SyncBytes(k)
-	return c.InBytes(n, k) + c.OutBytes(n, k) + g + b
+	in, out := c.splitBytes(n, k, true)
+	return in + out
 }
 
 // PerOpBytes is the total host↔PIM bytes the per-op baseline moves:
@@ -466,33 +466,8 @@ func (c *Compiled) FusedBytes(n, k int) int {
 // vector out (or a reduction gather). Host scalar arithmetic is free
 // in both paths.
 func (c *Compiled) PerOpBytes(n, k int) int {
-	P := padded(n, k)
-	total := 0
-	for i, nd := range c.nodes {
-		if !c.live[i] {
-			continue
-		}
-		switch {
-		case nd.kind == nFunc:
-			total += 2 * P
-		case nd.kind == nElem && !nd.scalar:
-			var vecs, scals []int
-			for _, opnd := range [2]int{nd.a, nd.b} {
-				od := &c.nodes[opnd]
-				if od.scalar {
-					if s := c.derefScalar(opnd); !c.foldable[s] {
-						scals = appendUnique(scals, s)
-					}
-				} else {
-					vecs = appendUnique(vecs, opnd)
-				}
-			}
-			total += P*len(vecs) + 4*k*len(scals) + P
-		case nd.kind == nReduce:
-			total += P + 4*k
-		}
-	}
-	return total
+	in, out := c.splitBytes(n, k, false)
+	return in + out
 }
 
 // SavedTransferSeconds converts the fused-vs-per-op byte difference to

@@ -6,11 +6,10 @@ import (
 )
 
 // scriptedAgent is a deterministic test FaultAgent: fail/slow specific
-// lanes, fail transfers on specific attempts.
+// lanes.
 type scriptedAgent struct {
-	failLanes    map[int]bool
-	slowLanes    map[int]float64
-	failTransfer func(seq, attempt uint64, out bool) bool
+	failLanes map[int]bool
+	slowLanes map[int]float64
 }
 
 func (a scriptedAgent) Launch(seq, attempt uint64, lane int) LaunchVerdict {
@@ -21,13 +20,6 @@ func (a scriptedAgent) Launch(seq, attempt uint64, lane int) LaunchVerdict {
 		return LaunchVerdict{SlowFactor: f}
 	}
 	return LaunchVerdict{}
-}
-
-func (a scriptedAgent) Transfer(seq, attempt uint64, out bool) bool {
-	if a.failTransfer == nil {
-		return false
-	}
-	return a.failTransfer(seq, attempt, out)
 }
 
 func burnKernel(ctx *Ctx, _ int) error {
@@ -140,35 +132,5 @@ func TestKernelErrorOutranksInjected(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("error %v, want the kernel error", err)
-	}
-}
-
-// TestTryChargeTransfer: injected transfer faults surface as
-// ErrTransferFault but the transfer time is still charged.
-func TestTryChargeTransfer(t *testing.T) {
-	sys := NewSystem(Config{DPUs: 1})
-	sys.SetFaultAgent(scriptedAgent{failTransfer: func(seq, attempt uint64, out bool) bool {
-		return attempt == 0 // first attempt fails, retry succeeds
-	}})
-	if err := sys.TryChargeHostToPIM(1, 0, 4096, true); !errors.Is(err, ErrTransferFault) {
-		t.Errorf("host→PIM fault = %v, want ErrTransferFault", err)
-	}
-	if err := sys.TryChargeHostToPIM(1, 1, 4096, true); err != nil {
-		t.Errorf("retry failed: %v", err)
-	}
-	wantIn := 2 * 4096 / DefaultHostToPIMBandwidth
-	if got := sys.HostToPIMSeconds(); got != wantIn {
-		t.Errorf("host→PIM seconds %g, want %g (failed attempts still cost)", got, wantIn)
-	}
-	if err := sys.TryChargePIMToHost(2, 0, 1024, true); !errors.Is(err, ErrTransferFault) {
-		t.Errorf("PIM→host fault = %v, want ErrTransferFault", err)
-	}
-	if got, want := sys.PIMToHostSeconds(), 1024/DefaultPIMToHostBandwidth; got != want {
-		t.Errorf("PIM→host seconds %g, want %g", got, want)
-	}
-	// Removing the agent restores the unchecked behavior.
-	sys.SetFaultAgent(nil)
-	if err := sys.TryChargePIMToHost(3, 0, 1024, true); err != nil {
-		t.Errorf("nil agent injected a fault: %v", err)
 	}
 }

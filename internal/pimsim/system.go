@@ -70,8 +70,11 @@ func (c Config) withDefaults() Config {
 //     region may allocate. Owners that must not allocate while serving
 //     pre-touch their buffers (one Write over the full region) first.
 //   - The transfer clock (ChargeHostToPIM, ChargePIMToHost, and the
-//     Scatter/Gather/Broadcast helpers) is shared and internally
-//     locked, so any goroutine may charge transfer time at any point.
+//     Scatter/Gather/Broadcast helpers) is internally locked, so any
+//     goroutine may charge transfer time at any point. It is the
+//     clock of host programs that drive the system directly (the
+//     Fig. 9 workloads); internal/engine books each batch's transfer
+//     time itself and leaves this clock alone.
 type System struct {
 	cfg  Config
 	dpus []*DPU
@@ -80,8 +83,8 @@ type System struct {
 	hostToPIMSeconds float64
 	pimToHostSeconds float64
 
-	// faultAgent, when set, injects faults at the launch and transfer
-	// points (see SetFaultAgent). Atomic so installing or removing it
+	// faultAgent, when set, injects faults at the launch point (see
+	// SetFaultAgent). Atomic so installing or removing it
 	// races safely with in-flight launches.
 	faultAgent atomic.Pointer[faultAgentBox]
 

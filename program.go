@@ -1,8 +1,6 @@
 package transpimlib
 
 import (
-	"fmt"
-
 	"transpimlib/internal/engine"
 	"transpimlib/internal/fusion"
 )
@@ -48,12 +46,8 @@ func NewProgram(name string) *Program { return fusion.NewProgram(name) }
 
 // CompileProgram validates and compiles a program against this
 // engine's cost model. Every Func node evaluates under the method
-// configuration in spec (spec.PIM must be nil: the engine owns its own
-// cores).
+// configuration in spec.
 func (e *Engine) CompileProgram(p *Program, spec Config) (*CompiledProgram, error) {
-	if spec.PIM != nil {
-		return nil, fmt.Errorf("transpimlib: EngineConfig owns its PIM system; Config.PIM must be nil")
-	}
 	return e.e.CompileProgram(p, spec.params())
 }
 

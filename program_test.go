@@ -3,8 +3,6 @@ package transpimlib
 import (
 	"math"
 	"testing"
-
-	"transpimlib/internal/pimsim"
 )
 
 // TestPublicProgramAPI drives the fused-program surface through the
@@ -70,10 +68,5 @@ func TestPublicProgramAPI(t *testing.T) {
 	}
 	if pst.MovedBytes != st.PerOpBytes {
 		t.Errorf("per-op moved %d bytes, model says %d", pst.MovedBytes, st.PerOpBytes)
-	}
-
-	// Compile rejects a Config that carries its own PIM system.
-	if _, err := eng.CompileProgram(p, Config{PIM: pimsim.NewDPU(0, pimsim.Default(), 1)}); err == nil {
-		t.Error("CompileProgram accepted a Config with PIM set")
 	}
 }

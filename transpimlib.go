@@ -75,10 +75,6 @@ type Config struct {
 	Degree       int       // Poly baseline degree (default 9)
 	Placement    Placement // table placement (default WRAM)
 	WideRange    bool      // prepend 2π reduction to trig functions
-
-	// PIM optionally supplies the simulated core to compile onto; a
-	// fresh single core is created otherwise.
-	PIM *pimsim.DPU
 }
 
 func (c Config) params() core.Params {
@@ -115,10 +111,7 @@ type Lib struct {
 // unsupported (method, function) pairs or when tables do not fit the
 // selected memory.
 func New(cfg Config, fns ...Function) (*Lib, error) {
-	dpu := cfg.PIM
-	if dpu == nil {
-		dpu = pimsim.NewDPU(0, pimsim.Default(), pimsim.DefaultTasklets)
-	}
+	dpu := pimsim.NewDPU(0, pimsim.Default(), pimsim.DefaultTasklets)
 	if len(fns) == 0 {
 		for _, f := range Functions() {
 			if cfg.Method.Supports(f) {
@@ -143,7 +136,8 @@ func New(cfg Config, fns ...Function) (*Lib, error) {
 	return l, nil
 }
 
-// PIM returns the simulated core the library is compiled onto.
+// PIM returns the simulated core the library built for itself and is
+// compiled onto.
 func (l *Lib) PIM() *pimsim.DPU { return l.dpu }
 
 // Cycles returns the PIM core's cycle counter: total modeled execution

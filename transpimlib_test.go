@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"transpimlib/internal/pimsim"
 )
 
 func TestNewDefaultCORDIC(t *testing.T) {
@@ -162,21 +160,6 @@ func TestEvalSlice(t *testing.T) {
 		if math.Abs(float64(out[i])-math.Sin(float64(x))) > 1e-5 {
 			t.Fatalf("EvalSlice[%d] = %v, want sin(%v)", i, out[i], x)
 		}
-	}
-}
-
-func TestBringYourOwnPIM(t *testing.T) {
-	dpu := pimsim.NewDPU(7, pimsim.Default(), 16)
-	lib, err := New(Config{Method: LLUT, PIM: dpu}, Sin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lib.PIM() != dpu {
-		t.Fatal("library must use the supplied core")
-	}
-	lib.Sinf(1)
-	if dpu.Cycles() == 0 {
-		t.Fatal("cycles must accrue on the supplied core")
 	}
 }
 
